@@ -201,8 +201,8 @@ def cofactor_of(X, f: MultiPoly) -> Cofactor | None:
     if q is None:
         return None
     deg = q.total_degree()
-    bound = X.degree - 1
-    assert deg is MINUS_INFINITY or deg <= bound, "cofactor degree exceeds m-1"
+    if deg is not MINUS_INFINITY and deg > X.degree - 1:
+        raise VerificationError(f"cofactor degree {deg} exceeds m-1 = {X.degree - 1}")
     return Cofactor(q)
 
 
@@ -367,8 +367,6 @@ def synthesize(X, darboux_polys, exp_factors, target: str) -> list[DarbouxFuncti
     results = []
     if target == "multiplier":
         particular = _best_particular(sol.particular, basis)
-        if all(c == 0 for c in particular) and not RatFunc(rhs_poly).is_zero():
-            pass  # cannot happen: zero vector solves only rhs == 0
         results.append(build(particular))
         for v in basis:
             combined = tuple(a + b for a, b in zip(particular, v))
@@ -384,5 +382,6 @@ def synthesize(X, darboux_polys, exp_factors, target: str) -> list[DarbouxFuncti
             if target == "multiplier"
             else is_first_integral(X, d)
         )
-        assert check.ok, f"synthesized function failed verification: {d.render()}"
+        if not check.ok:
+            raise VerificationError(f"synthesized function failed verification: {d.render()}")
     return results

@@ -45,10 +45,7 @@ def _field_ops_for(sample):
         zero, one = Fraction(0), Fraction(1)
         return zero, one, lambda x: x == 0
     # duck-typed field element (RatFunc)
-    zero = sample - sample
-    one_candidate = getattr(type(sample), "one", None)
-    one = type(sample).one(sample.arity) if one_candidate else None
-    return zero, one, lambda x: x.is_zero()
+    return sample - sample, type(sample).one(sample.arity), lambda x: x.is_zero()
 
 
 def rref(matrix: Sequence[Sequence], rhs: Sequence | None = None):
@@ -120,14 +117,6 @@ def solve_linear(M: QMatrix, rhs: Sequence[Fraction]) -> LinearSolution | None:
             v[c] = -m[r][f]
         basis.append(tuple(v))
     return LinearSolution(particular=tuple(particular), nullspace=tuple(basis))
-
-
-def rank_over_field(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix over a field (Fraction or RatFunc entries)."""
-    if not rows:
-        return 0
-    _, _, pivots = rref(rows)
-    return len(pivots)
 
 
 def rank_with_witness(rows: Sequence[Sequence]):

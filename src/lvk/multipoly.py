@@ -213,12 +213,6 @@ class MultiPoly:
         pad = (0,) * (new_arity - self.arity)
         return MultiPoly(new_arity, {e + pad: c for e, c in self.terms.items()})
 
-    def drop_last_var(self) -> "MultiPoly":
-        """Inverse of extend_arity by one; last variable must not occur."""
-        if self.involves(self.arity - 1):
-            raise ArityMismatch("last variable occurs; cannot drop")
-        return MultiPoly(self.arity - 1, {e[:-1]: c for e, c in self.terms.items()})
-
     # -- equality / hashing / printing ---------------------------------
 
     def __eq__(self, other) -> bool:
@@ -441,39 +435,69 @@ def gcd_multivar(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     cg = gcd_multivar(cont_a, cont_b)
     if pa.degree() < pb.degree():
         pa, pb = pb, pa
-    one = MultiPoly.one(a.arity)
-    g, h = one, one
-    while True:
-        delta = pa.degree() - pb.degree()
-        rem = _pseudo_rem(pa, pb)
-        if rem.is_zero():
-            break
-        if rem.degree() == 0:
-            pb = _UniView([one], var, a.arity)
-            break
-        divisor = g * (h**delta)
-        pa, pb = pb, rem.div_coeff(divisor)
-        g = pa.lc()
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h = g
-        else:
-            h = exact_div(g**delta, h ** (delta - 1))
-    if pb.degree() == 0:
+    last, rem, *_ = _subresultant_prs(pa, pb)
+    if not rem.is_zero():
         result = cg
     else:
-        prim = pb.div_coeff(_content(pb.coeffs)).to_poly()
-        result = cg * prim
+        result = cg * last.div_coeff(_content(last.coeffs)).to_poly()
     return monic_grlex(result)
 
 
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Dispatch form of the ring operations; kept for the report layer."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
+def _next_scale(g: MultiPoly, h: MultiPoly, delta: int) -> MultiPoly:
+    """The subresultant scale g^delta / h^(delta - 1)."""
+    if delta == 0:
+        return h
+    if delta == 1:
+        return g
+    return exact_div(g**delta, h ** (delta - 1))
+
+
+def _subresultant_prs(a: _UniView, b: _UniView):
+    """Subresultant PRS of a, b (Brown and Collins) up to its last pseudo-remainder.
+
+    Requires deg a >= deg b >= 1.  Stops at the first rem = prem(a, b) of
+    degree <= 0 and returns (b, rem, g, h, delta, sign) of that step: b is
+    the last element of positive degree, rem is zero or a nonzero constant,
+    g and h are the current scales, delta = deg a - deg b, and sign is the
+    product of (-1)^(deg a * deg b) over all steps, which resultants need.
+    """
+    g = h = MultiPoly.one(a.arity)
+    sign = 1
+    while True:
+        delta = a.degree() - b.degree()
+        if a.degree() % 2 and b.degree() % 2:
+            sign = -sign
+        rem = _pseudo_rem(a, b)
+        if rem.degree() <= 0:
+            return b, rem, g, h, delta, sign
+        a, b = b, rem.div_coeff(g * h**delta)
+        g = a.lc()
+        h = _next_scale(g, h, delta)
+
+
+def resultant_in_var(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
+    """Resultant of a and b in var: lc(a)^deg(b) times the product of b over a's roots.
+
+    Computed fraction-free from the subresultant PRS that gcd_multivar runs
+    (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.7).
+    """
+    a._check(b)
+    if a.is_zero() or b.is_zero():
+        raise ZeroDivisionInField("resultant of zero polynomial")
+    ua, ub = _UniView.of(a, var), _UniView.of(b, var)
+    da, db = ua.degree(), ub.degree()
+    if db == 0:
+        return ub.lc() ** da
+    if da == 0:
+        return ua.lc() ** db
+    if da < db:
+        return resultant_in_var(b, a, var).scale((-1) ** (da * db))
+    last, rem, g, h, delta, sign = _subresultant_prs(ua, ub)
+    if rem.is_zero():
+        return MultiPoly.zero(a.arity)
+    # close the sequence: its constant element and the scale that goes with it
+    d = last.degree()
+    final = exact_div(rem.lc(), g * h**delta)
+    h = _next_scale(last.lc(), h, delta)
+    return exact_div(final**d, h ** (d - 1)).scale(sign)
+

@@ -217,7 +217,8 @@ def multiplier_from_rational_integrals(
     for pos, i in enumerate(cols):
         det_identity = det_identity - gammas[pos].derivative(i)
     identities.append(("determinant-cancellation", det_identity))
-    assert det_identity.is_zero(), "determinant cancellation identity failed"
+    if not det_identity.is_zero():
+        raise VerificationError("determinant cancellation identity failed")
     h = P[lv] / gamma
     a_form = OneForm([h.derivative(i) / h for i in range(n)])
     closed = is_closed(a_form)
@@ -282,7 +283,8 @@ def first_integral_2d(
 
     grad = differentiate(result)
     residual = X.lie_derivative_log(grad)
-    assert residual.is_zero(), "2D first integral failed verification"
+    if not residual.is_zero():
+        raise VerificationError("2D first integral failed verification")
     return result
 
 

@@ -133,9 +133,6 @@ class RatFunc:
     def extend_arity(self, new_arity: int) -> "RatFunc":
         return RatFunc(self.num.extend_arity(new_arity), self.den.extend_arity(new_arity))
 
-    def drop_last_var(self) -> "RatFunc":
-        return RatFunc(self.num.drop_last_var(), self.den.drop_last_var())
-
     # -- equality / printing -----------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -178,26 +178,6 @@ def tp_mul(a, b, m, arity):
     return tp_reduce(out, m, arity)
 
 
-def _tp_gcd_plain(a: list[RatFunc], b: list[RatFunc]) -> list[RatFunc]:
-    """Monic gcd in K[t] for RatFunc coefficients K, Euclid over the field."""
-    a, b = tp_trim(a), tp_trim(b)
-    while b:
-        # a mod b
-        r = list(a)
-        inv = b[-1].inverse()
-        while len(r) >= len(b) and r:
-            k = len(r) - len(b)
-            c = r[-1] * inv
-            for i in range(len(b)):
-                r[k + i] = r[k + i] - c * b[i]
-            r = tp_trim(r)
-        a, b = b, r
-    if not a:
-        raise ZeroDivisionInField("gcd of zero elements in t")
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
 def _coerce_rational_tpoly(g: list[RatFunc]) -> list[Fraction]:
     out = []
     for c in g:
@@ -211,25 +191,18 @@ def _coerce_rational_tpoly(g: list[RatFunc]) -> list[Fraction]:
 
 
 def tp_inv(a: list[RatFunc], m: list[Fraction], arity: int) -> list[RatFunc]:
-    """Inverse of a mod m; raises SplitRequired on a proper zero divisor."""
+    """Inverse of a mod m; raises SplitRequired on a proper zero divisor.
+
+    One extended Euclid over K[t]: the final remainder is gcd(a, m), and a
+    nonconstant gcd is the factor m must be split by.
+    """
     a = tp_reduce(a, m, arity)
     if not a:
         raise ZeroDivisionInField("inverse of zero mod m")
-    m_rf = [RatFunc.constant(arity, c) for c in m]
-    g = _tp_gcd_plain(a, m_rf)
-    if len(g) - 1 >= 1:
-        factor = qpoly_monic(_coerce_rational_tpoly(g))
-        if len(factor) == len(m):
-            raise ZeroDivisionInField("element is zero mod m")
-        raise SplitRequired(factor)
-    # extended Euclid: find s with s*a = 1 mod m
-    r0, r1 = m_rf, a
-    zero_t: list[RatFunc] = []
-    one_t = [RatFunc.one(arity)]
-    t0, t1 = zero_t, one_t
+    r0, r1 = [RatFunc.constant(arity, c) for c in m], a
+    t0, t1 = [], [RatFunc.one(arity)]
     while r1:
         # divmod r0 by r1 over K[t]
-        q = []
         r = list(r0)
         inv = r1[-1].inverse()
         q = [RatFunc.zero(arity)] * max(len(r) - len(r1) + 1, 0)
@@ -240,18 +213,15 @@ def tp_inv(a: list[RatFunc], m: list[Fraction], arity: int) -> list[RatFunc]:
             for i in range(len(r1)):
                 r[k + i] = r[k + i] - c * r1[i]
             r = tp_trim(r)
-        # t_next = t0 - q*t1 (multiplication without mod reduction is fine,
-        # degrees stay < 2*deg m, reduce at the end)
-        qt1 = [RatFunc.zero(arity)] * (len(q) + len(t1) - 1) if q and t1 else []
-        for i, x in enumerate(q):
-            for j, y in enumerate(t1):
-                qt1[i + j] = qt1[i + j] + x * y
-        t_next = tp_add(t0, tp_neg(qt1)) if qt1 else list(t0)
         r0, r1 = r1, r
-        t0, t1 = t1, t_next
-    # r0 is the gcd (degree 0 here); normalize
-    c_inv = r0[0].inverse()
-    return tp_reduce([x * c_inv for x in t0], m, arity)
+        t0, t1 = t1, tp_add(t0, tp_neg(tp_mul(q, t1, m, arity)))
+    inv = r0[-1].inverse()
+    if len(r0) > 1:
+        factor = qpoly_monic(_coerce_rational_tpoly([c * inv for c in r0]))
+        if len(factor) == len(m):
+            raise ZeroDivisionInField("element is zero mod m")
+        raise SplitRequired(factor)
+    return tp_reduce([x * inv for x in t0], m, arity)
 
 
 # -- polynomials in the main variable with coefficients in K[t]/(m) ----------

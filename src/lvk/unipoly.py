@@ -11,8 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, LvkError, ZeroDivisionInField
-from .linalg import determinant
-from .multipoly import MultiPoly
+from .multipoly import (
+    MultiPoly,
+    _coeffs_in_var,
+    _from_coeffs_in_var,
+    exact_div,
+    gcd_multivar,
+    resultant_in_var,
+)
 from .ratfunc import RatFunc
 
 
@@ -46,16 +52,9 @@ class UniPoly:
 
     @staticmethod
     def of_poly(p: MultiPoly, main_var: int) -> "UniPoly":
-        by_deg: dict[int, dict] = {}
-        for e, c in p.terms.items():
-            rest = list(e)
-            d = rest[main_var]
-            rest[main_var] = 0
-            by_deg.setdefault(d, {})[tuple(rest)] = c
-        deg = max(by_deg) if by_deg else -1
-        coeffs = [
-            RatFunc(MultiPoly(p.arity, by_deg.get(i, {}))) for i in range(deg + 1)
-        ]
+        by_deg = _coeffs_in_var(p, main_var)
+        zero = MultiPoly.zero(p.arity)
+        coeffs = [RatFunc(by_deg.get(i, zero)) for i in range(max(by_deg, default=-1) + 1)]
         return UniPoly(main_var, p.arity, coeffs)
 
     # -- queries -----------------------------------------------------------
@@ -167,12 +166,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def eval_at(self, value: RatFunc) -> RatFunc:
-        acc = RatFunc.zero(self.arity)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, UniPoly)
@@ -266,28 +259,32 @@ def squarefree_yun(p: UniPoly) -> SquarefreeDecomposition:
     return SquarefreeDecomposition(parts=parts, unit=unit)
 
 
-def resultant(p: UniPoly, q: UniPoly) -> RatFunc:
-    """Resultant as the Sylvester determinant, p's coefficients in the top rows.
+def _clear_denominators(p: UniPoly) -> tuple[MultiPoly, MultiPoly]:
+    """(L, L*p as a MultiPoly), L the lcm of p's coefficient denominators."""
+    lcm = MultiPoly.one(p.arity)
+    for c in p.coeffs:
+        lcm = lcm * exact_div(c.den, gcd_multivar(lcm, c.den))
+    by_deg = {i: c.num * exact_div(lcm, c.den) for i, c in enumerate(p.coeffs)}
+    return lcm, _from_coeffs_in_var(by_deg, p.main_var, p.arity)
 
-    Sign convention frozen: rows 0..deg(q)-1 carry p's coefficients (highest
-    first), the remaining deg(p) rows carry q's.
+
+def resultant(p: UniPoly, q: UniPoly) -> RatFunc:
+    """Resultant of p and q in the main variable.
+
+    Sign convention frozen: the determinant of the matrix whose first deg(q)
+    rows carry p's coefficients (highest first) and whose last deg(p) rows
+    carry q's, i.e. lc(p)^deg(q) times the product of q over p's roots.  Both
+    operands are cleared of coefficient denominators (lcm L) and the
+    fraction-free subresultant PRS of multipoly does the elimination:
+    Res(p, q) = Res(Lp*p, Lq*q) / (Lp^deg q * Lq^deg p).
     """
     if p.is_zero() or q.is_zero():
         raise ZeroDivisionInField("resultant of zero polynomial")
     p._check(q)
-    dp, dq = p.degree(), q.degree()
-    if dp == 0 and dq == 0:
-        return RatFunc.one(p.arity)
-    n = dp + dq
-    zero = RatFunc.zero(p.arity)
-    rows = []
-    pc = [p.coeff(dp - i) for i in range(dp + 1)]  # highest first
-    qc = [q.coeff(dq - i) for i in range(dq + 1)]
-    for i in range(dq):
-        rows.append([zero] * i + pc + [zero] * (n - dp - 1 - i))
-    for i in range(dp):
-        rows.append([zero] * i + qc + [zero] * (n - dq - 1 - i))
-    return determinant(rows)
+    lp, pp = _clear_denominators(p)
+    lq, qq = _clear_denominators(q)
+    res = resultant_in_var(pp, qq, p.main_var)
+    return RatFunc(res, lp ** q.degree() * lq ** p.degree())
 
 
 class HermiteError(LvkError):

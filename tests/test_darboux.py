@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +49,39 @@ def test_cofactor_of_non_invariant():
 def test_cofactor_rejects_constants():
     with pytest.raises(VerificationError):
         cofactor_of(LOTKA, parse_poly("3", NAMES))
+
+
+OPTIMIZED_CHECK = """
+import sys
+from lvk.darboux import cofactor_of
+from lvk.errors import VerificationError
+from lvk.multipoly import MultiPoly
+
+
+class LinearField:
+    # claims degree 1, so every cofactor must be constant, yet X(f) = f^2
+    degree = 1
+
+    def lie_derivative(self, f):
+        return f * f
+
+
+try:
+    cofactor_of(LinearField(), MultiPoly.variable(1, 0))
+except VerificationError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_certificate_checks_survive_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 cofactor degree 1 exceeds m-1 = 0\n"
 
 
 def test_exponential_factor_accept_and_reject():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lvk.linalg import determinant
 from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
@@ -16,7 +17,7 @@ from lvk.unipoly import (
     squarefree_yun,
 )
 
-from conftest import random_poly
+from conftest import random_poly, random_ratfunc
 
 F = Fraction
 
@@ -64,6 +65,41 @@ def test_squarefree_yun():
         assert gcd_uni(f, f.derivative()).degree() == 0
 
 
+def UR(expr, names=("x", "y")):
+    """UniPoly in x of a rational function whose denominator is free of x."""
+    f = parse_ratfunc(expr, list(names))
+    return UniPoly.of_poly(f.num, 0).scale(RatFunc(f.den).inverse())
+
+
+def sylvester_resultant(p: UniPoly, q: UniPoly) -> RatFunc:
+    """Reference: the Sylvester determinant, deg(q) rows of p's coefficients on top."""
+    dp, dq = p.degree(), q.degree()
+    n = dp + dq
+    if n == 0:
+        return RatFunc.one(p.arity)
+    zero = RatFunc.zero(p.arity)
+    pc = [p.coeff(dp - i) for i in range(dp + 1)]
+    qc = [q.coeff(dq - i) for i in range(dq + 1)]
+    rows = [[zero] * i + pc + [zero] * (n - dp - 1 - i) for i in range(dq)]
+    rows += [[zero] * i + qc + [zero] * (n - dq - 1 - i) for i in range(dp)]
+    return determinant(rows)
+
+
+def random_unipoly(rng, degree):
+    """A UniPoly in x whose coefficients are random rational functions of y."""
+
+    def in_y(p):
+        return MultiPoly(2, {(0,) + e: c for e, c in p.terms.items()})
+
+    coeffs = []
+    for _ in range(degree + 1):
+        f = random_ratfunc(rng, 1)
+        coeffs.append(RatFunc(in_y(f.num), in_y(f.den)))
+    if coeffs[-1].is_zero():
+        coeffs[-1] = RatFunc.one(2)
+    return UniPoly(0, 2, coeffs)
+
+
 def test_resultant_sign_convention():
     names = ["x"]
     x2 = UniPoly.of_poly(parse_poly("x^2 - 2", names), 0)
@@ -79,6 +115,77 @@ def test_resultant_sign_convention():
 def test_resultant_detects_common_root():
     common = U("x - y")
     assert resultant(common * U("x + 1"), common * U("x + 2")).is_zero()
+    # and with coefficient denominators cleared first
+    p, q = UR("(x - y)*(x + 1)/(y + 3)"), UR("(x - y)*(x^2 + 2*y)")
+    assert resultant(p, q).is_zero()
+    assert sylvester_resultant(p, q).is_zero()
+
+
+def test_resultant_matches_sylvester_on_random_pairs():
+    rng = random.Random(1311)
+    for _ in range(40):
+        p = random_unipoly(rng, rng.randint(0, 3))
+        q = random_unipoly(rng, rng.randint(0, 3))
+        assert resultant(p, q) == sylvester_resultant(p, q)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ("x^2/3 + y*x - 1/2", "(y + 1)/(y - 2)"),  # degree-0 operand, denominators
+        ("y/(y^2 + 1)", "x^3 - y*x + 2"),  # degree-0 operand first
+        ("2", "3"),  # both of degree 0
+        ("x - y", "x^3 + 2*x/y - 5"),  # odd x odd, deg p < deg q: sign flips
+        ("x^3/y + x - 1", "x^5 - y"),  # odd x odd, both above 1
+    ],
+)
+def test_resultant_edge_cases_match_sylvester(p, q):
+    assert resultant(UR(p), UR(q)) == sylvester_resultant(UR(p), UR(q))
+
+
+def test_resultant_in_rothstein_trager_shape():
+    # Res_x(D, N - t*D') with t appended as an extra variable, as rothstein_trager builds it
+    names = ["x", "y"]
+    den = U("x^3 + y*x + 1").monic()
+    num = U("x^2 - y").scale(parse_ratfunc("1/(y + 2)", names))
+    ext = 3
+    t = RatFunc(MultiPoly.variable(ext, 2))
+
+    def lift(u):
+        return UniPoly(0, ext, [c.extend_arity(ext) for c in u.coeffs])
+
+    q = lift(num) - lift(den.derivative()).scale(t)
+    res = resultant(lift(den), q)
+    assert res == sylvester_resultant(lift(den), q)
+    assert res.num.degree_in(2) == 3
+
+
+def test_resultant_matches_sympy_on_integer_pairs():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(p: MultiPoly, symbols):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
+            for e, c in p.terms.items()
+        )
+
+    rng = random.Random(7255)
+    x, y = sympy.symbols("x y")
+    for _ in range(30):
+        a, b = (
+            MultiPoly(2, {e: F(c.numerator) for e, c in random_poly(rng, 2, 4, 5, True).terms.items()})
+            for _ in range(2)
+        )
+        if not (a.involves(0) or b.involves(0)):
+            continue
+        if a.degree_in(0) < b.degree_in(0):
+            # sympy's sign is off in this order: resultant(x - 1, x**3, x) is -1,
+            # the determinant is 1; that order is checked against the determinant
+            a, b = b, a
+        ours = resultant(UniPoly.of_poly(a, 0), UniPoly.of_poly(b, 0))
+        theirs = sympy.resultant(to_sympy(a, (x, y)), to_sympy(b, (x, y)), x)
+        assert sympy.expand(to_sympy(ours.as_poly(), (x, y)) - theirs) == 0
 
 
 def test_hermite_worked_example():
