@@ -24,6 +24,7 @@ from .darboux import (
 )
 from .darboux import verify_exponential_factor as _verify_exp
 from .errors import (
+    DegreeCapExceeded,
     LvkError,
     NonConstantResidue,
     NotClosed,
@@ -526,6 +527,9 @@ def main(argv=None) -> int:
     except NonConstantResidue as e:
         sys.stderr.write(f"algebraic obstruction: {e}\n")
         return EXIT_ALGEBRAIC
+    except DegreeCapExceeded as e:
+        sys.stderr.write(f"resource limit: {e}\n")
+        return EXIT_VERIFY
     except (VerificationError, LvkError) as e:
         sys.stderr.write(f"verification failure: {e}\n")
         return EXIT_VERIFY

@@ -21,6 +21,8 @@ from .errors import (
 #: Degree of the zero polynomial: strictly less than every integer.
 MINUS_INFINITY = float("-inf")
 
+_ONE = Fraction(1)
+
 
 def degree_cap() -> int:
     """Safety rail on intermediate total degrees (env LVK_MAX_DEGREE)."""
@@ -34,8 +36,20 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
+def _check_cap(degree) -> None:
+    cap = degree_cap()
+    if degree > cap:
+        raise DegreeCapExceeded(f"term of total degree {degree} exceeds LVK_MAX_DEGREE={cap}")
+
+
 class MultiPoly:
-    """Immutable sparse polynomial in a fixed number of variables."""
+    """Immutable sparse polynomial in a fixed number of variables.
+
+    The public constructor validates its terms (arity, zero coefficients,
+    ``LVK_MAX_DEGREE``).  Arithmetic builds results with the trusted
+    ``_raw``; only ``__mul__`` and ``_from_coeffs_in_var`` can raise the
+    total degree, and they check the cap once per result.
+    """
 
     __slots__ = ("arity", "terms", "_hash")
 
@@ -44,7 +58,7 @@ class MultiPoly:
         cap = degree_cap()
         if terms:
             for exps, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c == 0:
                     continue
                 if len(exps) != arity:
@@ -60,6 +74,15 @@ class MultiPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _raw(cls, arity: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """Adopt terms as they are: tuples of length arity, nonzero Fractions, within the cap."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "arity", arity)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -67,15 +90,17 @@ class MultiPoly:
 
     @staticmethod
     def zero(arity: int) -> "MultiPoly":
-        return MultiPoly(arity, {})
+        return MultiPoly._raw(arity, {})
 
     @staticmethod
     def constant(arity: int, value) -> "MultiPoly":
-        return MultiPoly(arity, {(0,) * arity: Fraction(value)})
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        return MultiPoly._raw(arity, {(0,) * arity: value} if value else {})
 
     @staticmethod
     def one(arity: int) -> "MultiPoly":
-        return MultiPoly.constant(arity, 1)
+        return MultiPoly._raw(arity, {(0,) * arity: _ONE})
 
     @staticmethod
     def variable(arity: int, index: int) -> "MultiPoly":
@@ -91,7 +116,7 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not self.terms or (len(self.terms) == 1 and (0,) * self.arity in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -129,37 +154,57 @@ class MultiPoly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
+            s = terms.get(e)
+            if s is None:
+                terms[e] = c
             else:
-                terms[e] = s
-        return MultiPoly(self.arity, terms)
+                s += c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return MultiPoly._raw(self.arity, terms)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
+        if not self.terms or not other.terms:
+            return MultiPoly._raw(self.arity, {})
+        origin = (0,) * self.arity
+        if len(other.terms) == 1 and origin in other.terms:
+            return self.scale(other.terms[origin])
+        if len(self.terms) == 1 and origin in self.terms:
+            return other.scale(self.terms[origin])
+        # over a field the leading terms multiply: the degrees add exactly
+        _check_cap(self.total_degree() + other.total_degree())
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
+                s = terms.get(e)
+                if s is None:
+                    terms[e] = c1 * c2
                 else:
-                    terms[e] = s
-        return MultiPoly(self.arity, terms)
+                    s += c1 * c2
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+        return MultiPoly._raw(self.arity, terms)
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c == 1:
+            return self
         if c == 0:
             return MultiPoly.zero(self.arity)
-        return MultiPoly(self.arity, {e: c * v for e, v in self.terms.items()})
+        return MultiPoly._raw(self.arity, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -185,7 +230,7 @@ class MultiPoly:
             new = list(e)
             new[var] -= 1
             terms[tuple(new)] = c * e[var]
-        return MultiPoly(self.arity, terms)
+        return MultiPoly._raw(self.arity, terms)
 
     def eval_partial(self, assignments: Mapping[int, Fraction]) -> "MultiPoly":
         """Substitute rational values for some variables (others untouched)."""
@@ -204,14 +249,14 @@ class MultiPoly:
                 terms.pop(key, None)
             else:
                 terms[key] = s
-        return MultiPoly(self.arity, terms)
+        return MultiPoly._raw(self.arity, terms)
 
     def extend_arity(self, new_arity: int) -> "MultiPoly":
         """Reinterpret in a larger variable set (new variables appended)."""
         if new_arity < self.arity:
             raise ArityMismatch("cannot shrink arity")
         pad = (0,) * (new_arity - self.arity)
-        return MultiPoly(new_arity, {e + pad: c for e, c in self.terms.items()})
+        return MultiPoly._raw(new_arity, {e + pad: c for e, c in self.terms.items()})
 
     # -- equality / hashing / printing ---------------------------------
 
@@ -276,16 +321,23 @@ def try_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     lm_b = b.leading_monomial()
     lc_b = b.terms[lm_b]
     quotient: dict[tuple[int, ...], Fraction] = {}
-    rem = a
-    while not rem.is_zero():
-        lm_r = rem.leading_monomial()
+    rem = dict(a.terms)
+    while rem:
+        lm_r = max(rem, key=_grlex_key)
         exps = tuple(r - s for r, s in zip(lm_r, lm_b))
         if any(e < 0 for e in exps):
             return None
-        c = rem.terms[lm_r] / lc_b
+        c = rem[lm_r] / lc_b
         quotient[exps] = c
-        rem = rem - MultiPoly(a.arity, {exps: c}) * b
-    return MultiPoly(a.arity, quotient)
+        # rem -= c * x^exps * b; its terms stay at or below lm_r
+        for e, v in b.terms.items():
+            key = tuple(x + y for x, y in zip(exps, e))
+            s = rem.get(key, 0) - c * v
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return MultiPoly._raw(a.arity, quotient)
 
 
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -310,17 +362,20 @@ def _coeffs_in_var(p: MultiPoly, var: int) -> dict[int, MultiPoly]:
         rest = list(e)
         rest[var] = 0
         out.setdefault(d, {})[tuple(rest)] = c
-    return {d: MultiPoly(p.arity, t) for d, t in out.items()}
+    return {d: MultiPoly._raw(p.arity, t) for d, t in out.items()}
 
 
 def _from_coeffs_in_var(coeffs: dict[int, MultiPoly], var: int, arity: int) -> MultiPoly:
+    """Inverse of _coeffs_in_var; the coefficients must be free of var."""
     terms: dict[tuple[int, ...], Fraction] = {}
     for d, poly in coeffs.items():
         for e, c in poly.terms.items():
             new = list(e)
             new[var] += d
             terms[tuple(new)] = c
-    return MultiPoly(arity, terms)
+    if terms:
+        _check_cap(max(map(sum, terms)))
+    return MultiPoly._raw(arity, terms)
 
 
 class _UniView:

@@ -2,6 +2,21 @@
 
 Normalization: gcd(num, den) is a unit and the denominator's graded-lex
 leading coefficient is 1, so equality is structural.
+
+The public constructor normalizes with a full gcd.  Arithmetic builds its
+results with the trusted ``_raw`` and runs only the gcds that can find a
+common factor.  Negation, nonzero scaling, powers and arity extension keep
+lowest terms as they are; ``inverse`` only divides by lc(num).  Sums and
+products use Henrici's formulas (Knuth, *TAOCP* vol. 2, 4.5.1): a sum
+takes g = gcd(d1, d2), and only gcd(n1*(d2/g) + n2*(d1/g), g) can cancel;
+a product cancels the cross gcds gcd(n1, d2) and gcd(n2, d1).  The
+derivative takes G = gcd(d, d') (Bronstein, *Symbolic Integration I*,
+2.3): (n/d)' = (n'*(d/G) - n*(d'/G)) / (d*(d/G)), where a factor p of d
+of multiplicity k that involves the variable leaves d/G with p^1 and does
+not divide the new numerator, and a factor free of the variable sits
+wholly in G, so only gcd(numerator, G) can cancel.  Denominators stay
+monic because gcd_multivar returns monic results and the graded-lex
+leading coefficient is multiplicative.
 """
 
 from __future__ import annotations
@@ -25,10 +40,7 @@ class RatFunc:
         if num.is_zero():
             den = MultiPoly.one(num.arity)
         else:
-            g = gcd_multivar(num, den)
-            if not g.is_constant():
-                num = exact_div(num, g)
-                den = exact_div(den, g)
+            num, den = _cancel(num, den)
             lc = den.leading_coefficient()
             if lc != 1:
                 num = num.scale(Fraction(1) / lc)
@@ -37,6 +49,15 @@ class RatFunc:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _raw(cls, num: MultiPoly, den: MultiPoly) -> "RatFunc":
+        """Adopt a pair already in lowest terms with a monic denominator (1 if num is 0)."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        object.__setattr__(f, "_hash", None)
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
@@ -44,19 +65,19 @@ class RatFunc:
 
     @staticmethod
     def zero(arity: int) -> "RatFunc":
-        return RatFunc(MultiPoly.zero(arity))
+        return RatFunc.of_poly(MultiPoly.zero(arity))
 
     @staticmethod
     def one(arity: int) -> "RatFunc":
-        return RatFunc(MultiPoly.one(arity))
+        return RatFunc.of_poly(MultiPoly.one(arity))
 
     @staticmethod
     def constant(arity: int, value) -> "RatFunc":
-        return RatFunc(MultiPoly.constant(arity, value))
+        return RatFunc.of_poly(MultiPoly.constant(arity, value))
 
     @staticmethod
     def of_poly(p: MultiPoly) -> "RatFunc":
-        return RatFunc(p)
+        return RatFunc._raw(p, MultiPoly.one(p.arity))
 
     # -- queries ----------------------------------------------------------
 
@@ -92,46 +113,61 @@ class RatFunc:
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        (n1, d1), (n2, d2) = (self.num, self.den), (other.num, other.den)
+        g = gcd_multivar(d1, d2)
+        if g.is_constant():
+            return _reduced(n1 * d2 + n2 * d1, d1 * d2, g)
+        e1, e2 = exact_div(d1, g), exact_div(d2, g)
+        return _reduced(n1 * e2 + n2 * e1, d1 * e2, g)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._raw(-self.num, self.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return RatFunc.zero(self.arity)
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return RatFunc._raw(n1 * n2, d1 * d2)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionInField("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionInField("inverse of zero")
-        return RatFunc(self.den, self.num)
+        c = Fraction(1) / self.num.leading_coefficient()
+        return RatFunc._raw(self.den.scale(c), self.num.scale(c))
 
     def scale(self, c) -> "RatFunc":
-        return RatFunc(self.num.scale(c), self.den)
+        if c == 0:
+            return RatFunc.zero(self.arity)
+        return RatFunc._raw(self.num.scale(c), self.den)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+        return RatFunc._raw(self.num**n, self.den**n)
 
     def derivative(self, var: int) -> "RatFunc":
-        # (n/d)' = (n'd - nd')/d^2
-        return RatFunc(
-            self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
-            self.den * self.den,
-        )
+        n, d = self.num, self.den
+        dd = d.derivative(var)
+        if dd.is_zero():
+            return RatFunc(n.derivative(var), d)
+        # (n/d)' = (n'(d/G) - n(d'/G)) / (d(d/G)) with G = gcd(d, d')
+        g = gcd_multivar(d, dd)
+        e = exact_div(d, g)
+        return _reduced(n.derivative(var) * e - n * exact_div(dd, g), d * e, g)
 
     def extend_arity(self, new_arity: int) -> "RatFunc":
-        return RatFunc(self.num.extend_arity(new_arity), self.den.extend_arity(new_arity))
+        return RatFunc._raw(self.num.extend_arity(new_arity), self.den.extend_arity(new_arity))
 
     # -- equality / printing -----------------------------------------------
 
@@ -162,3 +198,22 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
+
+
+def _cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """num and den divided by their (monic) gcd."""
+    g = gcd_multivar(num, den)
+    if g.is_constant():
+        return num, den
+    return exact_div(num, g), exact_div(den, g)
+
+
+def _reduced(num: MultiPoly, den: MultiPoly, common: MultiPoly) -> RatFunc:
+    """num/den in lowest terms, given den monic and gcd(num, den) | common."""
+    if num.is_zero():
+        return RatFunc.zero(den.arity)
+    if not common.is_constant():
+        h = gcd_multivar(num, common)
+        if not h.is_constant():
+            num, den = exact_div(num, h), exact_div(den, h)
+    return RatFunc._raw(num, den)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,15 @@ def test_rational_only_exit_4(capsys):
     )
     assert code == 4
     assert "unavailable" in out
+
+
+def test_degree_cap_is_a_resource_limit_exit_3(capsys, lotka, monkeypatch):
+    monkeypatch.setenv("LVK_MAX_DEGREE", "2")
+    code, out, err = run(capsys, "verify", "--system", lotka, "--multiplier", "1/(x^2*y^2)")
+    assert code == 3
+    assert err.startswith("resource limit: ") and "LVK_MAX_DEGREE=2" in err
+    assert "verification failure" not in err
+    assert out == ""
 
 
 def test_synthesize_no_solution_exit_3(capsys, sys2):
@@ -195,3 +207,19 @@ def test_catalog_goldens_byte_identical(capsys, name, argv):
     assert rep["status"] == "ok"
     for cert in rep["certificates"]:
         assert cert["residual"] == "0" and cert["isZero"]
+
+
+RUN_CLI = "import sys; from lvk.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("name,argv", catalog_entries())
+def test_catalog_goldens_at_default_degree_cap(name, argv):
+    # the rest of the suite runs with LVK_MAX_DEGREE=4096; the CLI default is 64
+    env = {k: v for k, v in os.environ.items() if k != "LVK_MAX_DEGREE"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (CATALOG / f"{name}.golden.json").read_text()

@@ -154,3 +154,56 @@ def test_gcd_times_exact_div_roundtrip():
         assert try_exact_div(b, d) is not None
         assert try_exact_div(d, g) is not None
         assert exact_div(a, d) * d == a
+
+
+def test_gcd_matches_sympy_up_to_a_constant():
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x y z")
+
+    def to_sympy(p: MultiPoly):
+        return sum(
+            (
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
+                for e, c in p.terms.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    rng = random.Random(4242)
+    for _ in range(40):
+        arity = rng.randint(1, 3)
+        g = random_poly(rng, arity, max_deg=2, nonzero=True)
+        a = random_poly(rng, arity, max_deg=2, nonzero=True) * g
+        b = random_poly(rng, arity, max_deg=2, nonzero=True) * g
+        ours = to_sympy(gcd_multivar(a, b))
+        theirs = sympy.gcd(to_sympy(a), to_sympy(b))
+        ratio = sympy.cancel(ours / theirs)
+        assert ratio.is_number and ratio != 0, (a, b, ours, theirs)
+
+
+# -- the degree cap on results that can grow ------------------------------------
+
+
+def test_degree_cap_on_products(monkeypatch):
+    p = P("x^2 + y")
+    q = P("x*y^2 + 1")
+    monkeypatch.setenv("LVK_MAX_DEGREE", "4")
+    with pytest.raises(DegreeCapExceeded):
+        p * q  # total degree 5
+    with pytest.raises(DegreeCapExceeded):
+        p**3
+    assert (p * p).total_degree() == 4  # at the cap is fine
+
+
+def test_degree_cap_on_reassembly(monkeypatch):
+    from lvk.multipoly import _coeffs_in_var, _from_coeffs_in_var
+
+    p = P("x^3*y + x*y^2 + 1")
+    parts = _coeffs_in_var(p, 0)
+    assert _from_coeffs_in_var(parts, 0, 2) == p
+    shifted = {d + 1: c for d, c in parts.items()}  # x * p, total degree 5
+    monkeypatch.setenv("LVK_MAX_DEGREE", "4")
+    with pytest.raises(DegreeCapExceeded):
+        _from_coeffs_in_var(shifted, 0, 2)
+    assert _from_coeffs_in_var(parts, 0, 2) == p

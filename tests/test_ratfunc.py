@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvk.errors import ZeroDivisionInField
-from lvk.multipoly import MultiPoly
+from lvk.multipoly import MultiPoly, gcd_multivar
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
 
@@ -103,3 +103,122 @@ def test_render_parenthesizes_ambiguous_denominators():
     )
     assert g.render(["x", "y", "z"]) == "x/(y^2*z)"
     assert R("(x + 1)/(y + 1)").render(NAMES) == "(x + 1)/(y + 1)"
+
+
+# -- fast paths against the normalizing constructor ------------------------------
+
+
+def assert_normalized(f: RatFunc):
+    assert f.den.leading_coefficient() == 1
+    if f.num.is_zero():
+        assert f.den == MultiPoly.one(f.arity)
+    else:
+        assert gcd_multivar(f.num, f.den).is_constant()
+
+
+def operand_pair(rng: random.Random, arity: int, kind: str):
+    """Two rational functions whose denominators relate as kind says."""
+    def poly(nonzero=False):
+        return random_poly(rng, arity, max_deg=2, max_terms=3, nonzero=nonzero)
+
+    a = RatFunc(poly(), poly(nonzero=True))
+    if kind == "overlap":
+        shared = poly(nonzero=True)
+        a = RatFunc(poly(), poly(nonzero=True) * shared)
+        b = RatFunc(poly(), poly(nonzero=True) * shared)
+    elif kind == "equal":
+        b = RatFunc(poly(), a.den)
+    elif kind == "polynomial":
+        a, b = RatFunc(poly()), RatFunc(poly())
+    elif kind == "opposite":
+        b = -a
+    elif kind == "cancelling":
+        # b = c - a, so that a + b = c cancels what a and b share
+        c = RatFunc(poly(), poly(nonzero=True))
+        b = RatFunc(c.num * a.den - a.num * c.den, a.den * c.den)
+    elif kind == "var-free content":
+        # a = p/q^2 + 1/content with content free of x1, as in 1/(y*(x+1)^2):
+        # the content sits in gcd(d, d/dx1 d) and cancels from d/dx1 a
+        content = MultiPoly.constant(arity, rng.randint(0, 2))
+        if arity > 1:
+            content = content + MultiPoly.variable(arity, arity - 1)
+        if content.is_zero():
+            content = MultiPoly.one(arity)
+        q2 = poly(nonzero=True) ** 2
+        a = RatFunc(poly() * content + q2, q2 * content)
+        b = RatFunc(poly(), content * poly(nonzero=True))
+    else:
+        b = RatFunc(poly(), poly(nonzero=True))
+    return a, b
+
+
+KINDS = ("random", "overlap", "equal", "polynomial", "opposite", "cancelling", "var-free content")
+
+
+def textbook(a: RatFunc, b: RatFunc, c: Fraction, k: int) -> dict:
+    (n1, d1), (n2, d2) = (a.num, a.den), (b.num, b.den)
+    out = {
+        "add": (a + b, RatFunc(n1 * d2 + n2 * d1, d1 * d2)),
+        "sub": (a - b, RatFunc(n1 * d2 - n2 * d1, d1 * d2)),
+        "neg": (-a, RatFunc(-n1, d1)),
+        "mul": (a * b, RatFunc(n1 * n2, d1 * d2)),
+        "scale": (a.scale(c), RatFunc(n1.scale(c), d1)),
+        "pow": (a**k, RatFunc(n1**k, d1**k)),
+        "extend": (a.extend_arity(a.arity + 1), RatFunc(n1.extend_arity(a.arity + 1), d1.extend_arity(a.arity + 1))),
+    }
+    if not b.is_zero():
+        out["div"] = (a / b, RatFunc(n1 * d2, d1 * n2))
+    if not a.is_zero():
+        out["inverse"] = (a.inverse(), RatFunc(d1, n1))
+        out["pow-neg"] = (a ** (-k), RatFunc(d1**k, n1**k))
+    for v in range(a.arity):
+        out[f"d{v}"] = (
+            a.derivative(v),
+            RatFunc(n1.derivative(v) * d1 - n1 * d1.derivative(v), d1 * d1),
+        )
+    return out
+
+
+def test_fast_paths_match_normalizing_constructor():
+    rng = random.Random(31337)
+    for i in range(105):
+        arity = rng.randint(1, 3)
+        kind = KINDS[i % len(KINDS)]
+        a, b = operand_pair(rng, arity, kind)
+        c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        for op, (fast, slow) in textbook(a, b, c, rng.randint(0, 3)).items():
+            assert fast == slow, (kind, op, a, b)
+            assert_normalized(fast)
+        if kind == "opposite":
+            assert (a + b).is_zero() and (a + b).den == MultiPoly.one(arity)
+    # the cancellations the fast paths must find did happen
+    assert R("(y + 1)/(x + 1)") + R("(x - y)/(x + 1)") == R("1")
+    assert R("x/(x^2 - 1)") - R("1/(x^2 - 1)") == R("1/(x + 1)")
+
+
+def test_derivative_with_var_free_denominator_content():
+    # the content y sits wholly in gcd(d, d'), and may cancel against the numerator
+    f = R("(x*y + 1)/y")
+    assert f.derivative(0) == R("1")
+    assert f.derivative(1) == R("-1/y^2")
+    g = R("1/(y*(x + 1)^2)")
+    assert g.derivative(0) == R("-2/(y*(x + 1)^3)")
+    assert g.derivative(1) == R("-1/(y^2*(x + 1)^2)")
+    k = R("x/(x + 1) + 1/y")  # (x*y + x + 1)/(y*(x + 1))
+    assert k.derivative(0) == R("1/(x + 1)^2")
+    for h in (f, g, k):
+        for v in range(2):
+            assert_normalized(h.derivative(v))
+    # the derivative of a squared denominator cancels one copy only
+    q = R("x/(x + y)^2")
+    assert q.derivative(0) == R("(y - x)/(x + y)^3")
+    assert_normalized(q.derivative(0))
+
+
+def test_scale_by_zero_and_trivial_powers():
+    f = R("(x + 1)/(y - 2)")
+    assert f.scale(0) == RatFunc.zero(2)
+    assert f.scale(0).den == MultiPoly.one(2)
+    assert f**0 == RatFunc.one(2)
+    assert RatFunc.zero(2) ** 0 == RatFunc.one(2)
+    assert f**1 == f
