@@ -159,8 +159,6 @@ class RatFunc:
     def derivative(self, var: int) -> "RatFunc":
         n, d = self.num, self.den
         dd = d.derivative(var)
-        if dd.is_zero():
-            return RatFunc(n.derivative(var), d)
         # (n/d)' = (n'(d/G) - n(d'/G)) / (d(d/G)) with G = gcd(d, d')
         g = gcd_multivar(d, dd)
         e = exact_div(d, g)

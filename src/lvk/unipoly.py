@@ -18,7 +18,6 @@ from .multipoly import (
     exact_div,
     gcd_multivar,
     resultant_in_var,
-    try_exact_div,
 )
 from .ratfunc import RatFunc
 
@@ -277,9 +276,7 @@ def resultant(p: UniPoly, q: UniPoly) -> RatFunc:
     carry q's, i.e. lc(p)^deg(q) times the product of q over p's roots.  Both
     operands are cleared of coefficient denominators (lcm L) and the
     fraction-free subresultant PRS of multipoly does the elimination:
-    Res(p, q) = Res(Lp*p, Lq*q) / (Lp^deg q * Lq^deg p).  Copies of Lp and
-    Lq are divided out of the numerator while they divide it exactly, so
-    the final normalization sees only what is left of the denominator.
+    Res(p, q) = Res(Lp*p, Lq*q) / (Lp^deg q * Lq^deg p).
     """
     if p.is_zero() or q.is_zero():
         raise ZeroDivisionInField("resultant of zero polynomial")
@@ -287,19 +284,7 @@ def resultant(p: UniPoly, q: UniPoly) -> RatFunc:
     lp, pp = _clear_denominators(p)
     lq, qq = _clear_denominators(q)
     res = resultant_in_var(pp, qq, p.main_var)
-    if res.is_zero():
-        return RatFunc.zero(p.arity)
-    den = MultiPoly.one(p.arity)
-    for lcm, k in ((lp, q.degree()), (lq, p.degree())):
-        if lcm.is_constant():
-            continue
-        while k:
-            quotient = try_exact_div(res, lcm)
-            if quotient is None:
-                break
-            res, k = quotient, k - 1
-        den = den * lcm**k
-    return RatFunc(res, den)
+    return RatFunc(res, lp ** q.degree() * lq ** p.degree())
 
 
 class HermiteError(LvkError):
