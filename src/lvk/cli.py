@@ -57,8 +57,6 @@ EXIT_NOT_CLOSED = 5
 def _certificate(name: str, residual, names) -> dict:
     if residual is None:
         rendered, zero = "0", True
-    elif isinstance(residual, RatFunc):
-        rendered, zero = residual.render(names), residual.is_zero()
     else:
         rendered, zero = residual.render(names), residual.is_zero()
     return {"identity": name, "residual": rendered, "isZero": zero}

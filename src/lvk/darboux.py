@@ -14,10 +14,9 @@ from itertools import product as iproduct
 
 from .errors import VerificationError, ZeroDivisionInField
 from .forms import OneForm
-from .linalg import QMatrix, solve_linear
-from .multipoly import MINUS_INFINITY, MultiPoly, gcd_multivar, try_exact_div
+from .linalg import solve_linear
+from .multipoly import MINUS_INFINITY, MultiPoly, try_exact_div
 from .ratfunc import RatFunc
-from .residues import ResidueGroup
 
 
 @dataclass(frozen=True)
@@ -226,19 +225,12 @@ def verify_exponential_factor(X, g: MultiPoly, h: MultiPoly):
 
 def multiplier_residual(X, D: DarbouxFunction) -> RatFunc:
     """The exact value of sum w_i P_i + div P with w = d log D."""
-    w = D.log_derivative()
-    total = RatFunc(X.divergence())
-    for wi, Pi in zip(w.components, X.components):
-        total = total + wi * RatFunc(Pi)
-    return total
+    return first_integral_residual(X, D) + RatFunc(X.divergence())
 
 
 def first_integral_residual(X, D: DarbouxFunction) -> RatFunc:
-    w = D.log_derivative()
-    total = RatFunc.zero(X.arity)
-    for wi, Pi in zip(w.components, X.components):
-        total = total + wi * RatFunc(Pi)
-    return total
+    """The exact value of sum w_i P_i = X(log D) with w = d log D."""
+    return X.lie_derivative_log(D.log_derivative())
 
 
 def is_jacobian_multiplier(X, D: DarbouxFunction) -> CheckResult:
@@ -346,7 +338,7 @@ def synthesize(X, darboux_polys, exp_factors, target: str) -> list[DarbouxFuncti
     for e in monos:
         rows.append([k.terms.get(e, Fraction(0)) for k in cofactors])
         rhs.append(rhs_poly.terms.get(e, Fraction(0)))
-    sol = solve_linear(QMatrix(rows), rhs)
+    sol = solve_linear(rows, rhs)
     if sol is None:
         return []
     basis = [_normalize_basis_vector(v) for v in sol.nullspace]

@@ -25,21 +25,6 @@ class LinearSolution:
     nullspace: tuple  # tuple of basis vectors (tuples)
 
 
-class QMatrix:
-    """Dense matrix of Fractions (also usable with any field elements)."""
-
-    def __init__(self, entries: Sequence[Sequence]):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise DimensionMismatch("ragged rows")
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
-
 def _field_ops_for(sample):
     if isinstance(sample, Fraction) or isinstance(sample, int):
         zero, one = Fraction(0), Fraction(1)
@@ -90,28 +75,27 @@ def rref(matrix: Sequence[Sequence], rhs: Sequence | None = None):
     return m, b, pivots
 
 
-def solve_linear(M: QMatrix, rhs: Sequence[Fraction]) -> LinearSolution | None:
-    """Exact solution set of M x = rhs, or None when inconsistent."""
-    if len(rhs) != M.rows:
-        raise DimensionMismatch(f"rhs has {len(rhs)} entries, matrix has {M.rows} rows")
-    if M.rows == 0:
-        return LinearSolution(particular=(Fraction(0),) * M.cols, nullspace=tuple(
-            tuple(Fraction(1) if j == k else Fraction(0) for j in range(M.cols))
-            for k in range(M.cols)
-        ))
-    m, b, pivots = rref(M.entries, [Fraction(x) for x in rhs])
+def solve_linear(rows: Sequence[Sequence], rhs: Sequence[Fraction]) -> LinearSolution | None:
+    """Exact solution set of rows x = rhs, or None when inconsistent."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatch("ragged rows")
+    if len(rhs) != nrows:
+        raise DimensionMismatch(f"rhs has {len(rhs)} entries, matrix has {nrows} rows")
+    m, b, pivots = rref(rows, [Fraction(x) for x in rhs])
     rank = len(pivots)
     zero = Fraction(0)
-    for i in range(rank, M.rows):
+    for i in range(rank, nrows):
         if b[i] != 0:
             return None
-    particular = [zero] * M.cols
+    particular = [zero] * ncols
     for r, c in enumerate(pivots):
         particular[c] = b[r]
-    free = [c for c in range(M.cols) if c not in pivots]
+    free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [zero] * M.cols
+        v = [zero] * ncols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -m[r][f]

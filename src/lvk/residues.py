@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import LvkError, NonConstantResidue, ZeroDivisionInField
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
-from .unipoly import UniPoly, resultant, squarefree_yun
+from .unipoly import UniPoly, dense_divmod, resultant, squarefree_yun
 
 
 class SplitRequired(LvkError):
@@ -40,19 +40,10 @@ def qpoly_trim(p: list[Fraction]) -> list[Fraction]:
 
 
 def qpoly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a, b = qpoly_trim(a), qpoly_trim(b)
+    b = qpoly_trim(b)
     if not b:
         raise ZeroDivisionInField("division by zero polynomial in t")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and r:
-        k = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[k] = c
-        for i in range(len(b)):
-            r[k + i] -= c * b[i]
-        r = qpoly_trim(r)
-    return qpoly_trim(q), r
+    return dense_divmod(qpoly_trim(a), b, Fraction(0))
 
 
 def qpoly_monic(p: list[Fraction]) -> list[Fraction]:
@@ -201,18 +192,9 @@ def tp_inv(a: list[RatFunc], m: list[Fraction], arity: int) -> list[RatFunc]:
         raise ZeroDivisionInField("inverse of zero mod m")
     r0, r1 = [RatFunc.constant(arity, c) for c in m], a
     t0, t1 = [], [RatFunc.one(arity)]
+    zero = RatFunc.zero(arity)
     while r1:
-        # divmod r0 by r1 over K[t]
-        r = list(r0)
-        inv = r1[-1].inverse()
-        q = [RatFunc.zero(arity)] * max(len(r) - len(r1) + 1, 0)
-        while len(r) >= len(r1) and r:
-            k = len(r) - len(r1)
-            c = r[-1] * inv
-            q[k] = c
-            for i in range(len(r1)):
-                r[k + i] = r[k + i] - c * r1[i]
-            r = tp_trim(r)
+        q, r = dense_divmod(r0, r1, zero)
         r0, r1 = r1, r
         t0, t1 = t1, tp_add(t0, tp_neg(tp_mul(q, t1, m, arity)))
     inv = r0[-1].inverse()

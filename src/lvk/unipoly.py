@@ -119,25 +119,12 @@ class UniPoly:
             return self
         return self.scale(self.lc().inverse())
 
-    def shift(self, k: int) -> "UniPoly":
-        return UniPoly(
-            self.main_var, self.arity, [RatFunc.zero(self.arity)] * k + self.coeffs
-        )
-
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionInField("division by zero UniPoly")
-        q = UniPoly.zero(self.main_var, self.arity)
-        r = self
-        inv_lc = other.lc().inverse()
-        while not r.is_zero() and r.degree() >= other.degree():
-            k = r.degree() - other.degree()
-            c = r.lc() * inv_lc
-            term = UniPoly.const(self.main_var, self.arity, c).shift(k)
-            q = q + term
-            r = r - term * other
-        return q, r
+        q, r = dense_divmod(self.coeffs, other.coeffs, RatFunc.zero(self.arity))
+        return UniPoly(self.main_var, self.arity, q), UniPoly(self.main_var, self.arity, r)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -176,6 +163,31 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly(var={self.main_var}, {[c.render() for c in self.coeffs]})"
+
+
+def dense_divmod(a: list, b: list, zero) -> tuple[list, list]:
+    """Long division of dense ascending coefficient lists over a field.
+
+    Returns (q, r) with a = q*b + r and len(r) < len(b).  The coefficients
+    are Fraction or RatFunc values and ``zero`` is that field's zero; b must
+    have a nonzero top coefficient.  r is trimmed, and q is when a is.
+    """
+    r = list(a)
+    n = len(b) - 1
+    lower = [(i, c) for i, c in enumerate(b[:n]) if c != zero]
+    q = [zero] * max(len(r) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        # the top coefficient cancels exactly, so it is dropped, not computed
+        c = r.pop()
+        if c == zero:
+            continue
+        c = c / b[n]
+        q[k] = c
+        for i, bi in lower:
+            r[k + i] = r[k + i] - c * bi
+    while r and r[-1] == zero:
+        r.pop()
+    return q, r
 
 
 def ratfunc_as_unipair(f: RatFunc, main_var: int) -> tuple[UniPoly, UniPoly]:
@@ -291,80 +303,48 @@ class HermiteError(LvkError):
     pass
 
 
-def _split_partial_fraction(num: UniPoly, e: UniPoly, f: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Split num/(e*f) = a/e + b/f for coprime e, f with proper degrees."""
-    g, s, t = extended_gcd_uni(e, f)
-    if g.degree() != 0:
-        raise HermiteError("denominator factors not coprime")
-    # num = num*(s*e + t*f); num/(e*f) = num*t/e + num*s/f, reduced mod
-    a = (num * t) % e
-    b = (num * s) % f
-    # polynomial discrepancy must vanish for a proper fraction
-    return a, b
-
-
 def hermite_reduce(num: UniPoly, den: UniPoly) -> tuple[RatFunc, UniPoly, UniPoly]:
     """Write num/den = d/dx(ratPart) + reducedNum/reducedDen.
 
-    reducedDen is squarefree and the remainder fraction is proper.  Requires
-    gcd(num, den) a unit and the input fraction proper (callers split off the
-    polynomial part first).
+    reducedDen is monic and squarefree and the remainder fraction is proper
+    and in lowest terms.  Requires gcd(num, den) a unit and the input
+    fraction proper (callers split off the polynomial part first).
+
+    Mack's linear version of Hermite reduction (Bronstein, *Symbolic
+    Integration I*, 2.2), with no squarefree factorization and no partial
+    fractions.  With D- = gcd(D, D') and D* = D/D-, the fraction is
+    A/(D* D-).  Each pass takes D-2 = gcd(D-, D-') and D-* = D-/D-2, solves
+    B (-D* D-'/D-) + C D-* = A with deg B < deg D-*, and rewrites
+    A/(D* D-) = (B/D-)' + (C - B' D*/D-*)/(D* D-2).  It stops when D- is
+    constant, leaving A/D*.
     """
     if den.is_zero():
         raise ZeroDivisionInField("zero denominator")
     mv, ar = den.main_var, den.arity
     if num.is_zero():
         return RatFunc.zero(ar), UniPoly.zero(mv, ar), UniPoly.const(mv, ar, RatFunc.one(ar))
-    unit_adjust = den.lc()
+    a = num.scale(den.lc().inverse())
     den = den.monic()
-    num = num.scale(unit_adjust.inverse())
-    decomp = squarefree_yun(den)
-    # peel off one part at a time: den = part^mult * rest
+    d_minus = gcd_uni(den, den.derivative())
+    if d_minus.degree() == 0:
+        # squarefree, and gcd(num, den) = 1 is required: nothing to reduce
+        return RatFunc.zero(ar), a, den
+    d_star = den.divmod(d_minus)[0]
     rat_part = RatFunc.zero(ar)
-    res_num = UniPoly.zero(mv, ar)
-    res_den = UniPoly.const(mv, ar, RatFunc.one(ar))
-    pieces: list[tuple[UniPoly, int, UniPoly]] = []  # (factor, mult, local numerator)
-    remaining = num
-    rest = den
-    for factor, mult in decomp.parts:
-        power = factor
-        for _ in range(mult - 1):
-            power = power * factor
-        rest = rest.divmod(power)[0]
-        if rest.degree() == 0:
-            local = remaining
-        else:
-            local, remaining = _split_partial_fraction(remaining, power, rest)
-        pieces.append((factor, mult, local))
-    for factor, mult, local in pieces:
-        dfactor = factor.derivative()
-        # local / factor^mult, reduce multiplicity down to 1
-        a = local
-        j = mult
-        while j > 1:
-            # write a = s*factor + t*dfactor, then integrate t*dfactor/factor^j by parts
-            g, s0, t0 = extended_gcd_uni(factor, dfactor)
-            if g.degree() != 0:
-                raise HermiteError("squarefree factor shares a root with its derivative")
-            t = (t0 * a) % factor
-            s = (a - t * dfactor).divmod(factor)[0]
-            denom_pow = factor
-            for _ in range(j - 2):
-                denom_pow = denom_pow * factor
-            rat_part = rat_part + (
-                (t.scale(RatFunc.constant(ar, Fraction(-1, j - 1)))).to_ratfunc()
-                / denom_pow.to_ratfunc()
-            )
-            a = s + t.derivative().scale(RatFunc.constant(ar, Fraction(1, j - 1)))
-            j -= 1
-        a = a % factor
-        if not a.is_zero():
-            # accumulate a/factor into res_num/res_den over a common denominator
-            res_num = res_num * factor + a * res_den
-            res_den = res_den * factor
-    if not res_num.is_zero():
-        g = gcd_uni(res_num, res_den)
-        if g.degree() > 0:
-            res_num = res_num.divmod(g)[0]
-            res_den = res_den.divmod(g)[0]
-    return rat_part, res_num, res_den
+    while d_minus.degree() > 0:
+        dd_minus = d_minus.derivative()
+        d_minus2 = gcd_uni(d_minus, dd_minus)
+        d_minus_star = d_minus.divmod(d_minus2)[0]
+        e = d_star.divmod(d_minus_star)[0]
+        u = -(e * dd_minus.divmod(d_minus2)[0])
+        g, s, t = extended_gcd_uni(u, d_minus_star)
+        if g.degree() != 0:
+            raise HermiteError("gcd(-D* D-'/D-, D-*) is not constant")
+        # s*u + t*d_minus_star = 1, so a = b*u + (t*a + q*u)*d_minus_star
+        q, b = (s * a).divmod(d_minus_star)
+        a = t * a + q * u - b.derivative() * e
+        if not b.is_zero():
+            rat_part = rat_part + b.to_ratfunc() / d_minus.to_ratfunc()
+        d_minus = d_minus2
+    g = gcd_uni(a, d_star)
+    return rat_part, a.divmod(g)[0], d_star.divmod(g)[0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .forms import OneForm
-from .multipoly import MINUS_INFINITY, MultiPoly
+from .multipoly import MultiPoly
 from .parsing import parse_poly, tokenize
 from .ratfunc import RatFunc
 
@@ -58,10 +58,7 @@ class PolyVectorField:
     def lie_derivative_ratfunc(self, f: RatFunc) -> RatFunc:
         if f.arity != self.arity:
             raise ParseError("arity mismatch")
-        total = RatFunc.zero(self.arity)
-        for i, c in enumerate(self.components):
-            total = total + RatFunc(c) * f.derivative(i)
-        return total
+        return self.lie_derivative_log(OneForm(f.derivative(i) for i in range(self.arity)))
 
     def lie_derivative_log(self, w: OneForm) -> RatFunc:
         """X(log F) = sum w_i P_i for w = d(log F)."""

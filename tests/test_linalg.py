@@ -5,7 +5,6 @@ import pytest
 
 from lvk.linalg import (
     DimensionMismatch,
-    QMatrix,
     determinant,
     rank_with_witness,
     rref,
@@ -24,13 +23,13 @@ def test_rref_identity():
 
 
 def test_solve_unique():
-    sol = solve_linear(QMatrix([[F(1), F(1)], [F(1), F(-1)]]), [F(3), F(1)])
+    sol = solve_linear([[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)])
     assert sol.particular == (F(2), F(1))
     assert sol.nullspace == ()
 
 
 def test_solve_underdetermined():
-    sol = solve_linear(QMatrix([[F(1), F(1), F(0)]]), [F(2)])
+    sol = solve_linear([[F(1), F(1), F(0)]], [F(2)])
     assert len(sol.nullspace) == 2
     # every reported vector actually solves the system
     for v in sol.nullspace:
@@ -39,7 +38,14 @@ def test_solve_underdetermined():
 
 
 def test_solve_inconsistent():
-    assert solve_linear(QMatrix([[F(1)], [F(1)]]), [F(0), F(1)]) is None
+    assert solve_linear([[F(1)], [F(1)]], [F(0), F(1)]) is None
+
+
+def test_solve_rejects_ragged_rows_and_short_rhs():
+    with pytest.raises(DimensionMismatch):
+        solve_linear([[F(1), F(2)], [F(1)]], [F(0), F(1)])
+    with pytest.raises(DimensionMismatch):
+        solve_linear([[F(1), F(2)], [F(3), F(4)]], [F(0)])
 
 
 def test_determinant_values_and_sign():

@@ -7,6 +7,7 @@ from lvk.linalg import determinant
 from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
+from lvk.residues import qpoly_divmod, qpoly_trim
 from lvk.unipoly import (
     UniPoly,
     extended_gcd_uni,
@@ -32,11 +33,43 @@ def test_coefficients_must_avoid_main_var():
 
 
 def test_divmod_inverts_multiplication():
-    a = U("x^3 + y*x + 1")
-    b = U("x + y")
-    q, r = a.divmod(b)
-    assert q * b + r == a
-    assert r.degree() < b.degree()
+    rng = random.Random(2718)
+    pairs = [
+        (U("x^3 + y*x + 1"), U("x + y")),
+        (U("x^4 + 1"), U("y*x^2 + 1")),  # non-constant lc, zero quotient terms
+        (U("x + y"), U("x^2 - y")),  # dividend of lower degree
+    ]
+    pairs += [
+        (random_unipoly(rng, rng.randint(0, 5)), random_unipoly(rng, rng.randint(0, 3)))
+        for _ in range(30)
+    ]
+    for a, b in pairs:
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.degree() < b.degree()
+
+    def q_poly(degree):
+        p = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)]
+        return p[:-1] + [p[-1] or F(1)]
+
+    # Fraction coefficients: 1 + x^4 by 1 + 3x^2, a lower-degree dividend, random pairs
+    # whose divisor carries a zero top coefficient for qpoly_divmod to trim
+    q_pairs = [
+        ([F(1), F(0), F(0), F(0), F(1)], [F(1), F(0), F(3)]),
+        ([F(2), F(1)], [F(1), F(0), F(1)]),
+    ]
+    q_pairs += [(q_poly(rng.randint(0, 6)), q_poly(rng.randint(0, 3)) + [F(0)]) for _ in range(30)]
+    for a, b in q_pairs:
+        q, r = qpoly_divmod(a, b)
+        b = qpoly_trim(b)
+        back = [F(0)] * max(len(q) + len(b) - 1, len(r))
+        for i, x in enumerate(q):
+            for j, y in enumerate(b):
+                back[i + j] += x * y
+        for i, x in enumerate(r):
+            back[i] += x
+        assert qpoly_trim(back) == qpoly_trim(a)
+        assert r == qpoly_trim(r) and len(r) < len(b)
 
 
 def test_gcd_uni_monic():
@@ -202,15 +235,17 @@ def test_hermite_worked_example():
 
 def test_hermite_roundtrip_random():
     rng = random.Random(11)
-    names = ["x", "y"]
     checked = 0
     while checked < 200:
         arity = 2
-        den_factor = random_poly(rng, arity, max_deg=2, nonzero=True)
-        if not den_factor.involves(0):
+        # one factor up to degree 2, or up to three linear ones, each to a power 1..3
+        count = rng.randint(1, 3)
+        den_poly = MultiPoly.one(arity)
+        for _ in range(count):
+            factor = random_poly(rng, arity, max_deg=2 if count == 1 else 1, nonzero=True)
+            den_poly = den_poly * factor ** rng.randint(1, 3)
+        if not den_poly.involves(0):
             continue
-        mult = rng.randint(1, 3)
-        den_poly = den_factor**mult
         num_poly = random_poly(rng, arity, max_deg=2)
         num = UniPoly.of_poly(num_poly, 0)
         den = UniPoly.of_poly(den_poly, 0)
@@ -224,6 +259,9 @@ def test_hermite_roundtrip_random():
         back = rat.derivative(0) + rnum.to_ratfunc() / rden.to_ratfunc()
         want = RatFunc(num_poly, den_poly)
         assert back == want
+        assert gcd_uni(rden, rden.derivative()).degree() == 0
+        assert gcd_uni(rnum, rden).degree() == 0
+        assert rnum.degree() < rden.degree()
         checked += 1
 
 
