@@ -10,6 +10,7 @@ failure, 4 algebraic-extension unavailability, 5 non-closed form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -441,6 +442,7 @@ def cmd_pipeline(args) -> tuple[dict, int]:
 # -- argument parsing ----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lvk",

@@ -461,7 +461,17 @@ def gcd_multivar(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized with graded-lex leading coefficient 1.
 
     Recursive content/primitive-part reduction with a subresultant polynomial
-    remainder sequence in the top occurring variable.
+    remainder sequence in the top occurring variable.  Two exact shortcuts
+    come first (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*,
+    ch. 7):
+
+    - a single-term argument c*x^e: every divisor of a monomial is a
+      monomial, so the gcd is x^f with f the componentwise minimum of e and
+      of every exponent of the other argument;
+    - one argument dividing the other: if s, the one of lower total degree,
+      has no higher degree in any variable and divides the other exactly,
+      the gcd is s itself.  A failed trial division stops at the first
+      leading monomial that does not divide.
     """
     a._check(b)
     if a.is_zero() and b.is_zero():
@@ -474,6 +484,18 @@ def gcd_multivar(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return MultiPoly.one(a.arity)
     if a == b:
         return monic_grlex(a)
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        mono, other = (a, b) if len(a.terms) == 1 else (b, a)
+        f = next(iter(mono.terms))
+        for e in other.terms:
+            f = tuple(map(min, f, e))
+        return MultiPoly._raw(a.arity, {f: _ONE})
+    s, t = (a, b) if a.total_degree() <= b.total_degree() else (b, a)
+    if (
+        all(s.degree_in(v) <= t.degree_in(v) for v in range(a.arity))
+        and try_exact_div(t, s) is not None
+    ):
+        return monic_grlex(s)
     var = next(
         v for v in range(a.arity) if a.involves(v) or b.involves(v)
     )

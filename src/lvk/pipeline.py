@@ -9,7 +9,6 @@ Gamma determinants and h = P_last / Gamma to a Darboux Jacobian multiplier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .darboux import DarbouxFunction, is_jacobian_multiplier
 from .errors import VerificationError

@@ -40,6 +40,17 @@ class UniPoly:
         self.arity = arity
         self.coeffs = coeffs
 
+    @classmethod
+    def _raw(cls, main_var: int, arity: int, coeffs: list[RatFunc]) -> "UniPoly":
+        """Adopt coefficients already of this arity and free of main_var; trims zero tops."""
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        p = object.__new__(cls)
+        p.main_var = main_var
+        p.arity = arity
+        p.coeffs = coeffs
+        return p
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -87,14 +98,14 @@ class UniPoly:
     def __add__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
+        return UniPoly._raw(
             self.main_var,
             self.arity,
             [self.coeff(i) + other.coeff(i) for i in range(n)],
         )
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(self.main_var, self.arity, [-c for c in self.coeffs])
+        return UniPoly._raw(self.main_var, self.arity, [-c for c in self.coeffs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
@@ -109,10 +120,11 @@ class UniPoly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return UniPoly(self.main_var, self.arity, out)
+        return UniPoly._raw(self.main_var, self.arity, out)
 
     def scale(self, c: RatFunc) -> "UniPoly":
-        return UniPoly(self.main_var, self.arity, [x * c for x in self.coeffs])
+        """Multiply by c, which must be free of the main variable."""
+        return UniPoly._raw(self.main_var, self.arity, [x * c for x in self.coeffs])
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -124,13 +136,14 @@ class UniPoly:
         if other.is_zero():
             raise ZeroDivisionInField("division by zero UniPoly")
         q, r = dense_divmod(self.coeffs, other.coeffs, RatFunc.zero(self.arity))
-        return UniPoly(self.main_var, self.arity, q), UniPoly(self.main_var, self.arity, r)
+        mv, ar = self.main_var, self.arity
+        return UniPoly._raw(mv, ar, q), UniPoly._raw(mv, ar, r)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(
+        return UniPoly._raw(
             self.main_var,
             self.arity,
             [
@@ -144,7 +157,7 @@ class UniPoly:
         out = [RatFunc.zero(self.arity)]
         for i, c in enumerate(self.coeffs):
             out.append(c.scale(Fraction(1, i + 1)))
-        return UniPoly(self.main_var, self.arity, out)
+        return UniPoly._raw(self.main_var, self.arity, out)
 
     def to_ratfunc(self) -> RatFunc:
         x = RatFunc(MultiPoly.variable(self.arity, self.main_var))

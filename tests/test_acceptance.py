@@ -15,10 +15,9 @@ from lvk.darboux import (
     multiplier_residual,
     synthesize,
 )
-from lvk.forms import OneForm, is_closed
+from lvk.forms import is_closed
 from lvk.integrator import IntegrationResult, differentiate, integrate_closed
-from lvk.multipoly import MultiPoly
-from lvk.parsing import parse_darboux, parse_poly, parse_ratfunc
+from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.pipeline import (
     _strip_common_factor,
     first_integral_2d,

@@ -6,8 +6,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lvk.darboux import (
     DarbouxFunction,

@@ -11,11 +11,11 @@ from lvk.integrator import (
     integrate_closed,
     to_darboux,
 )
-from lvk.parsing import parse_poly, parse_ratfunc
+from lvk.parsing import parse_ratfunc
 from lvk.ratfunc import RatFunc
 from lvk.residues import ResidueGroup
 
-from conftest import random_poly, random_ratfunc
+from conftest import random_poly
 
 F = Fraction
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvk import multipoly
 from lvk.errors import ArityMismatch, DegreeCapExceeded, NotDivisibleError
 from lvk.multipoly import (
     MINUS_INFINITY,
@@ -156,30 +157,130 @@ def test_gcd_times_exact_div_roundtrip():
         assert exact_div(a, d) * d == a
 
 
+def to_sympy(sympy, p: MultiPoly):
+    symbols = sympy.symbols("x y z")
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
+            for e, c in p.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
 def test_gcd_matches_sympy_up_to_a_constant():
     sympy = pytest.importorskip("sympy")
-    symbols = sympy.symbols("x y z")
-
-    def to_sympy(p: MultiPoly):
-        return sum(
-            (
-                sympy.Rational(c.numerator, c.denominator)
-                * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
-                for e, c in p.terms.items()
-            ),
-            sympy.Integer(0),
-        )
-
     rng = random.Random(4242)
     for _ in range(40):
         arity = rng.randint(1, 3)
         g = random_poly(rng, arity, max_deg=2, nonzero=True)
         a = random_poly(rng, arity, max_deg=2, nonzero=True) * g
         b = random_poly(rng, arity, max_deg=2, nonzero=True) * g
-        ours = to_sympy(gcd_multivar(a, b))
-        theirs = sympy.gcd(to_sympy(a), to_sympy(b))
+        ours = to_sympy(sympy, gcd_multivar(a, b))
+        theirs = sympy.gcd(to_sympy(sympy, a), to_sympy(sympy, b))
         ratio = sympy.cancel(ours / theirs)
         assert ratio.is_number and ratio != 0, (a, b, ours, theirs)
+
+
+# -- the monomial and divisor shortcuts of gcd_multivar -------------------------
+
+
+def checked_gcd(sympy, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """gcd_multivar(a, b), after checking it against both inputs and sympy."""
+    g = gcd_multivar(a, b)
+    assert try_exact_div(a, g) is not None and try_exact_div(b, g) is not None, (a, b, g)
+    assert g.leading_coefficient() == 1, g
+    theirs = sympy.gcd(to_sympy(sympy, a), to_sympy(sympy, b))
+    ratio = sympy.cancel(to_sympy(sympy, g) / theirs)
+    assert ratio.is_number and ratio != 0, (a, b, g, theirs)
+    return g
+
+
+def random_monomial(rng, arity) -> MultiPoly:
+    e = tuple(rng.randint(0, 3) for _ in range(arity))
+    return MultiPoly(arity, {e: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))})
+
+
+@pytest.fixture
+def prs_calls(monkeypatch):
+    """Count the subresultant PRS runs gcd_multivar makes."""
+    calls = []
+    prs = multipoly._subresultant_prs
+
+    def counted(a, b):
+        calls.append((a.degree(), b.degree()))
+        return prs(a, b)
+
+    monkeypatch.setattr(multipoly, "_subresultant_prs", counted)
+    return calls
+
+
+def test_gcd_single_term_arguments(prs_calls):
+    sympy = pytest.importorskip("sympy")
+    assert checked_gcd(sympy, P("6*x^2*y"), P("4*x*y^3")) == P("x*y")
+    assert checked_gcd(sympy, P("x^2*y"), P("x^3*y + x*y^2")) == P("x*y")
+    assert checked_gcd(sympy, P("-2*x^3"), P("x^2 + y")) == MultiPoly.one(2)
+    rng = random.Random(5150)
+    for _ in range(60):
+        arity = rng.randint(1, 3)
+        m = random_monomial(rng, arity)
+        other = [
+            random_monomial(rng, arity),
+            random_poly(rng, arity, max_deg=3, nonzero=True),
+            random_poly(rng, arity, max_deg=2, nonzero=True) * random_monomial(rng, arity),
+        ][rng.randrange(3)]
+        g = checked_gcd(sympy, m, other)
+        assert len(g.terms) == 1
+        assert checked_gcd(sympy, other, m) == g
+    assert prs_calls == []
+
+
+def test_gcd_divisor_arguments(prs_calls):
+    sympy = pytest.importorskip("sympy")
+    # the divisor has more terms than the multiple: only total degree can pick it
+    assert checked_gcd(sympy, P("x^3 + 1"), P("x^2 - x + 1")) == P("x^2 - x + 1")
+    assert checked_gcd(sympy, P("x^2 - x + 1"), P("x^3 + 1")) == P("x^2 - x + 1")
+    assert checked_gcd(sympy, P("x + 1"), P("x^3 + 1")) == P("x + 1")
+    rng = random.Random(6161)
+    for _ in range(60):
+        arity = rng.randint(1, 3)
+        d = random_poly(rng, arity, max_deg=2, nonzero=True)
+        q = random_poly(rng, arity, max_deg=2, nonzero=True)
+        for a, b in ((d, d * q), (d * q, d)):
+            assert checked_gcd(sympy, a, b) == monic_grlex(d)
+        # associates c*d and d
+        c = Fraction(rng.choice([-5, -2, 3, 7]), rng.randint(1, 4))
+        assert checked_gcd(sympy, d.scale(c), d) == monic_grlex(d)
+        assert checked_gcd(sympy, d, d.scale(c)) == monic_grlex(d)
+    assert prs_calls == []
+
+
+def test_gcd_when_the_trial_division_fails_late(prs_calls):
+    sympy = pytest.importorskip("sympy")
+    # lm(s) divides lm(t) and no degree of s exceeds t's, yet s does not divide t
+    cases = [
+        (P("(x + y)*(x - 1)"), P("(x + y)*(x^2 + 2)"), P("x + y")),
+        (P("x^2 + y"), P("x^3 + x^2*y + 2"), MultiPoly.one(2)),
+        (P("(x*y + 1)*(x + y)"), P("(x*y + 1)*(x^2*y + x - 3)"), P("x*y + 1")),
+    ]
+    for s, t, expected in cases:
+        assert s.total_degree() < t.total_degree()
+        assert all(s.degree_in(v) <= t.degree_in(v) for v in range(2))
+        assert all(i <= j for i, j in zip(s.leading_monomial(), t.leading_monomial()))
+        assert try_exact_div(t, s) is None
+        assert checked_gcd(sympy, s, t) == expected
+        assert checked_gcd(sympy, t, s) == expected
+    assert prs_calls
+
+
+def test_gcd_proper_common_factor_reaches_the_prs(prs_calls):
+    sympy = pytest.importorskip("sympy")
+    # neither argument is a monomial and neither divides the other
+    a = P("(x + y)*(x - 1)")
+    b = P("(x + y)*(x + 2*y)")
+    assert checked_gcd(sympy, a, b) == P("x + y")
+    assert prs_calls
 
 
 # -- the degree cap on results that can grow ------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from lvk.errors import ParseError
 from lvk.parsing import parse_darboux, parse_poly, parse_ratfunc
-from lvk.vectorfield import PolyVectorField, parse_system
+from lvk.vectorfield import parse_system
 
 NAMES = ["x", "y"]
 

@@ -98,6 +98,52 @@ def test_squarefree_yun():
         assert gcd_uni(f, f.derivative()).degree() == 0
 
 
+def test_squarefree_yun_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(f: RatFunc):
+        num, den = (
+            sum(
+                (
+                    sympy.Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1]
+                    for e, c in p.terms.items()
+                ),
+                sympy.Integer(0),
+            )
+            for p in (f.num, f.den)
+        )
+        return num / den
+
+    rng = random.Random(3141)
+    for _ in range(20):
+        # p = prod f_i^i in x, each f_i polynomial in x and y or absent
+        p = U("1")
+        for i in range(1, 4):
+            if rng.random() < 0.25:
+                continue
+            f = random_poly(rng, 2, max_deg=2, max_terms=3, nonzero=True)
+            if f.involves(0):
+                for _ in range(i):
+                    p = p * UniPoly.of_poly(f, 0)
+        if p.degree() < 1:
+            continue
+        d = squarefree_yun(p)
+        assert d.multiply_back() == p
+        for k, (f, _) in enumerate(d.parts):
+            assert f.degree() > 0 and f.is_monic()
+            assert gcd_uni(f, f.derivative()).degree() == 0
+            for g, _ in d.parts[k + 1 :]:
+                assert gcd_uni(f, g).degree() == 0
+        _, theirs = sympy.sqf_list(to_sympy(p.to_ratfunc()), x)
+        theirs = {m: q for q, m in theirs if sympy.degree(q, x) > 0}
+        assert sorted(theirs) == sorted(m for _, m in d.parts)
+        for f, m in d.parts:
+            # the same factor up to a unit of Q(y)
+            unit = sympy.cancel(to_sympy(f.to_ratfunc()) / theirs[m])
+            assert not unit.has(x), (p, m, f, theirs[m])
+
+
 def UR(expr, names=("x", "y")):
     """UniPoly in x of a rational function whose denominator is free of x."""
     f = parse_ratfunc(expr, list(names))
