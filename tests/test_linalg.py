@@ -87,3 +87,128 @@ def test_rank_invariant_under_row_scaling():
             [F(rng.choice([1, 2, 3, -1, 5])) * x for x in row] for row in rows
         ]
         assert rank_with_witness(scaled)[0] == base
+
+
+# -- independent oracle: sympy's Matrix ------------------------------------------------
+
+
+def _entry(rng):
+    if rng.random() < 0.3:
+        return F(0)
+    return F(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _matrix(rng, nrows, ncols, rank=None):
+    """Seeded Fraction matrix; with ``rank`` it is a product of nrows x rank and rank x ncols."""
+    if rank is None:
+        return [[_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    left = _matrix(rng, nrows, rank)
+    right = _matrix(rng, rank, ncols)
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(rank)), F(0)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+def _oracle_cases():
+    rng = random.Random(20)
+    cases = []
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        cases.append(_matrix(rng, n, n))  # square, mostly nonsingular
+        if n > 1:
+            cases.append(_matrix(rng, n, n, rank=n - 1))  # square singular
+        cases.append(_matrix(rng, n, n + rng.randint(1, 3)))  # wide
+        cases.append(_matrix(rng, n + rng.randint(1, 3), n))  # tall
+        m, k = rng.randint(2, 5), rng.randint(2, 5)
+        cases.append(_matrix(rng, m, k, rank=rng.randint(1, min(m, k) - 1)))  # rank-deficient
+    cases.append([[F(0), F(0)], [F(0), F(0)]])
+    cases.append([[F(0), F(2), F(1)], [F(0), F(4), F(2)], [F(3), F(0), F(0)]])
+    return cases
+
+
+def _to_sympy(sympy, rows):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    )
+
+
+def _from_sympy(value):
+    return F(int(value.p), int(value.q))
+
+
+def test_determinant_rank_and_rref_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    cases = _oracle_cases()
+    assert any(len(rows) == len(rows[0]) and _to_sympy(sympy, rows).det() == 0 for rows in cases)
+    assert any(len(rows) == len(rows[0]) and _to_sympy(sympy, rows).det() != 0 for rows in cases)
+    for rows in cases:
+        oracle = _to_sympy(sympy, rows)
+        if len(rows) == len(rows[0]):
+            assert determinant(rows) == _from_sympy(oracle.det())
+        rank, wrows, wcols = rank_with_witness(rows)
+        assert rank == oracle.rank()
+        assert len(wrows) == len(wcols) == rank
+        if rank:
+            minor = [[rows[i][j] for j in wcols] for i in wrows]
+            assert determinant(minor) != 0
+            assert _to_sympy(sympy, minor).det() != 0
+        reduced, rhs, pivots = rref(rows)
+        expected, expected_pivots = oracle.rref()
+        assert rhs is None
+        assert pivots == list(expected_pivots)
+        assert reduced == [
+            [_from_sympy(expected[i, j]) for j in range(len(rows[0]))]
+            for i in range(len(rows))
+        ]
+
+
+def test_solve_linear_matches_sympy_on_consistent_and_inconsistent_systems():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(21)
+    inconsistent = 0
+    for rows in _oracle_cases():
+        nrows, ncols = len(rows), len(rows[0])
+        oracle = _to_sympy(sympy, rows)
+        x0 = [_entry(rng) for _ in range(ncols)]
+        consistent_rhs = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in rows]
+        free_rhs = [_entry(rng) + 1 for _ in range(nrows)]
+        for rhs in (consistent_rhs, free_rhs):
+            augmented_rank = oracle.row_join(_to_sympy(sympy, [[b] for b in rhs])).rank()
+            sol = solve_linear(rows, rhs)
+            if augmented_rank > oracle.rank():
+                inconsistent += 1
+                assert sol is None
+                continue
+            assert sol is not None
+            for row, b in zip(rows, rhs):
+                assert sum((a * x for a, x in zip(row, sol.particular)), F(0)) == b
+            assert len(sol.nullspace) == ncols - oracle.rank()
+            for v in sol.nullspace:
+                assert all(sum((a * x for a, x in zip(row, v)), F(0)) == 0 for row in rows)
+            if sol.nullspace:
+                assert _to_sympy(sympy, sol.nullspace).rank() == len(sol.nullspace)
+    assert inconsistent >= 5
+
+
+def test_ratfunc_determinant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    names = ["x", "y", "z"]
+    entries = [
+        ["x/y", "1/(x+z)", "y^2"],
+        ["x - 2*z", "3", "y/(x*z + 1)"],
+        ["z", "x*y", "1/(y - 1)"],
+    ]
+    rows = [[parse_ratfunc(e, names) for e in row] for row in entries]
+    symbols = sympy.symbols("x y z")
+    oracle = sympy.Matrix(
+        [[sympy.sympify(e.replace("^", "**"), locals=dict(zip(names, symbols))) for e in row]
+         for row in entries]
+    ).det()
+    ours = determinant(rows)
+    assert not ours.is_zero()
+    ours_sympy = sympy.sympify(
+        f"({ours.num.render(names)})/({ours.den.render(names)})".replace("^", "**"),
+        locals=dict(zip(names, symbols)),
+    )
+    assert sympy.cancel(ours_sympy - oracle) == 0
