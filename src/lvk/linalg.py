@@ -1,13 +1,16 @@
 """Exact dense linear algebra over the rationals and over rational-function fields.
 
-The generic routines only assume field operations, so the same elimination
-serves Fraction matrices (synthesis) and RatFunc matrices (rank, determinants).
+One forward elimination, ``_eliminate``, only assumes field operations, so it
+serves Fraction matrices (synthesis) and RatFunc matrices (rank, determinants,
+Gamma); ``rref`` and the theorem-2 pipeline finish it with ``_back_pass``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
 from .errors import LvkError
@@ -33,46 +36,82 @@ def _field_ops_for(sample):
     return sample - sample, type(sample).one(sample.arity), lambda x: x.is_zero()
 
 
+def _eliminate(rows: Sequence[Sequence]):
+    """Forward elimination: (echelon rows, pivot columns, row order, sign).
+
+    A column's pivot is its first nonzero entry at or below the current row,
+    swapped up and not normalised.  Echelon row r comes from input row
+    ``order[r]``; ``sign`` is the sign of that permutation.
+    """
+    m = [list(row) for row in rows]
+    order = list(range(len(m)))
+    pivots: list[int] = []
+    sign = 1
+    if not m or not m[0]:
+        return m, pivots, order, sign
+    zero, _, is_zero = _field_ops_for(m[0][0])
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr], order[r], order[pr] = m[pr], m[r], order[pr], order[r]
+            sign = -sign
+        row = m[r]
+        nonzero = [j for j in range(c + 1, len(row)) if not is_zero(row[j])]
+        for target in m[r + 1 :]:
+            if not is_zero(target[c]):
+                f = target[c] / row[c]
+                for j in nonzero:
+                    target[j] = target[j] - f * row[j]
+                target[c] = zero
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m, pivots, order, sign
+
+
+def _back_pass(m: list[list], pivots: Sequence[int]) -> None:
+    """Reduce echelon rows in place: each pivot becomes 1, and 0 above it.
+
+    A column without a pivot then holds y with (pivot columns) y = (that column).
+    """
+    if not pivots:
+        return
+    zero, one, is_zero = _field_ops_for(m[0][0])
+    for r in range(len(pivots) - 1, -1, -1):
+        c, row = pivots[r], m[r]
+        nonzero = [j for j in range(c + 1, len(row)) if not is_zero(row[j])]
+        for j in nonzero:
+            row[j] = row[j] / row[c]
+        row[c] = one
+        for target in m[:r]:
+            if not is_zero(target[c]):
+                f = target[c]
+                for j in nonzero:
+                    target[j] = target[j] - f * row[j]
+                target[c] = zero
+
+
 def rref(matrix: Sequence[Sequence], rhs: Sequence | None = None):
     """Reduced row echelon form over a field.
 
     Returns (reduced rows, reduced rhs, pivot column list). Inputs are not
-    mutated.
+    mutated.  The rhs is eliminated as an extra column; a pivot there only
+    marks an inconsistent system and is not reported.
     """
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    b = list(rhs) if rhs is not None else None
-    if b is not None and len(b) != nrows:
+    if rhs is None:
+        m, pivots, _, _ = _eliminate(matrix)
+        _back_pass(m, pivots)
+        return m, None, pivots
+    if len(rhs) != len(matrix):
         raise DimensionMismatch("rhs length mismatch")
-    if nrows == 0:
-        return m, b, []
-    zero, _, is_zero = _field_ops_for(m[0][0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if not is_zero(m[i][c])), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        if b is not None:
-            b[r], b[pr] = b[pr], b[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        if b is not None:
-            b[r] = b[r] / inv
-        for i in range(nrows):
-            if i == r or is_zero(m[i][c]):
-                continue
-            f = m[i][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            if b is not None:
-                b[i] = b[i] - f * b[r]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, b, pivots
+    ncols = len(matrix[0]) if matrix else 0
+    m, pivots, _, _ = _eliminate([[*row, b] for row, b in zip(matrix, rhs)])
+    pivots = [c for c in pivots if c < ncols]
+    _back_pass(m, pivots)
+    return [row[:ncols] for row in m], [row[ncols] for row in m], pivots
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence[Fraction]) -> LinearSolution | None:
@@ -105,59 +144,19 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence[Fraction]) -> LinearSol
 
 def rank_with_witness(rows: Sequence[Sequence]):
     """Rank plus the (row, column) index sets of a nonzero maximal minor."""
-    if not rows:
-        return 0, [], []
-    nrows, ncols = len(rows), len(rows[0])
-    m = [list(r) for r in rows]
-    zero, _, is_zero = _field_ops_for(m[0][0])
-    row_order = list(range(nrows))
-    piv_rows, piv_cols = [], []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if not is_zero(m[i][c])), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        row_order[r], row_order[pr] = row_order[pr], row_order[r]
-        for i in range(r + 1, nrows):
-            if is_zero(m[i][c]):
-                continue
-            f = m[i][c] / m[r][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_rows.append(row_order[r])
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return len(piv_cols), sorted(piv_rows), piv_cols
+    _, pivots, order, _ = _eliminate(rows)
+    return len(pivots), sorted(order[: len(pivots)]), pivots
 
 
 def determinant(rows: Sequence[Sequence]):
-    """Determinant over a field by fraction-field elimination."""
+    """Determinant over a field: the signed product of the elimination's pivots."""
     n = len(rows)
     if n == 0:
         raise DimensionMismatch("empty matrix")
-    for row in rows:
-        if len(row) != n:
-            raise DimensionMismatch("determinant of non-square matrix")
-    m = [list(r) for r in rows]
-    zero, one, is_zero = _field_ops_for(m[0][0])
-    det = one
-    sign = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not is_zero(m[i][c])), None)
-        if pr is None:
-            return zero
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        det = det * m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if is_zero(m[i][c]):
-                continue
-            f = m[i][c] / inv
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    if sign < 0:
-        det = zero - det
-    return det
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch("determinant of non-square matrix")
+    m, pivots, _, sign = _eliminate(rows)
+    if len(pivots) < n:
+        return _field_ops_for(m[0][0])[0]
+    det = reduce(mul, (m[r][r] for r in range(n)))
+    return det if sign > 0 else -det

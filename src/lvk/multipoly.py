@@ -15,6 +15,7 @@ from .errors import (
     ArityMismatch,
     DegreeCapExceeded,
     NotDivisibleError,
+    ParseError,
     ZeroDivisionInField,
 )
 
@@ -25,11 +26,20 @@ _ONE = Fraction(1)
 
 
 def degree_cap() -> int:
-    """Safety rail on intermediate total degrees (env LVK_MAX_DEGREE)."""
-    try:
-        return int(os.environ.get("LVK_MAX_DEGREE", "64"))
-    except ValueError:
+    """Safety rail on intermediate total degrees (env LVK_MAX_DEGREE, default 64).
+
+    A value that is not a non-negative integer is a ParseError, not a silent default.
+    """
+    text = os.environ.get("LVK_MAX_DEGREE")
+    if text is None:
         return 64
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ParseError(f"LVK_MAX_DEGREE={text!r} is not a non-negative integer")
+    return cap
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:

@@ -3,18 +3,21 @@
 Theorem-1 direction: ratios of Jacobian multipliers are first integrals, with
 rank certification of their independence, and the 2D integrating-factor first
 integral.  Theorem-2 direction: from rational first integrals through the
-Gamma determinants and h = P_last / Gamma to a Darboux Jacobian multiplier.
+Gamma determinants, all read off one elimination of the integrals' gradient
+matrix, and h = P_last / Gamma to a Darboux Jacobian multiplier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import mul
 
 from .darboux import DarbouxFunction, is_jacobian_multiplier
 from .errors import VerificationError
 from .forms import OneForm, is_closed
 from .integrator import IntegrationResult, integrate_closed, to_darboux
-from .linalg import determinant, rank_with_witness
+from .linalg import _back_pass, _eliminate, rank_with_witness
 from .multipoly import MultiPoly, exact_div, gcd_multivar
 from .ratfunc import RatFunc
 from .vectorfield import PolyVectorField
@@ -100,55 +103,61 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
     )
 
 
-def _verify_first_integrals(X: PolyVectorField, integrals):
-    for H in integrals:
-        residual = X.lie_derivative_ratfunc(H)
-        if not residual.is_zero():
-            raise VerificationError(
-                f"{H.render(list(X.var_names))} is not a first integral "
-                f"(residual {residual.render(list(X.var_names))})"
-            )
-
-
-def _gradient(H: RatFunc) -> list[RatFunc]:
-    return [H.derivative(i) for i in range(H.arity)]
-
-
 def gamma_determinants(
     X: PolyVectorField, integrals, last_var: int | None = None
 ) -> tuple[RatFunc, list[RatFunc], list[int], int]:
     """(Gamma, Gamma_i list, column variables, last variable index).
 
-    Gamma is the determinant of the gradient columns of the integrals over all
-    variables except last_var; Gamma_i replaces column i by the last_var column.
+    M is the (n-1) x n gradient matrix of the integrals, each first checked
+    to satisfy X(H) = sum_i dH/dx_i P_i = 0.  Gamma is the minor of M without
+    the last variable lv's column; Gamma_i replaces column i in it by lv's.
+
+    One forward elimination of M gives all of them.  Its columns are in
+    natural order, or with last_var's column moved last; lv's column is the
+    one without a pivot, so without last_var lv is the largest v whose
+    complementary minor is nonzero.  Gamma is the signed product of the
+    pivots.  By Cramer's rule Gamma_i = Gamma * y_i, where M_cols y = M_lv;
+    the back pass reads y off the same echelon form.
     """
     n = X.arity
+    names = list(X.var_names)
     integrals = list(integrals)
+    if n < 2:
+        raise VerificationError("Gamma needs a system of at least two variables")
     if len(integrals) != n - 1:
         raise VerificationError(f"need {n - 1} first integrals, got {len(integrals)}")
-    _verify_first_integrals(X, integrals)
-    grads = [_gradient(H) for H in integrals]
-    candidates = [last_var] if last_var is not None else list(range(n - 1, -1, -1))
-    zero_gamma = None
-    for lv in candidates:
-        cols = [i for i in range(n) if i != lv]
-        gamma = determinant([[grads[r][c] for c in cols] for r in range(n - 1)])
-        if gamma.is_zero():
-            zero_gamma = lv
-            continue
-        gammas = []
-        for pos in range(n - 1):
-            replaced = list(cols)
-            replaced[pos] = lv
-            gammas.append(
-                determinant([[grads[r][c] for c in replaced] for r in range(n - 1)])
+    grads = []
+    for H in integrals:
+        grad = OneForm(H.derivative(i) for i in range(n))
+        residual = X.lie_derivative_log(grad)
+        if not residual.is_zero():
+            raise VerificationError(
+                f"{H.render(names)} is not a first integral "
+                f"(residual {residual.render(names)})"
             )
-        return gamma, gammas, cols, lv
-    raise VerificationError(
-        "Gamma vanishes identically for every variable ordering; "
-        "the first integrals are functionally dependent"
-        + (f" (last tried x index {zero_gamma})" if zero_gamma is not None else "")
-    )
+        grads.append(grad.components)
+    order = list(range(n))
+    if last_var is not None:
+        order.remove(last_var)
+        order.append(last_var)
+    m, pivots, _, sign = _eliminate([[g[c] for c in order] for g in grads])
+    if len(pivots) < n - 1:
+        raise VerificationError(
+            "Gamma vanishes identically for every choice of the last variable; "
+            "the first integrals are functionally dependent"
+        )
+    free = next(k for k in range(n) if k not in pivots)
+    lv = order[free]
+    if last_var is not None and lv != last_var:
+        raise VerificationError(
+            f"Gamma vanishes identically with {names[last_var]} as the last variable"
+        )
+    gamma = reduce(mul, (m[r][c] for r, c in enumerate(pivots)))
+    if sign < 0:
+        gamma = -gamma
+    _back_pass(m, pivots)
+    gammas = [gamma * m[r][free] for r in range(n - 1)]
+    return gamma, gammas, [i for i in range(n) if i != lv], lv
 
 
 def _strip_common_factor(X: PolyVectorField):
@@ -180,26 +189,10 @@ def multiplier_from_rational_integrals(
     names = list(X.var_names)
     X, warning = _strip_common_factor(X)
     warnings = [warning] if warning else []
-    integrals = list(integrals)
     n = X.arity
-    candidates = [last_var] if last_var is not None else list(range(n - 1, -1, -1))
-    chosen = None
-    for lv in candidates:
-        if RatFunc(X.components[lv]).is_zero():
-            continue
-        try:
-            gamma, gammas, cols, lv = gamma_determinants(X, integrals, last_var=lv)
-        except VerificationError:
-            continue
-        chosen = (gamma, gammas, cols, lv)
-        break
-    if chosen is None:
-        # fall through for the error message
-        gamma, gammas, cols, lv = gamma_determinants(X, integrals, last_var=last_var)
-        raise VerificationError(
-            "every admissible choice of the distinguished variable has a zero component"
-        )
-    gamma, gammas, cols, lv = chosen
+    # No zero-component check on P[lv] is needed: M P = 0 and Gamma != 0 give
+    # P = 0 whenever P[lv] = 0, and _strip_common_factor already rejects P = 0.
+    gamma, gammas, cols, lv = gamma_determinants(X, integrals, last_var=last_var)
     identities = []
     P = [RatFunc(c) for c in X.components]
     # Cramer identities: Gamma * P_i = -Gamma_i * P_last

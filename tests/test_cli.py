@@ -83,6 +83,15 @@ def test_degree_cap_is_a_resource_limit_exit_3(capsys, lotka, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ["abc", "1e4", "-1"])
+def test_malformed_or_negative_degree_cap_is_a_parse_error_exit_2(capsys, lotka, monkeypatch, value):
+    monkeypatch.setenv("LVK_MAX_DEGREE", value)
+    code, out, err = run(capsys, "verify", "--system", lotka, "--multiplier", "1/(x*y)")
+    assert code == 2
+    assert err.startswith("parse error: ") and "LVK_MAX_DEGREE" in err and repr(value) in err
+    assert out == ""
+
+
 def test_synthesize_no_solution_exit_3(capsys, sys2):
     code, _, _ = run(
         capsys, "synthesize", "--system", sys2, "--poly", "x", "--target", "first-integral"

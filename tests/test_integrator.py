@@ -11,6 +11,7 @@ from lvk.integrator import (
     integrate_closed,
     to_darboux,
 )
+from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_ratfunc
 from lvk.ratfunc import RatFunc
 from lvk.residues import ResidueGroup
@@ -135,3 +136,76 @@ def test_to_darboux_rational_when_residues_integral():
     d = to_darboux(integrate_closed(w))
     assert d.is_rational()
     assert d.to_ratfunc() == parse_ratfunc("x^2/y", names)
+
+
+# -- independent oracle: sympy differentiates the potential ------------------------------
+
+
+def _sympy_poly(sympy, p, symbols):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
+            for e, c in p.terms.items()
+        )
+    )
+
+
+def _sympy_ratfunc(sympy, f, symbols):
+    return _sympy_poly(sympy, f.num, symbols) / _sympy_poly(sympy, f.den, symbols)
+
+
+def _lvk_poly(sympy, expr, symbols):
+    poly = sympy.Poly(expr, *symbols, domain="QQ")
+    terms = {}
+    for exps, c in poly.terms():
+        c = sympy.Rational(c)
+        terms[exps] = F(int(c.p), int(c.q))
+    return terms
+
+
+def _lvk_ratfunc(sympy, expr, symbols):
+    num, den = sympy.fraction(sympy.cancel(expr))
+    n = len(symbols)
+    return RatFunc(
+        MultiPoly(n, _lvk_poly(sympy, num, symbols)),
+        MultiPoly(n, _lvk_poly(sympy, den, symbols)),
+    )
+
+
+def test_potential_derivative_matches_sympy():
+    # the form is sympy's gradient of a planted potential with rational residues,
+    # and sympy differentiates the potential integrate_closed returns
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    logs = 0
+    for _ in range(12):
+        arity = rng.randint(1, 3)
+        symbols = sympy.symbols("x y z")[:arity]
+        psi = _sympy_ratfunc(
+            sympy,
+            RatFunc(
+                random_poly(rng, arity, max_deg=2, max_terms=3),
+                random_poly(rng, arity, max_deg=2, max_terms=2, nonzero=True),
+            ),
+            symbols,
+        )
+        for _ in range(rng.randint(1, 2)):
+            arg = random_poly(rng, arity, max_deg=2, max_terms=3, nonzero=True)
+            if not arg.is_constant():
+                c = sympy.Rational(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
+                psi += c * sympy.log(_sympy_poly(sympy, arg, symbols))
+        form = [sympy.cancel(sympy.diff(psi, s)) for s in symbols]
+        if all(c == 0 for c in form):
+            continue
+        result = integrate_closed(OneForm([_lvk_ratfunc(sympy, c, symbols) for c in form]))
+        potential = _sympy_ratfunc(sympy, result.rat_part, symbols)
+        for group, s in result.log_groups:
+            t = group.residue_value()
+            assert t is not None, "rational residues only"
+            logs += 1
+            arg = group.arg_at_rational(t)
+            potential += sympy.Rational(t * s) * sympy.log(_sympy_ratfunc(sympy, arg, symbols))
+        for s, component in zip(symbols, form):
+            assert sympy.cancel(sympy.diff(potential, s) - component) == 0
+    assert logs >= 8

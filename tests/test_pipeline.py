@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
+from lvk.darboux import multiplier_residual
 from lvk.errors import VerificationError
 from lvk.forms import is_closed
 from lvk.integrator import differentiate
+from lvk.linalg import determinant
+from lvk.multipoly import MultiPoly, exact_div, gcd_multivar
 from lvk.parsing import parse_darboux, parse_ratfunc
 from lvk.pipeline import (
     ClosedFormUnavailable,
+    _strip_common_factor,
     first_integral_2d,
     gamma_determinants,
     multiplier_from_rational_integrals,
@@ -13,7 +19,9 @@ from lvk.pipeline import (
     theorem2_pipeline,
 )
 from lvk.ratfunc import RatFunc
-from lvk.vectorfield import parse_system
+from lvk.vectorfield import PolyVectorField, parse_system
+
+from conftest import random_poly
 
 N3 = ["x", "y", "z"]
 LINEAR3 = parse_system("vars x, y, z\ndx = x\ndy = y\ndz = z\n")
@@ -49,6 +57,11 @@ def test_gamma_rejects_constant_integral():
         gamma_determinants(LINEAR3, [R3("1"), R3("x/z")])
 
 
+def test_gamma_rejects_a_one_variable_system():
+    with pytest.raises(VerificationError):
+        gamma_determinants(parse_system("vars x\ndx = x\n"), [])
+
+
 def test_gamma_rejects_non_integral():
     with pytest.raises(VerificationError):
         gamma_determinants(LINEAR3, [R3("x"), R3("x/z")])
@@ -62,6 +75,121 @@ def test_gamma_falls_back_to_other_last_variable():
     gamma, gammas, cols, lv = gamma_determinants(X, H)
     assert lv != 2
     assert not gamma.is_zero()
+
+
+# -- planted systems: n-1 rational integrals and the field they are integrals of -----
+
+
+def _poly_det(rows):
+    """Determinant of a small square matrix of polynomials, by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0] - rows[0][0]
+    for c, head in enumerate(rows[0]):
+        if not head.is_zero():
+            term = head * _poly_det([r[:c] + r[c + 1:] for r in rows[1:]])
+            total = total - term if c % 2 else total + term
+    return total
+
+
+def _field_from_integrals(integrals, n):
+    """Component j is (-1)^j times the gradient minor without column j, cleared.
+
+    Row k of the gradient of H_k = N_k/D_k is (D_k dN_k - N_k dD_k)/D_k^2, so
+    every minor is a polynomial minor over the common denominator prod D_k^2;
+    clearing it leaves the polynomial minors divided by their gcd with it.
+    """
+    rows, den = [], MultiPoly.one(n)
+    for h in integrals:
+        rows.append([h.den * h.num.derivative(i) - h.num * h.den.derivative(i) for i in range(n)])
+        den = den * h.den * h.den
+    minors = [_poly_det([r[:j] + r[j + 1:] for r in rows]) for j in range(n)]
+    if all(m.is_zero() for m in minors):
+        return None
+    common = den
+    for m in minors:
+        if not m.is_zero() and not common.is_constant():
+            common = gcd_multivar(common, m)
+    comps = [exact_div(m if j % 2 == 0 else -m, common) for j, m in enumerate(minors)]
+    return PolyVectorField([f"x{i + 1}" for i in range(n)], comps)
+
+
+def _without_first_variable(p):
+    terms = {e: c for e, c in p.terms.items() if e[0] == 0}
+    return MultiPoly(p.arity, terms) if terms or p.is_zero() else MultiPoly.one(p.arity)
+
+
+def _planted_system(rng, n, variant="generic", degree_cap=None):
+    """n-1 random rational integrals and a polynomial field they are first integrals of.
+
+    ``no-x1``: no integral involves x1, so the field is (P_1, 0, ..., 0).
+    ``last``: the first integral is x_n, so the field's last component is 0.
+    """
+    while True:
+        integrals = []
+        for _ in range(n - 1):
+            num = random_poly(rng, n, max_deg=2, max_terms=3)
+            den = random_poly(rng, n, max_deg=1, max_terms=2, nonzero=True)
+            if variant == "no-x1":
+                num, den = _without_first_variable(num), _without_first_variable(den)
+            integrals.append(RatFunc(num, den))
+        if variant == "last":
+            integrals[0] = RatFunc(MultiPoly.variable(n, n - 1))
+        X = _field_from_integrals(integrals, n)
+        if X is None:
+            continue
+        if degree_cap is None or max(c.total_degree() for c in X.components) <= degree_cap:
+            return X, integrals
+
+
+def _minor(grads, cols):
+    return determinant([[g[c] for c in cols] for g in grads])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gamma_one_elimination_matches_every_minor(n):
+    rng = random.Random(600 + n)
+    last_zero = 0
+    for k in range(6 if n < 5 else 4):
+        variant = ("generic", "no-x1", "last")[k % 3]
+        X, H = _planted_system(rng, n, variant, degree_cap=4)
+        last_zero += X.components[-1].is_zero()
+        grads = [[h.derivative(i) for i in range(n)] for h in H]
+        complementary = [_minor(grads, [c for c in range(n) if c != v]) for v in range(n)]
+        admissible = [v for v in range(n) if not complementary[v].is_zero()]
+        gamma, gammas, cols, lv = gamma_determinants(X, H)
+        assert lv == max(admissible)
+        assert cols == [c for c in range(n) if c != lv]
+        assert gamma == complementary[lv]
+        for pos in range(n - 1):
+            replaced = list(cols)
+            replaced[pos] = lv
+            assert gammas[pos] == _minor(grads, replaced)
+        for v in range(n):
+            if v in admissible:
+                g, gs, cs, chosen = gamma_determinants(X, H, last_var=v)
+                assert chosen == v and g == complementary[v]
+                assert cs == [c for c in range(n) if c != v]
+            else:
+                with pytest.raises(VerificationError):
+                    gamma_determinants(X, H, last_var=v)
+    assert last_zero >= 2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_theorem2_pipeline_on_planted_systems(n):
+    rng = random.Random(700 + n)
+    last_zero = 0
+    for k in range(8):
+        variant = ("generic", "generic", "no-x1", "last")[k % 4]
+        X, H = _planted_system(rng, n, variant, degree_cap=2)
+        last_zero += X.components[-1].is_zero()
+        report = theorem2_pipeline(X, H)
+        for name, residual in report.derivation.identities:
+            assert residual.is_zero(), name
+        reduced, _ = _strip_common_factor(X)
+        assert multiplier_residual(reduced, report.multiplier).is_zero()
+    assert last_zero >= 2
 
 
 # -- multiplier construction ------------------------------------------------------
