@@ -30,9 +30,7 @@ def degree_cap() -> int:
 
     A value that is not a non-negative integer is a ParseError, not a silent default.
     """
-    text = os.environ.get("LVK_MAX_DEGREE")
-    if text is None:
-        return 64
+    text = os.environ.get("LVK_MAX_DEGREE", "64")
     try:
         cap = int(text)
     except ValueError:
