@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_poly
 from lvk.errors import NonConstantResidue
+from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
 from lvk.residues import (
@@ -132,3 +135,56 @@ def test_rt_mixed_rational_and_algebraic():
     assert total == f
     degrees = sorted(g.degree for g in groups)
     assert degrees == [1, 2]
+
+
+# -- independent oracle: sympy's RootSum ---------------------------------------------
+
+QUADRATIC = (F(-2), F(0), F(1))  # t^2 - 2
+CUBIC = (F(-1), F(-1), F(0), F(1))  # t^3 - t - 1
+TWO_QUADRATICS = (F(6), F(0), F(-5), F(0), F(1))  # (t^2 - 2)(t^2 - 3)
+
+# (minimal polynomial, arity, argument seed); every case runs well under a second
+ORACLE_GROUPS = [
+    *(pytest.param(QUADRATIC, n, s, id=f"quadratic-n{n}-s{s}") for n in (2, 3) for s in (1, 3, 5, 6)),
+    *(pytest.param(CUBIC, n, s, id=f"cubic-n{n}-s{s}") for n in (2, 3) for s in (1, 3, 5, 6)),
+    *(pytest.param(TWO_QUADRATICS, 2, s, id=f"two-quadratics-n2-s{s}") for s in (1, 5, 7)),
+    *(pytest.param(TWO_QUADRATICS, 3, s, id=f"two-quadratics-n3-s{s}") for s in (1, 3, 7)),
+]
+
+
+def _seeded_group(minpoly, arity, seed):
+    """A group whose argument has a linear coefficient at every power of t."""
+    rng = random.Random(seed)
+    arg = [RatFunc(random_poly(rng, arity, max_deg=1, max_terms=2)) for _ in minpoly[1:]]
+    arg[0] = arg[0] + RatFunc(MultiPoly.variable(arity, rng.randrange(arity)))
+    return ResidueGroup(minpoly=minpoly, arg=tuple(arg))
+
+
+def _sympy_poly(sympy, p, symbols):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
+            for e, c in p.terms.items()
+        )
+    )
+
+
+def _sympy_ratfunc(sympy, f, symbols):
+    return _sympy_poly(sympy, f.num, symbols) / _sympy_poly(sympy, f.den, symbols)
+
+
+@pytest.mark.parametrize("minpoly, arity, seed", ORACLE_GROUPS)
+def test_log_derivative_matches_sympy_rootsum(minpoly, arity, seed):
+    sympy = pytest.importorskip("sympy")
+    group = _seeded_group(minpoly, arity, seed)
+    symbols = sympy.symbols("x y z")[:arity]
+    t = sympy.Symbol("t")
+    m = sympy.Poly(
+        sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(minpoly)), t
+    )
+    arg = sum(_sympy_ratfunc(sympy, c, symbols) * t**k for k, c in enumerate(group.arg))
+    for v, s in enumerate(symbols):
+        expected = sympy.RootSum(m, sympy.Lambda(t, t * sympy.diff(arg, s) / arg)).doit()
+        got = _sympy_ratfunc(sympy, group.log_derivative(v), symbols)
+        assert sympy.cancel(got - expected) == 0, (group.render(), s)
