@@ -5,9 +5,11 @@ without ever materializing the algebraic numbers t.  The minimal polynomial m
 always has rational coefficients (constancy of residues is the computational
 shadow of closedness); arguments may involve the x variables and powers of t.
 
-All splitting-field reasoning routes through gcds modulo m with dynamic
-splitting of m when a zero divisor shows up, and through Newton power sums
-for exact trace evaluation.
+A rational residue c gets its argument from one monic gcd over the field K
+of the other variables, at t = c.  Only a factor of m without rational roots
+goes to the D5 gcd, which works modulo m and splits m dynamically when a zero
+divisor shows up.  The trace of t * d(arg)/arg over the roots of m is one
+d x d linear solve in K[t]/(m) plus Newton power sums.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LvkError, NonConstantResidue, ZeroDivisionInField
+from .linalg import rref
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
-from .unipoly import UniPoly, dense_divmod, resultant, squarefree_yun
+from .unipoly import UniPoly, dense_divmod, gcd_uni, resultant, squarefree_yun
 
 
 class SplitRequired(LvkError):
@@ -325,7 +328,7 @@ class ResidueGroup:
 
 def _group_log_derivative(m: list[Fraction], arg: list[RatFunc], var: int) -> RatFunc:
     arity = arg[0].arity
-    m = qpoly_monic(m)
+    m = qpoly_monic([Fraction(c) for c in m])
     d = len(m) - 1
     if d == 1:
         c = -m[0]
@@ -333,22 +336,22 @@ def _group_log_derivative(m: list[Fraction], arg: list[RatFunc], var: int) -> Ra
         for k in reversed(range(len(arg))):
             val = val.scale(c) + arg[k]
         return (val.derivative(var) / val).scale(c)
-    darg = [c.derivative(var) for c in arg]
-    try:
-        inv = tp_inv(list(arg), m, arity)
-    except SplitRequired as split:
-        g = split.factor
-        h, _ = qpoly_divmod(m, g)
-        total = RatFunc.zero(arity)
-        for sub in (qpoly_monic(g), qpoly_monic(h)):
-            total = total + _group_log_derivative(
-                sub, tp_reduce(list(arg), sub, arity), var
-            )
-        return total
-    t_elem = [RatFunc.zero(arity), RatFunc.one(arity)]
-    u = tp_mul(tp_mul(t_elem, darg, m, arity), inv, m, arity)
-    sums = power_sums(m, max(len(u), 1))
-    total = RatFunc.zero(arity)
+    # u = t * d(arg)/arg in K[t]/(m) solves  sum_j u_j * (t^j * arg) = t * d(arg):
+    # column j of the system holds t^j * arg mod m
+    zero = RatFunc.zero(arity)
+    col = tp_reduce(list(arg), m, arity)
+    cols = []
+    for _ in range(d):
+        cols.append(col + [zero] * (d - len(col)))
+        col = tp_reduce([zero, *col], m, arity)
+    rhs = tp_reduce([zero, *(c.derivative(var) for c in arg)], m, arity)
+    rhs += [zero] * (d - len(rhs))
+    _, u, pivots = rref([[c[i] for c in cols] for i in range(d)], rhs)
+    if len(pivots) < d:
+        # the determinant is the norm of arg, which is zero
+        raise ZeroDivisionInField("group argument vanishes at a root of its minimal polynomial")
+    sums = power_sums(m, d)
+    total = zero
     for k, c in enumerate(u):
         total = total + c.scale(sums[k])
     return total
@@ -396,42 +399,6 @@ def _rational_roots(m: list[Fraction]) -> list[Fraction]:
                 if val == 0:
                     roots.append(cand)
     return roots
-
-
-def _split_group(group: ResidueGroup) -> list[ResidueGroup]:
-    """Peel rational roots off a group's minimal polynomial.
-
-    Splitting the trace over m = (t - c) * rest gives one plain logarithm per
-    rational residue c plus a smaller conjugate group; zero residues drop out.
-    """
-    if group.degree == 1:
-        if group.residue_value() == 0:
-            return []
-        return [group]
-    m = list(group.minpoly)
-    roots = _rational_roots(m)
-    if not roots:
-        return [group]
-    out: list[ResidueGroup] = []
-    rem = m
-    arity = group.arity
-    for c in roots:
-        rem, check = qpoly_divmod(rem, [-c, Fraction(1)])
-        if check:
-            raise NonConstantResidue("rational root does not divide the modulus")
-        if c != 0:
-            out.append(
-                ResidueGroup(
-                    minpoly=(Fraction(-c), Fraction(1)),
-                    arg=(group.arg_at_rational(c),),
-                )
-            )
-    if len(rem) - 1 >= 1:
-        arg = tp_reduce(list(group.arg), qpoly_monic(rem), arity)
-        out.append(
-            ResidueGroup(minpoly=tuple(qpoly_monic(rem)), arg=tuple(arg))
-        )
-    return out
 
 
 def _rational_squarefree_factors(m: list[Fraction]) -> list[list[Fraction]]:
@@ -486,16 +453,21 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
         m_full.append(ratio.constant_value())
     groups: list[ResidueGroup] = []
     for m_j in _rational_squarefree_factors(m_full):
+        # a rational residue c: log of the monic gcd(den, num - c*den') over K
+        for c in _rational_roots(m_j):
+            m_j = qpoly_divmod(m_j, [-c, Fraction(1)])[0]
+            if c != 0:
+                v = gcd_uni(den, num - dden.scale(RatFunc.constant(arity, c)))
+                groups.append(ResidueGroup(minpoly=(-c, Fraction(1)), arg=(v.to_ratfunc(),)))
         if len(m_j) - 1 < 1:
             continue
-        # gcd(den, num - t*den') mod m_j via Euclid with splitting
+        # the irrational rest: gcd(den, num - t*den') mod m_j, splitting m_j on demand
         a = [[c] for c in den.coeffs]
         b = [[n_c, -d_c] for n_c, d_c in zip(
             [num.coeff(i) for i in range(den.degree())],
             [dden.coeff(i) for i in range(den.degree())],
         )]
-        branches = d5_gcd(a, b, m_j, arity)
-        for m_branch, v in branches:
+        for m_branch, v in d5_gcd(a, b, m_j, arity):
             if len(v) - 1 < 1:
                 continue  # trivial gcd: no residue from this branch
             x_rf = RatFunc(MultiPoly.variable(arity, mv))
@@ -508,4 +480,4 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
             groups.append(
                 ResidueGroup(minpoly=tuple(qpoly_monic(m_branch)), arg=tuple(arg))
             )
-    return [piece for g in groups for piece in _split_group(g)]
+    return groups

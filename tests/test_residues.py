@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import lvk.residues
 from conftest import random_poly
-from lvk.errors import NonConstantResidue
+from lvk.errors import NonConstantResidue, ZeroDivisionInField
 from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
@@ -15,7 +16,7 @@ from lvk.residues import (
     rothstein_trager,
     trace_of_algebraic,
 )
-from lvk.unipoly import UniPoly
+from lvk.unipoly import UniPoly, gcd_uni
 
 F = Fraction
 
@@ -69,6 +70,14 @@ def test_algebraic_group_trace_derivative():
         arg=(parse_ratfunc("x", names), RatFunc.constant(1, -4)),
     )
     assert g.log_derivative(0) == parse_ratfunc("1/(x^2 - 2)", names)
+
+
+def test_group_argument_vanishing_at_a_root_is_a_zero_division():
+    # x*(t - 1) vanishes at the root t = 1 of t^2 - 1: the group is invalid
+    x = parse_ratfunc("x", ["x"])
+    g = ResidueGroup(minpoly=(-1, 0, 1), arg=(-x, x))
+    with pytest.raises(ZeroDivisionInField):
+        g.log_derivative(0)
 
 
 # -- Rothstein-Trager ---------------------------------------------------------------
@@ -135,6 +144,52 @@ def test_rt_mixed_rational_and_algebraic():
     assert total == f
     degrees = sorted(g.degree for g in groups)
     assert degrees == [1, 2]
+
+
+def _planted_log_part(rng, residues, quadratic):
+    """num/den = sum of c * d/dx log(x + p_c(y)), plus d/dx of the group
+    sum over 8t^2 = 1 of t*log(x + q(y) - 4t), which is 1/((x + q)^2 - 2)."""
+    names = ["x", "y"]
+    shift = parse_ratfunc(f"{rng.randint(-3, 3)}*y^2 + {rng.randint(1, 4)}*y", names)
+    total = RatFunc.zero(2)
+    planted = {}
+    for k, c in enumerate(residues):
+        # distinct shifts keep the arguments coprime
+        arg = parse_ratfunc(f"x + {k}", names) + shift.scale(F(k + 1))
+        planted[c] = arg
+        total = total + (arg.derivative(0) / arg).scale(c)
+    if quadratic:
+        q = parse_ratfunc(f"x + {len(residues)}", names) + shift.scale(F(-1))
+        total = total + (q * q - RatFunc.constant(2, 2)).inverse()
+    return total, planted
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("quadratic", [False, True], ids=["two-rational", "rational-and-quadratic"])
+def test_rt_rational_roots_take_one_gcd_each(monkeypatch, seed, quadratic):
+    # one squarefree factor of R(t): (t - c1)(t - c2), or (t - c)(8t^2 - 1)
+    rng = random.Random(seed)
+    residues = [F(1), F(rng.choice([2, -3, 5, F(1, 2)]))] if not quadratic else [F(3)]
+    f, planted = _planted_log_part(rng, residues, quadratic)
+    num, den = UniPoly.of_poly(f.num, 0), UniPoly.of_poly(f.den, 0)
+    d5_calls = []
+    d5_gcd = lvk.residues.d5_gcd
+    monkeypatch.setattr(
+        lvk.residues, "d5_gcd", lambda *a: d5_calls.append(a[2]) or d5_gcd(*a)
+    )
+    groups = rothstein_trager(num, den)
+    rational = [g for g in groups if g.degree == 1]
+    assert sorted(g.residue_value() for g in rational) == sorted(residues)
+    for g in rational:
+        c = g.residue_value()
+        v = gcd_uni(den, num - den.derivative().scale(RatFunc.constant(2, c)))
+        assert g.arg == (v.to_ratfunc(),) == (planted[c],)
+    assert sorted(g.degree for g in groups if g.degree > 1) == ([2] if quadratic else [])
+    total = RatFunc.zero(2)
+    for g in groups:
+        total = total + g.log_derivative(0)
+    assert total == f
+    assert d5_calls == ([[F(-1, 8), F(0), F(1)]] if quadratic else [])
 
 
 # -- independent oracle: sympy's RootSum ---------------------------------------------
