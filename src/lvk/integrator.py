@@ -90,21 +90,10 @@ def integrate_closed(
         if U.is_zero():
             continue
         num, den = ratfunc_as_unipair(U, v)
-        level_rat = RatFunc.zero(n)
-        if den.degree() == 0:
-            # purely polynomial in v: integrate termwise
-            quotient = num.scale(den.coeff(0).inverse())
-            remainder_num = None
-            level_rat = quotient.integrate().to_ratfunc()
-            level_groups: list[ResidueGroup] = []
-        else:
-            quotient, proper_num = num.divmod(den)
-            level_rat = quotient.integrate().to_ratfunc()
-            h_rat, res_num, res_den = hermite_reduce(proper_num, den)
-            level_rat = level_rat + h_rat
-            level_groups = (
-                rothstein_trager(res_num, res_den) if not res_num.is_zero() else []
-            )
+        quotient, proper_num = num.divmod(den)
+        h_rat, res_num, res_den = hermite_reduce(proper_num, den)
+        level_rat = quotient.integrate().to_ratfunc() + h_rat
+        level_groups = rothstein_trager(res_num, res_den) if not res_num.is_zero() else []
         rat = rat + level_rat
         groups.extend((g, Fraction(1)) for g in level_groups)
         for v2 in order[pos + 1 :]:
