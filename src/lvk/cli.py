@@ -320,8 +320,7 @@ def cmd_integrate_form(args) -> tuple[dict, int]:
             },
             [_certificate("closedness", witness.residual, names)],
         )
-        _emit(report, args.json)
-        return None, EXIT_NOT_CLOSED
+        return report, EXIT_NOT_CLOSED
     result = integrate_closed(w, order=order, check=False)
     algebraic = [g for g, _ in result.log_groups if g.degree > 1]
     if args.rational_only and algebraic:
@@ -340,8 +339,7 @@ def cmd_integrate_form(args) -> tuple[dict, int]:
             },
             [_certificate("closedness", None, names)],
         )
-        _emit(report, args.json)
-        return None, EXIT_ALGEBRAIC
+        return report, EXIT_ALGEBRAIC
     certs = [_certificate("closedness", None, names)]
     back = differentiate(result)
     for i, n_ in enumerate(names):
@@ -409,8 +407,7 @@ def _pipeline_theorem1(args, X, name) -> tuple[dict, int]:
     }
     if ratios.dependent:
         report = _report("pipeline", name, "failed", payload, certs)
-        _emit(report, args.json)
-        return None, EXIT_VERIFY
+        return report, EXIT_VERIFY
     if X.arity == 2:
         outcome = first_integral_2d(X, multipliers[0])
         if isinstance(outcome, ClosedFormUnavailable):
@@ -420,8 +417,7 @@ def _pipeline_theorem1(args, X, name) -> tuple[dict, int]:
                 _certificate("closedness", outcome.closedness_residual, names)
             )
             report = _report("pipeline", name, "unavailable", payload, certs)
-            _emit(report, args.json)
-            return None, EXIT_ALGEBRAIC
+            return report, EXIT_ALGEBRAIC
         payload["firstIntegral"] = outcome.render(names)
         grad = differentiate(outcome)
         certs.append(
@@ -533,8 +529,7 @@ def main(argv=None) -> int:
     except (VerificationError, LvkError) as e:
         sys.stderr.write(f"verification failure: {e}\n")
         return EXIT_VERIFY
-    if report is not None:
-        _emit(report, args.json)
+    _emit(report, args.json)
     return code
 
 
