@@ -16,7 +16,7 @@ from operator import mul
 from .darboux import DarbouxFunction, is_jacobian_multiplier
 from .errors import VerificationError
 from .forms import OneForm, is_closed
-from .integrator import IntegrationResult, integrate_closed, to_darboux
+from .integrator import IntegrationResult, differentiate, integrate_closed, to_darboux
 from .linalg import _back_pass, _eliminate, rank_with_witness
 from .multipoly import MultiPoly, exact_div, gcd_multivar
 from .ratfunc import RatFunc
@@ -271,8 +271,6 @@ def first_integral_2d(
     omega = OneForm([v_rat * RatFunc(X.components[1]), -(v_rat * RatFunc(X.components[0]))])
     result = integrate_closed(omega)
     # verify: sum d_i(I) P_i = 0
-    from .integrator import differentiate
-
     grad = differentiate(result)
     residual = X.lie_derivative_log(grad)
     if not residual.is_zero():
