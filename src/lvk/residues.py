@@ -304,7 +304,10 @@ class ResidueGroup:
         return acc
 
     def log_derivative(self, var: int) -> RatFunc:
-        """Exact RatFunc value of sum_t t * d_var(arg)/arg."""
+        """Exact RatFunc value of sum_t t * d_var(arg)/arg.
+
+        Raises ZeroDivisionInField when arg vanishes at a root of minpoly.
+        """
         return _group_log_derivative(list(self.minpoly), list(self.arg), var)
 
     def render(self, names: list[str] | None = None) -> str:
@@ -328,7 +331,7 @@ class ResidueGroup:
 
 def _group_log_derivative(m: list[Fraction], arg: list[RatFunc], var: int) -> RatFunc:
     arity = arg[0].arity
-    m = qpoly_monic([Fraction(c) for c in m])
+    m = qpoly_monic(m)
     d = len(m) - 1
     if d == 1:
         c = -m[0]

@@ -75,7 +75,7 @@ def test_algebraic_group_trace_derivative():
 def test_group_argument_vanishing_at_a_root_is_a_zero_division():
     # x*(t - 1) vanishes at the root t = 1 of t^2 - 1: the group is invalid
     x = parse_ratfunc("x", ["x"])
-    g = ResidueGroup(minpoly=(-1, 0, 1), arg=(-x, x))
+    g = ResidueGroup(minpoly=(F(-1), F(0), F(1)), arg=(-x, x))
     with pytest.raises(ZeroDivisionInField):
         g.log_derivative(0)
 
