@@ -78,17 +78,17 @@ class MultiPoly:
                         f"term of total degree {sum(exps)} exceeds LVK_MAX_DEGREE={cap}"
                     )
                 clean[tuple(exps)] = c
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_arity(self, arity)
+        _set_terms(self, clean)
+        _set_hash(self, None)
 
     @classmethod
     def _raw(cls, arity: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
         """Adopt terms as they are: tuples of length arity, nonzero Fractions, within the cap."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "arity", arity)
-        object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
+        p = _new(cls)
+        _set_arity(p, arity)
+        _set_terms(p, terms)
+        _set_hash(p, None)
         return p
 
     def __setattr__(self, name, value):
@@ -279,7 +279,7 @@ class MultiPoly:
         h = object.__getattribute__(self, "_hash")
         if h is None:
             h = hash((self.arity, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def sorted_terms(self):
@@ -311,21 +311,32 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
+# The slot descriptors write past the immutability guard of __setattr__; bound
+# once, they cost about half of what object.__setattr__ does per slot.
+_new = object.__new__
+_set_arity = MultiPoly.arity.__set__
+_set_terms = MultiPoly.terms.__set__
+_set_hash = MultiPoly._hash.__set__
+
+
 # -- division and gcd ------------------------------------------------------
 
 
 def try_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     """Quotient a/b when b divides a exactly, else None.
 
-    Greedy leading-term division in graded-lex order: when b | a the leading
-    term of every partial remainder is divisible by the leading term of b, so
-    a failed monomial division certifies non-divisibility.
+    A constant b scales a by 1/b (a itself when b is 1).  Otherwise greedy
+    leading-term division in graded-lex order: when b | a the leading term of
+    every partial remainder is divisible by the leading term of b, so a
+    failed monomial division certifies non-divisibility.
     """
     a._check(b)
     if b.is_zero():
         raise ZeroDivisionInField("division by zero polynomial")
     if a.is_zero():
         return MultiPoly.zero(a.arity)
+    if b.is_constant():
+        return a.scale(1 / b.constant_value())
     lm_b = b.leading_monomial()
     lc_b = b.terms[lm_b]
     quotient: dict[tuple[int, ...], Fraction] = {}
@@ -469,7 +480,7 @@ def gcd_multivar(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized with graded-lex leading coefficient 1.
 
     Recursive content/primitive-part reduction with a subresultant polynomial
-    remainder sequence in the top occurring variable.  Two exact shortcuts
+    remainder sequence in the top occurring variable.  Three exact shortcuts
     come first (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*,
     ch. 7):
 
@@ -479,7 +490,9 @@ def gcd_multivar(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     - one argument dividing the other: if s, the one of lower total degree,
       has no higher degree in any variable and divides the other exactly,
       the gcd is s itself.  A failed trial division stops at the first
-      leading monomial that does not divide.
+      leading monomial that does not divide;
+    - s of total degree 1 that does not divide the other: a degree-1
+      polynomial is irreducible, so the gcd is s or 1, and it is 1.
     """
     a._check(b)
     if a.is_zero() and b.is_zero():
@@ -504,6 +517,8 @@ def gcd_multivar(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         and try_exact_div(t, s) is not None
     ):
         return monic_grlex(s)
+    if s.total_degree() == 1:
+        return MultiPoly.one(a.arity)
     var = next(
         v for v in range(a.arity) if a.involves(v) or b.involves(v)
     )

@@ -17,6 +17,11 @@ not divide the new numerator, and a factor free of the variable sits
 wholly in G, so only gcd(numerator, G) can cancel.  Denominators stay
 monic because gcd_multivar returns monic results and the graded-lex
 leading coefficient is multiplicative.
+
+A constant denominator is exactly 1, so polynomial operands take no gcd at
+all: the sum or product of two polynomials, the derivative of a
+polynomial, and division by a nonzero constant (a scale) are in lowest
+terms as they are.
 """
 
 from __future__ import annotations
@@ -45,17 +50,17 @@ class RatFunc:
             if lc != 1:
                 num = num.scale(Fraction(1) / lc)
                 den = den.scale(Fraction(1) / lc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_hash(self, None)
 
     @classmethod
     def _raw(cls, num: MultiPoly, den: MultiPoly) -> "RatFunc":
         """Adopt a pair already in lowest terms with a monic denominator (1 if num is 0)."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den)
-        object.__setattr__(f, "_hash", None)
+        f = _new(cls)
+        _set_num(f, num)
+        _set_den(f, den)
+        _set_hash(f, None)
         return f
 
     def __setattr__(self, name, value):
@@ -114,6 +119,9 @@ class RatFunc:
     def __add__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
         (n1, d1), (n2, d2) = (self.num, self.den), (other.num, other.den)
+        if d1.is_constant() and d2.is_constant():
+            # d1 is 1, also when the sum is 0
+            return RatFunc._raw(n1 + n2, d1)
         g = gcd_multivar(d1, d2)
         if g.is_constant():
             return _reduced(n1 * d2 + n2 * d1, d1 * d2, g)
@@ -130,6 +138,8 @@ class RatFunc:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return RatFunc.zero(self.arity)
+        if self.den.is_constant() and other.den.is_constant():
+            return RatFunc._raw(self.num * other.num, self.den)
         n1, d2 = _cancel(self.num, other.den)
         n2, d1 = _cancel(other.num, self.den)
         return RatFunc._raw(n1 * n2, d1 * d2)
@@ -138,6 +148,8 @@ class RatFunc:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionInField("division by zero rational function")
+        if other.is_constant():
+            return self.scale(1 / other.num.constant_value())
         return self * other.inverse()
 
     def inverse(self) -> "RatFunc":
@@ -158,6 +170,8 @@ class RatFunc:
 
     def derivative(self, var: int) -> "RatFunc":
         n, d = self.num, self.den
+        if d.is_constant():
+            return RatFunc._raw(n.derivative(var), d)
         dd = d.derivative(var)
         # (n/d)' = (n'(d/G) - n(d'/G)) / (d(d/G)) with G = gcd(d, d')
         g = gcd_multivar(d, dd)
@@ -180,7 +194,7 @@ class RatFunc:
         h = object.__getattribute__(self, "_hash")
         if h is None:
             h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def render(self, names: list[str] | None = None) -> str:
@@ -196,6 +210,13 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
+
+
+# Slot descriptors past the __setattr__ guard, as in multipoly.
+_new = object.__new__
+_set_num = RatFunc.num.__set__
+_set_den = RatFunc.den.__set__
+_set_hash = RatFunc._hash.__set__
 
 
 def _cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:

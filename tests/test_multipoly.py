@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvk import multipoly
-from lvk.errors import ArityMismatch, DegreeCapExceeded, NotDivisibleError
+from lvk.errors import ArityMismatch, DegreeCapExceeded, NotDivisibleError, ZeroDivisionInField
 from lvk.multipoly import (
     MINUS_INFINITY,
     MultiPoly,
@@ -62,6 +62,16 @@ def test_immutability():
     p = MultiPoly.one(2)
     with pytest.raises(AttributeError):
         p.arity = 3
+
+
+def test_raw_results_are_immutable_and_hash_like_constructed_ones():
+    p, q = P("x^2 - 3*x*y + 1"), P("x*y + y/2")
+    for r in (p + q, p * q):
+        for name in ("arity", "terms", "_hash", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+        same = MultiPoly(r.arity, dict(r.terms))
+        assert r == same and hash(r) == hash(same)
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -125,6 +135,18 @@ def test_exact_div_basic():
         exact_div(P("x^2 + 1"), P("x + 1"))
 
 
+def test_exact_div_by_a_constant_is_a_scale():
+    a = P("x^2/3 - 2*x*y + 5")
+    for c in (Fraction(2), Fraction(-3, 7), Fraction(1, 4)):
+        q = try_exact_div(a, MultiPoly.constant(2, c))
+        assert q == a.scale(1 / c)
+        assert q * MultiPoly.constant(2, c) == a
+    assert try_exact_div(a, MultiPoly.one(2)) is a
+    assert exact_div(MultiPoly.zero(2), MultiPoly.constant(2, 5)) == MultiPoly.zero(2)
+    with pytest.raises(ZeroDivisionInField):
+        try_exact_div(a, MultiPoly.zero(2))
+
+
 def test_gcd_known_values():
     a = P("x^2 - y^2") * P("x + 2*y")
     b = P("x^2 + 3*x*y + 2*y^2")  # (x+y)(x+2y)
@@ -158,7 +180,7 @@ def test_gcd_times_exact_div_roundtrip():
 
 
 def to_sympy(sympy, p: MultiPoly):
-    symbols = sympy.symbols("x y z")
+    symbols = sympy.symbols(f"x1:{p.arity + 1}")
     return sum(
         (
             sympy.Rational(c.numerator, c.denominator)
@@ -281,6 +303,37 @@ def test_gcd_proper_common_factor_reaches_the_prs(prs_calls):
     b = P("(x + y)*(x + 2*y)")
     assert checked_gcd(sympy, a, b) == P("x + y")
     assert prs_calls
+
+
+def test_gcd_with_a_degree_one_argument_that_does_not_divide(prs_calls):
+    sympy = pytest.importorskip("sympy")
+    # a degree-1 polynomial is irreducible: a failed trial division means gcd 1
+    rng = random.Random(8383)
+    big = MultiPoly.zero(5)
+    while len(big.terms) < 38:
+        big = big + random_poly(rng, 5, max_deg=8, max_terms=1, nonzero=True)
+    assert big.total_degree() == 8
+    linear = P("x3 + 8*x4", ["x1", "x2", "x3", "x4", "x5"])
+    assert try_exact_div(big, linear) is None
+    assert checked_gcd(sympy, big, linear) == MultiPoly.one(5)
+    assert checked_gcd(sympy, linear, big) == MultiPoly.one(5)
+    for _ in range(60):
+        arity = rng.randint(1, 4)
+        s = random_poly(rng, arity, max_deg=1, nonzero=True)
+        if s.total_degree() < 1 or len(s.terms) < 2:
+            continue
+        t = random_poly(rng, arity, max_deg=3, nonzero=True) * s + random_poly(
+            rng, arity, max_deg=2, nonzero=True
+        )
+        g = checked_gcd(sympy, s, t)
+        assert g == MultiPoly.one(arity) or g == monic_grlex(s)
+        # s free of a variable of t, and t free of a variable of s
+        u = random_poly(rng, arity + 1, max_deg=3, nonzero=True)
+        s1 = s.extend_arity(arity + 1)
+        assert checked_gcd(sympy, u, s1) == checked_gcd(sympy, s1, u)
+        x = MultiPoly.variable(arity + 1, arity)
+        assert checked_gcd(sympy, s1 + x, t.extend_arity(arity + 1)) == MultiPoly.one(arity + 1)
+    assert prs_calls == []
 
 
 # -- the degree cap on results that can grow ------------------------------------

@@ -130,6 +130,18 @@ def operand_pair(rng: random.Random, arity: int, kind: str):
         b = RatFunc(poly(), a.den)
     elif kind == "polynomial":
         a, b = RatFunc(poly()), RatFunc(poly())
+    elif kind == "constant":
+        v = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        a = RatFunc.constant(arity, rng.choice([0, v, v]))
+        w = rng.choice([0, v, -a.constant_value(), Fraction(rng.randint(-2, 2))])
+        b = RatFunc.constant(arity, w)
+    elif kind == "polynomial-rational":
+        b = RatFunc(poly(), poly(nonzero=True))
+        while b.is_polynomial():
+            b = RatFunc(poly(nonzero=True), poly(nonzero=True))
+        a = RatFunc(poly())
+        if rng.random() < 0.5:
+            a, b = b, a
     elif kind == "opposite":
         b = -a
     elif kind == "cancelling":
@@ -152,7 +164,17 @@ def operand_pair(rng: random.Random, arity: int, kind: str):
     return a, b
 
 
-KINDS = ("random", "overlap", "equal", "polynomial", "opposite", "cancelling", "var-free content")
+KINDS = (
+    "random",
+    "overlap",
+    "equal",
+    "polynomial",
+    "opposite",
+    "cancelling",
+    "var-free content",
+    "constant",
+    "polynomial-rational",
+)
 
 
 def textbook(a: RatFunc, b: RatFunc, c: Fraction, k: int) -> dict:
@@ -181,7 +203,7 @@ def textbook(a: RatFunc, b: RatFunc, c: Fraction, k: int) -> dict:
 
 def test_fast_paths_match_normalizing_constructor():
     rng = random.Random(31337)
-    for i in range(105):
+    for i in range(15 * len(KINDS)):
         arity = rng.randint(1, 3)
         kind = KINDS[i % len(KINDS)]
         a, b = operand_pair(rng, arity, kind)
@@ -213,6 +235,16 @@ def test_derivative_with_var_free_denominator_content():
     q = R("x/(x + y)^2")
     assert q.derivative(0) == R("(y - x)/(x + y)^3")
     assert_normalized(q.derivative(0))
+
+
+def test_raw_results_are_immutable_and_hash_like_constructed_ones():
+    for a, b in ((R("x^2 - y"), R("3*x*y + 1")), (R("x/(y + 1)"), R("(x - 1)/(x*y + 2)"))):
+        for f in (a + b, a * b, a.derivative(0)):
+            for name in ("num", "den", "_hash", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(f, name, None)
+            same = RatFunc(f.num, f.den)
+            assert f == same and hash(f) == hash(same)
 
 
 def test_scale_by_zero_and_trivial_powers():
