@@ -156,7 +156,7 @@ class DarbouxFunction:
         for i in range(self.arity):
             w = self.exp_arg.derivative(i)
             for base, exponent in self.factors:
-                w = w + (RatFunc(base.derivative(i)) / RatFunc(base)).scale(exponent)
+                w = w + RatFunc.of_poly(base).log_derivative(i).scale(exponent)
             for group, s in self.groups:
                 w = w + group.log_derivative(i).scale(s)
             comps.append(w)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, DegreeCapExceeded
+from .multipoly import gcd_cofactors
 from .ratfunc import RatFunc
 
 
@@ -70,11 +71,37 @@ class OneForm:
 
 
 def is_closed(w: OneForm) -> ClosednessWitness:
-    """Check d w = 0 exactly: all partial-derivative symmetry identities."""
+    """Check d w = 0 exactly: all partial-derivative symmetry identities.
+
+    Each pair is first decided by a zero test without a gcd on a numerator;
+    only the first failing pair computes its residual in lowest terms.
+    """
     n = len(w)
     for j in range(n):
         for i in range(j + 1, n):
+            if _derivatives_agree(w[j], i, w[i], j):
+                continue
             residual = w[j].derivative(i) - w[i].derivative(j)
             if not residual.is_zero():
                 return ClosednessWitness(closed=False, pair=(j, i), residual=residual)
     return ClosednessWitness(closed=True)
+
+
+def _derivatives_agree(a: RatFunc, i: int, b: RatFunc, j: int) -> bool:
+    """Whether d a/dx_i = d b/dx_j, by cross-multiplication.
+
+    With A = a_n' a_d - a_n a_d' (in x_i) and B likewise (in x_j), the
+    derivatives are A/a_d^2 and B/b_d^2.  Equal denominators compare A = B;
+    otherwise, with g = gcd(a_d, b_d) = a_d/c_a = b_d/c_b, they compare
+    A c_b^2 = B c_a^2.  False also when a product passes LVK_MAX_DEGREE: the
+    caller then decides with the normalized residual.
+    """
+    try:
+        A = a.num.derivative(i) * a.den - a.num * a.den.derivative(i)
+        B = b.num.derivative(j) * b.den - b.num * b.den.derivative(j)
+        if a.den == b.den:
+            return A == B
+        _, ca, cb = gcd_cofactors(a.den, b.den)
+        return A * (cb * cb) == B * (ca * ca)
+    except DegreeCapExceeded:
+        return False

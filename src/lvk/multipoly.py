@@ -3,6 +3,11 @@
 Terms are stored as a map from exponent tuples to nonzero ``Fraction``
 coefficients.  The monomial order used everywhere (normalization, leading
 terms, printing) is graded lexicographic with the declared variable order.
+
+``gcd_multivar`` returns the monic gcd; ``gcd_cofactors`` returns it with
+both cofactors, (g, a/g, b/g), for callers that divide by the gcd.  Both run
+one shortcut ladder (``_gcd``), and the shortcut that finds g also knows the
+cofactors, so only the subresultant branch pays two exact divisions.
 """
 
 from __future__ import annotations
@@ -468,7 +473,7 @@ def _content(coeffs: Iterable[MultiPoly]) -> MultiPoly:
     for c in coeffs:
         if c.is_zero():
             continue
-        g = c if g is None else gcd_multivar(g, c)
+        g = c if g is None else _gcd(g, c, False)
         if g.is_constant():
             break
     if g is None:
@@ -494,53 +499,95 @@ def gcd_multivar(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     - s of total degree 1 that does not divide the other: a degree-1
       polynomial is irreducible, so the gcd is s or 1, and it is 1.
     """
+    return _gcd(a, b, False)
+
+
+def gcd_cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(g, a/g, b/g) with g = gcd_multivar(a, b).
+
+    The shortcuts of gcd_multivar already know the cofactors: 1 gives (a, b),
+    a == b gives lc(a) twice, a monomial gcd x^f shifts exponents, and a
+    divisor s of t gives lc(s) and the trial quotient t/s times lc(s).  Only
+    the subresultant branch divides.
+    """
+    return _gcd(a, b, True)
+
+
+def _gcd(a: MultiPoly, b: MultiPoly, cofactors: bool):
+    """The one shortcut ladder behind gcd_multivar and gcd_cofactors."""
     a._check(b)
+    arity = a.arity
     if a.is_zero() and b.is_zero():
         raise ZeroDivisionInField("gcd(0, 0) undefined")
-    if a.is_zero():
-        return monic_grlex(b)
-    if b.is_zero():
-        return monic_grlex(a)
+    if a.is_zero() or b.is_zero():
+        p = b if a.is_zero() else a
+        g = monic_grlex(p)
+        if not cofactors:
+            return g
+        lc = MultiPoly.constant(arity, p.leading_coefficient())
+        return (g, lc, b) if b.is_zero() else (g, a, lc)
     if a.is_constant() or b.is_constant():
-        return MultiPoly.one(a.arity)
+        return (MultiPoly.one(arity), a, b) if cofactors else MultiPoly.one(arity)
     if a == b:
-        return monic_grlex(a)
+        g = monic_grlex(a)
+        if not cofactors:
+            return g
+        lc = MultiPoly.constant(arity, a.leading_coefficient())
+        return g, lc, lc
     if len(a.terms) == 1 or len(b.terms) == 1:
         mono, other = (a, b) if len(a.terms) == 1 else (b, a)
         f = next(iter(mono.terms))
         for e in other.terms:
             f = tuple(map(min, f, e))
-        return MultiPoly._raw(a.arity, {f: _ONE})
-    s, t = (a, b) if a.total_degree() <= b.total_degree() else (b, a)
-    if (
-        all(s.degree_in(v) <= t.degree_in(v) for v in range(a.arity))
-        and try_exact_div(t, s) is not None
-    ):
-        return monic_grlex(s)
+        g = MultiPoly._raw(arity, {f: _ONE})
+        return (g, _shift_down(a, f), _shift_down(b, f)) if cofactors else g
+    a_low = a.total_degree() <= b.total_degree()
+    s, t = (a, b) if a_low else (b, a)
+    if all(s.degree_in(v) <= t.degree_in(v) for v in range(arity)):
+        q = try_exact_div(t, s)
+        if q is not None:
+            lc = s.leading_coefficient()
+            g = s.scale(1 / lc)
+            if not cofactors:
+                return g
+            cs, ct = MultiPoly.constant(arity, lc), q.scale(lc)
+            return (g, cs, ct) if a_low else (g, ct, cs)
     if s.total_degree() == 1:
-        return MultiPoly.one(a.arity)
+        return (MultiPoly.one(arity), a, b) if cofactors else MultiPoly.one(arity)
     var = next(
-        v for v in range(a.arity) if a.involves(v) or b.involves(v)
+        v for v in range(arity) if a.involves(v) or b.involves(v)
     )
     if not (a.involves(var) and b.involves(var)):
         # one of them is free of the chosen top variable: gcd divides the
         # content of the other in that variable
         free, bound = (a, b) if not a.involves(var) else (b, a)
         cont = _content(_UniView.of(bound, var).coeffs)
-        return gcd_multivar(free, cont)
-    ua, ub = _UniView.of(a, var), _UniView.of(b, var)
-    cont_a, cont_b = _content(ua.coeffs), _content(ub.coeffs)
-    pa = ua.div_coeff(cont_a)
-    pb = ub.div_coeff(cont_b)
-    cg = gcd_multivar(cont_a, cont_b)
-    if pa.degree() < pb.degree():
-        pa, pb = pb, pa
-    last, rem, *_ = _subresultant_prs(pa, pb)
-    if not rem.is_zero():
-        result = cg
+        g = _gcd(free, cont, False)
     else:
-        result = cg * last.div_coeff(_content(last.coeffs)).to_poly()
-    return monic_grlex(result)
+        ua, ub = _UniView.of(a, var), _UniView.of(b, var)
+        cont_a, cont_b = _content(ua.coeffs), _content(ub.coeffs)
+        pa = ua.div_coeff(cont_a)
+        pb = ub.div_coeff(cont_b)
+        cg = _gcd(cont_a, cont_b, False)
+        if pa.degree() < pb.degree():
+            pa, pb = pb, pa
+        last, rem, *_ = _subresultant_prs(pa, pb)
+        if not rem.is_zero():
+            g = cg
+        else:
+            g = monic_grlex(cg * last.div_coeff(_content(last.coeffs)).to_poly())
+    if not cofactors:
+        return g
+    if g.is_constant():
+        return g, a, b
+    return g, exact_div(a, g), exact_div(b, g)
+
+
+def _shift_down(p: MultiPoly, f: tuple[int, ...]) -> MultiPoly:
+    """p / x^f for a monomial x^f that divides every term of p."""
+    return MultiPoly._raw(
+        p.arity, {tuple(x - y for x, y in zip(e, f)): c for e, c in p.terms.items()}
+    )
 
 
 def _next_scale(g: MultiPoly, h: MultiPoly, delta: int) -> MultiPoly:

@@ -212,7 +212,7 @@ def multiplier_from_rational_integrals(
     if not det_identity.is_zero():
         raise VerificationError("determinant cancellation identity failed")
     h = P[lv] / gamma
-    a_form = OneForm([h.derivative(i) / h for i in range(n)])
+    a_form = OneForm([h.log_derivative(i) for i in range(n)])
     closed = is_closed(a_form)
     identities.append(
         (

@@ -14,9 +14,17 @@ derivative takes G = gcd(d, d') (Bronstein, *Symbolic Integration I*,
 2.3): (n/d)' = (n'*(d/G) - n*(d'/G)) / (d*(d/G)), where a factor p of d
 of multiplicity k that involves the variable leaves d/G with p^1 and does
 not divide the new numerator, and a factor free of the variable sits
-wholly in G, so only gcd(numerator, G) can cancel.  Denominators stay
-monic because gcd_multivar returns monic results and the graded-lex
-leading coefficient is multiplicative.
+wholly in G, so only gcd(numerator, G) can cancel.  Every gcd comes from
+``gcd_cofactors``, which returns the two quotients with it, so no
+cancellation divides twice.  Denominators stay monic because the gcd is
+monic and the graded-lex leading coefficient is multiplicative.
+
+``log_derivative`` computes f'/f = n'/n - d'/d without the generic
+quotient: with (n1, n1') the cofactors of gcd(n, n') and (d1, d1') those of
+gcd(d, d'), (n1'*d1 - d1'*n1) / (n1*d1) is in lowest terms, because
+gcd(n, d) = 1 and each pair is coprime, so it is only made monic.
+``forms.is_closed`` tests its identities by cross-multiplication, not
+through this normalization.
 
 A constant denominator is exactly 1, so polynomial operands take no gcd at
 all: the sum or product of two polynomials, the derivative of a
@@ -29,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch, ZeroDivisionInField
-from .multipoly import MultiPoly, exact_div, gcd_multivar
+from .multipoly import MultiPoly, exact_div, gcd_cofactors
 
 
 class RatFunc:
@@ -122,10 +130,7 @@ class RatFunc:
         if d1.is_constant() and d2.is_constant():
             # d1 is 1, also when the sum is 0
             return RatFunc._raw(n1 + n2, d1)
-        g = gcd_multivar(d1, d2)
-        if g.is_constant():
-            return _reduced(n1 * d2 + n2 * d1, d1 * d2, g)
-        e1, e2 = exact_div(d1, g), exact_div(d2, g)
+        g, e1, e2 = gcd_cofactors(d1, d2)
         return _reduced(n1 * e2 + n2 * e1, d1 * e2, g)
 
     def __neg__(self) -> "RatFunc":
@@ -174,9 +179,26 @@ class RatFunc:
             return RatFunc._raw(n.derivative(var), d)
         dd = d.derivative(var)
         # (n/d)' = (n'(d/G) - n(d'/G)) / (d(d/G)) with G = gcd(d, d')
-        g = gcd_multivar(d, dd)
-        e = exact_div(d, g)
-        return _reduced(n.derivative(var) * e - n * exact_div(dd, g), d * e, g)
+        g, e, de = gcd_cofactors(d, dd)
+        return _reduced(n.derivative(var) * e - n * de, d * e, g)
+
+    def log_derivative(self, var: int) -> "RatFunc":
+        """The logarithmic derivative f'/f = n'/n - d'/d in var, in lowest terms."""
+        n, d = self.num, self.den
+        if n.is_zero():
+            raise ZeroDivisionInField("division by zero rational function")
+        # n'/n = n1'/n1 and d'/d = d1'/d1 in lowest terms; gcd(n1, d1) = 1, so
+        # (n1'*d1 - d1'*n1) / (n1*d1) is in lowest terms too
+        _, n1, dn1 = gcd_cofactors(n, n.derivative(var))
+        _, d1, dd1 = gcd_cofactors(d, d.derivative(var))
+        num = dn1 * d1 - dd1 * n1
+        if num.is_zero():
+            return RatFunc.zero(self.arity)
+        den = n1 * d1
+        lc = den.leading_coefficient()
+        if lc != 1:
+            num, den = num.scale(1 / lc), den.scale(1 / lc)
+        return RatFunc._raw(num, den)
 
     def extend_arity(self, new_arity: int) -> "RatFunc":
         return RatFunc._raw(self.num.extend_arity(new_arity), self.den.extend_arity(new_arity))
@@ -221,10 +243,7 @@ _set_hash = RatFunc._hash.__set__
 
 def _cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """num and den divided by their (monic) gcd."""
-    g = gcd_multivar(num, den)
-    if g.is_constant():
-        return num, den
-    return exact_div(num, g), exact_div(den, g)
+    return gcd_cofactors(num, den)[1:]
 
 
 def _reduced(num: MultiPoly, den: MultiPoly, common: MultiPoly) -> RatFunc:
@@ -232,7 +251,7 @@ def _reduced(num: MultiPoly, den: MultiPoly, common: MultiPoly) -> RatFunc:
     if num.is_zero():
         return RatFunc.zero(den.arity)
     if not common.is_constant():
-        h = gcd_multivar(num, common)
+        h, num_h, _ = gcd_cofactors(num, common)
         if not h.is_constant():
-            num, den = exact_div(num, h), exact_div(den, h)
+            num, den = num_h, exact_div(den, h)
     return RatFunc._raw(num, den)

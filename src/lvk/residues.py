@@ -21,7 +21,7 @@ from .errors import LvkError, NonConstantResidue, ZeroDivisionInField
 from .linalg import rref
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
-from .unipoly import UniPoly, dense_divmod, gcd_uni, resultant, squarefree_yun
+from .unipoly import UniPoly, dense_divmod, gcd_uni, resultant
 
 
 class SplitRequired(LvkError):
@@ -338,7 +338,7 @@ def _group_log_derivative(m: list[Fraction], arg: list[RatFunc], var: int) -> Ra
         val = RatFunc.zero(arity)
         for k in reversed(range(len(arg))):
             val = val.scale(c) + arg[k]
-        return (val.derivative(var) / val).scale(c)
+        return val.log_derivative(var).scale(c)
     # u = t * d(arg)/arg in K[t]/(m) solves  sum_j u_j * (t^j * arg) = t * d(arg):
     # column j of the system holds t^j * arg mod m
     zero = RatFunc.zero(arity)
@@ -404,16 +404,46 @@ def _rational_roots(m: list[Fraction]) -> list[Fraction]:
     return roots
 
 
+def _qpoly_derivative(p: list[Fraction]) -> list[Fraction]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _qpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    a = a + [Fraction(0)] * (n - len(a))
+    b = b + [Fraction(0)] * (n - len(b))
+    return qpoly_trim([x - y for x, y in zip(a, b)])
+
+
+def _qpoly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd of two rational polynomials in t, by Euclid on monic remainders."""
+    a, b = qpoly_monic(a), qpoly_monic(b)
+    while b:
+        a, b = b, qpoly_monic(qpoly_divmod(a, b)[1])
+    return a
+
+
 def _rational_squarefree_factors(m: list[Fraction]) -> list[list[Fraction]]:
-    """Distinct monic squarefree factors of a rational polynomial in t."""
-    coeffs = [RatFunc.constant(1, c) for c in m]
-    p = UniPoly(0, 1, coeffs)
-    decomp = squarefree_yun(p)
+    """Distinct monic squarefree factors of a rational polynomial in t.
+
+    Yun's algorithm, as squarefree_yun runs it, on dense Fraction lists; the
+    factors come in increasing multiplicity.
+    """
+    p = qpoly_monic(m)
+    if not p:
+        raise ZeroDivisionInField("squarefree decomposition of zero")
+    dp = _qpoly_derivative(p)
+    g = _qpoly_gcd(p, dp)
+    w = qpoly_divmod(p, g)[0]
+    y = qpoly_divmod(dp, g)[0]
+    z = _qpoly_sub(y, _qpoly_derivative(w))
     out = []
-    for factor, _mult in decomp.parts:
-        out.append(
-            qpoly_monic([c.constant_value() for c in factor.coeffs])
-        )
+    while len(w) > 1:
+        f = _qpoly_gcd(w, z)
+        if len(f) > 1:
+            out.append(f)
+        w = qpoly_divmod(w, f)[0]
+        z = _qpoly_sub(qpoly_divmod(z, f)[0], _qpoly_derivative(w))
     return out
 
 

@@ -16,7 +16,7 @@ from .multipoly import (
     _coeffs_in_var,
     _from_coeffs_in_var,
     exact_div,
-    gcd_multivar,
+    gcd_cofactors,
     resultant_in_var,
 )
 from .ratfunc import RatFunc
@@ -288,7 +288,7 @@ def _clear_denominators(p: UniPoly) -> tuple[MultiPoly, MultiPoly]:
     """(L, L*p as a MultiPoly), L the lcm of p's coefficient denominators."""
     lcm = MultiPoly.one(p.arity)
     for c in p.coeffs:
-        lcm = lcm * exact_div(c.den, gcd_multivar(lcm, c.den))
+        lcm = lcm * gcd_cofactors(lcm, c.den)[2]
     by_deg = {i: c.num * exact_div(lcm, c.den) for i, c in enumerate(p.coeffs)}
     return lcm, _from_coeffs_in_var(by_deg, p.main_var, p.arity)
 

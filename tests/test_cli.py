@@ -232,3 +232,22 @@ def test_catalog_goldens_at_default_degree_cap(name, argv):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == (CATALOG / f"{name}.golden.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["linear3", "potential2"])
+def test_catalog_goldens_under_python_optimize(name):
+    # -O strips asserts; every certificate must still be computed and checked
+    argv = dict(catalog_entries())[name]
+    env = {k: v for k, v in os.environ.items() if k != "LVK_MAX_DEGREE"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    flag = subprocess.run(
+        [sys.executable, "-O", "-c", "import sys; print(sys.flags.optimize)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert flag.stdout.strip() == "1"
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "lvk.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (CATALOG / f"{name}.golden.json").read_text()

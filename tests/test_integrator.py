@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lvk.errors import NotClosed
-from lvk.forms import OneForm, is_closed
+from lvk.forms import ClosednessWitness, OneForm, is_closed
 from lvk.integrator import (
     IntegrationResult,
     differentiate,
@@ -16,7 +16,7 @@ from lvk.parsing import parse_ratfunc
 from lvk.ratfunc import RatFunc
 from lvk.residues import ResidueGroup
 
-from conftest import random_poly
+from conftest import random_poly, random_ratfunc
 
 F = Fraction
 
@@ -129,6 +129,48 @@ def test_roundtrip_random_closed_forms():
         back = differentiate(integrate_closed(w))
         assert back == w
         done += 1
+
+
+def normalized_witness(w: OneForm):
+    """The first pair (j, i) with a nonzero normalized d_i w_j - d_j w_i, and that residual."""
+    n = len(w)
+    for j in range(n):
+        for i in range(j + 1, n):
+            residual = w[j].derivative(i) - w[i].derivative(j)
+            if not residual.is_zero():
+                return (j, i), residual
+    return None, None
+
+
+def test_closedness_zero_test_matches_the_normalized_residual():
+    rng = random.Random(4711)
+    failing = 0
+    for _ in range(50):
+        arity = rng.randint(2, 3)
+        w = differentiate(_random_potential(rng, arity))
+        assert is_closed(w) == ClosednessWitness(closed=True)
+        comps = list(w.components)
+        k = rng.randrange(arity)
+        comps[k] = comps[k] + random_ratfunc(rng, arity)
+        perturbed = OneForm(comps)
+        pair, residual = normalized_witness(perturbed)
+        assert is_closed(perturbed) == ClosednessWitness(pair is None, pair, residual)
+        failing += pair is not None
+    assert failing >= 30
+    # equal denominators compare the numerators of the derivatives directly
+    w, names = W("x/(x + y)^2", "y/(x + y)^2")
+    assert is_closed(w) == ClosednessWitness(False, (0, 1), w[0].derivative(1) - w[1].derivative(0))
+    w, names = W("1/(x + y)^2", "1/(x + y)^2")
+    assert is_closed(w).closed
+
+
+def test_closedness_zero_test_past_the_degree_cap(monkeypatch):
+    # the zero test forms x^5 * y^10, past a cap of 12 that the normalized
+    # residual (y^5 - x^5)/(x^5*y^5) stays within: the residual decides
+    w, names = W("y/x^5", "x/y^5")
+    monkeypatch.setenv("LVK_MAX_DEGREE", "12")
+    expected = parse_ratfunc("1/x^5 - 1/y^5", names)
+    assert is_closed(w) == ClosednessWitness(False, (0, 1), expected)
 
 
 def test_to_darboux_rational_when_residues_integral():

@@ -11,6 +11,7 @@ from lvk.multipoly import (
     MINUS_INFINITY,
     MultiPoly,
     exact_div,
+    gcd_cofactors,
     gcd_multivar,
     monic_grlex,
     try_exact_div,
@@ -334,6 +335,66 @@ def test_gcd_with_a_degree_one_argument_that_does_not_divide(prs_calls):
         x = MultiPoly.variable(arity + 1, arity)
         assert checked_gcd(sympy, s1 + x, t.extend_arity(arity + 1)) == MultiPoly.one(arity + 1)
     assert prs_calls == []
+
+
+# -- gcd_cofactors --------------------------------------------------------------
+
+
+def check_cofactors(a: MultiPoly, b: MultiPoly, result) -> None:
+    """result = (g, a/g, b/g) with g = gcd_multivar(a, b) and coprime cofactors."""
+    g, ca, cb = result
+    assert g == gcd_multivar(a, b), (a, b, g)
+    assert g * ca == a and g * cb == b, (a, b, result)
+    assert gcd_multivar(ca, cb).is_constant(), (a, b, result)
+
+
+def test_gcd_cofactors_on_seeded_pairs():
+    rng = random.Random(7070)
+    for _ in range(150):
+        arity = rng.randint(1, 3)
+        g = random_poly(rng, arity, max_deg=2, nonzero=True)
+        a = random_poly(rng, arity, max_deg=2) * g
+        b = random_poly(rng, arity, max_deg=2, nonzero=True) * g
+        if rng.random() < 0.3:
+            a = b * random_poly(rng, arity, max_deg=1, nonzero=True)
+        for x, y in ((a, b), (b, a)):
+            check_cofactors(x, y, gcd_cofactors(x, y))
+
+
+def test_gcd_cofactors_shortcuts_run_no_prs(prs_calls):
+    cases = [
+        ("constant", P("3"), P("x^2 + y")),
+        ("constant", P("x*y + 1"), P("-2/3")),
+        ("zero", P("0"), P("2*x + 4*y")),
+        ("zero", P("2*x*y - 1"), P("0")),
+        ("equal", P("2*x^2 - y"), P("2*x^2 - y")),
+        ("monomial", P("6*x^2*y"), P("4*x*y^3 + 2*x^3*y")),
+        ("monomial", P("x^3*y - x*y^2"), P("-5*x^2*y^3")),
+        ("divisor", P("3*x^2 - 3*y^2"), P("(x^2 - y^2)*(x*y + 3)")),
+        ("divisor", P("(x^2 - y^2)*(x*y + 3)"), P("3*x^2 - 3*y^2")),
+        ("degree 1", P("x + 2*y"), P("x^2 + y^3")),
+        ("degree 1", P("x^3*y + 1"), P("y - 3")),
+    ]
+    results = [gcd_cofactors(a, b) for _, a, b in cases]
+    assert prs_calls == []
+    for (kind, a, b), result in zip(cases, results):
+        check_cofactors(a, b, result)
+    g, ca, cb = results[4]
+    assert ca == cb == MultiPoly.constant(2, 2)
+    g, ca, cb = results[8]
+    assert g == P("x^2 - y^2") and cb == MultiPoly.constant(2, 3)
+    assert results[9] == (MultiPoly.one(2), cases[9][1], cases[9][2])
+
+
+def test_gcd_cofactors_through_the_prs(prs_calls):
+    # a common factor that neither argument equals: content and PRS branches
+    cases = [
+        (P("(x + y)*(x - 1)"), P("(x + y)*(x + 2*y)")),
+        (P("(y + 1)*(y - 2)"), P("(y + 1)*(x^2 + y)")),
+    ]
+    for a, b in cases:
+        check_cofactors(a, b, gcd_cofactors(a, b))
+    assert prs_calls
 
 
 # -- the degree cap on results that can grow ------------------------------------

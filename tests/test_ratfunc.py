@@ -237,6 +237,28 @@ def test_derivative_with_var_free_denominator_content():
     assert_normalized(q.derivative(0))
 
 
+def test_log_derivative_matches_the_quotient():
+    rng = random.Random(9191)
+    for i in range(90):
+        arity = rng.randint(1, 3)
+        f = random_ratfunc(rng, arity)
+        if i % 2:
+            # repeated factors in the numerator and the denominator
+            p = random_poly(rng, arity, max_deg=2, nonzero=True)
+            q = random_poly(rng, arity, max_deg=2, nonzero=True)
+            f = f * RatFunc(p ** rng.randint(2, 3), q ** rng.randint(2, 3))
+        if f.is_zero():
+            continue
+        for v in range(arity):
+            g = f.log_derivative(v)
+            assert g == f.derivative(v) / f, (f, v)
+            assert_normalized(g)
+    assert R("(x + 1)^3/(y*(x - y)^2)").log_derivative(0) == R("3/(x + 1) - 2/(x - y)")
+    assert R("5*y^2").log_derivative(0) == RatFunc.zero(2)
+    with pytest.raises(ZeroDivisionInField):
+        RatFunc.zero(2).log_derivative(0)
+
+
 def test_raw_results_are_immutable_and_hash_like_constructed_ones():
     for a, b in ((R("x^2 - y"), R("3*x*y + 1")), (R("x/(y + 1)"), R("(x - 1)/(x*y + 2)"))):
         for f in (a + b, a * b, a.derivative(0)):

@@ -11,6 +11,7 @@ from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
 from lvk.residues import (
     ResidueGroup,
+    _rational_squarefree_factors,
     power_sums,
     qpoly_render,
     rothstein_trager,
@@ -47,6 +48,31 @@ def test_trace_reduces_argument_first():
     assert trace_of_algebraic([F(0), F(0), F(1)], [F(-1, 8), F(0), F(1)]) == F(1, 4)
     # sum of t over the same roots is 0
     assert trace_of_algebraic([F(0), F(1)], [F(-1, 8), F(0), F(1)]) == 0
+
+
+def test_rational_squarefree_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(1618)
+    for _ in range(40):
+        # c * prod f_k^k with each f_k absent or of degree 1-3, k = 1..3
+        m = sympy.Rational(rng.randint(1, 9), rng.randint(1, 4))
+        for k in range(1, 4):
+            if rng.random() < 0.25:
+                continue
+            coeffs = [sympy.Rational(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+            coeffs[-1] = coeffs[-1] or sympy.Integer(1)
+            m *= sum(c * t**i for i, c in enumerate(coeffs)) ** k
+        poly = sympy.Poly(m, t, domain="QQ")
+        ascending = [F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        _, parts = poly.sqf_list()
+        expected = [
+            [F(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]
+            for f, _ in sorted(parts, key=lambda part: part[1])
+        ]
+        assert _rational_squarefree_factors(ascending) == expected, m
+    with pytest.raises(ZeroDivisionInField):
+        _rational_squarefree_factors([F(0)])
 
 
 # -- residue groups ---------------------------------------------------------------
