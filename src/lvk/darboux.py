@@ -229,8 +229,19 @@ def multiplier_residual(X, D: DarbouxFunction) -> RatFunc:
 
 
 def first_integral_residual(X, D: DarbouxFunction) -> RatFunc:
-    """The exact value of sum w_i P_i = X(log D) with w = d log D."""
-    return X.lie_derivative_log(D.log_derivative())
+    """The exact value of sum w_i P_i = X(log D) with w = d log D.
+
+    X(log D) = X(g) + sum_k e_k * X(f_k)/f_k for D = exp(g) * prod f_k^e_k,
+    so each factor costs one polynomial Lie derivative; only the residue
+    groups go through their 1-forms.
+    """
+    total = X.lie_derivative_ratfunc(D.exp_arg)
+    for base, exponent in D.factors:
+        total = total + RatFunc(X.lie_derivative(base), base).scale(exponent)
+    for group, s in D.groups:
+        form = OneForm(group.log_derivative(i) for i in range(D.arity))
+        total = total + X.lie_derivative_log(form).scale(s)
+    return total
 
 
 def is_jacobian_multiplier(X, D: DarbouxFunction) -> CheckResult:

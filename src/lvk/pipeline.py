@@ -109,8 +109,10 @@ def gamma_determinants(
     """(Gamma, Gamma_i list, column variables, last variable index).
 
     M is the (n-1) x n gradient matrix of the integrals, each first checked
-    to satisfy X(H) = sum_i dH/dx_i P_i = 0.  Gamma is the minor of M without
-    the last variable lv's column; Gamma_i replaces column i in it by lv's.
+    to satisfy X(H) = 0 through the polynomial Lie derivatives of its
+    numerator and denominator (``lie_derivative_ratfunc``).  Gamma is the
+    minor of M without the last variable lv's column; Gamma_i replaces
+    column i in it by lv's.
 
     One forward elimination of M gives all of them.  Its columns are in
     natural order, or with last_var's column moved last; lv's column is the
@@ -128,14 +130,13 @@ def gamma_determinants(
         raise VerificationError(f"need {n - 1} first integrals, got {len(integrals)}")
     grads = []
     for H in integrals:
-        grad = OneForm(H.derivative(i) for i in range(n))
-        residual = X.lie_derivative_log(grad)
+        residual = X.lie_derivative_ratfunc(H)
         if not residual.is_zero():
             raise VerificationError(
                 f"{H.render(names)} is not a first integral "
                 f"(residual {residual.render(names)})"
             )
-        grads.append(grad.components)
+        grads.append([H.derivative(i) for i in range(n)])
     order = list(range(n))
     if last_var is not None:
         order.remove(last_var)

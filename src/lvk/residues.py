@@ -5,17 +5,20 @@ without ever materializing the algebraic numbers t.  The minimal polynomial m
 always has rational coefficients (constancy of residues is the computational
 shadow of closedness); arguments may involve the x variables and powers of t.
 
-A rational residue c gets its argument from one monic gcd over the field K
-of the other variables, at t = c.  Only a factor of m without rational roots
-goes to the D5 gcd, which works modulo m and splits m dynamically when a zero
-divisor shows up.  The trace of t * d(arg)/arg over the roots of m is one
-d x d linear solve in K[t]/(m) plus Newton power sums.
+A single residue needs no resultant: when num = c*den' for a constant c, the
+logarithmic part is c*log(den).  Otherwise a rational residue c gets its
+argument from one monic gcd over the field K of the other variables, at
+t = c.  Only a factor of m without rational roots goes to the D5 gcd, which
+works modulo m and splits m dynamically when a zero divisor shows up.  The
+trace of t * d(arg)/arg over the roots of m is one d x d linear solve in
+K[t]/(m) plus Newton power sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import LvkError, NonConstantResidue, ZeroDivisionInField
 from .linalg import rref
@@ -62,8 +65,6 @@ def qpoly_render(p: list[Fraction], symbol: str = "t") -> str:
     p = qpoly_trim(p)
     if not p:
         return "0"
-    from math import lcm
-
     mult = 1
     for c in p:
         mult = lcm(mult, c.denominator)
@@ -367,7 +368,8 @@ def _divisors(n: int) -> list[int]:
     while i * i <= n:
         if n % i == 0:
             out.append(i)
-            out.append(n // i)
+            if i * i != n:
+                out.append(n // i)
         i += 1
     return out
 
@@ -381,8 +383,6 @@ def _rational_roots(m: list[Fraction]) -> list[Fraction]:
         m = qpoly_monic(m[1:])
     if len(m) <= 1:
         return roots
-    from math import lcm
-
     mult = 1
     for c in m:
         mult = lcm(mult, c.denominator)
@@ -453,6 +453,12 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
     Requires den squarefree, deg(num) < deg(den), gcd(num, den) a unit.
     Raises NonConstantResidue when the residues are not constants, which
     signals a non-closed input form upstream.
+
+    With den monic, num = c*den' for a constant c is answered first, as the
+    one group c*log(den): it covers every degree-1 den with a constant
+    residue.  Every other input takes the resultant R(t) = res(den,
+    num - t*den'), its squarefree factors, one gcd per rational residue and
+    the D5 gcd for the irrational rest.
     """
     if den.is_zero():
         raise ZeroDivisionInField("zero denominator")
@@ -464,6 +470,13 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
     den = den.monic()
     num = num.scale(lc.inverse())
     dden = den.derivative()
+    if num.degree() == dden.degree():
+        # one residue c: num = c*den' gives R(t) = (t - c)^d * res(den, den')
+        # and gcd(den, num - c*den') = den, so the log part is c*log(den)
+        c = num.lc() / dden.lc()
+        if c.is_constant() and num == dden.scale(c):
+            minpoly = (-c.constant_value(), Fraction(1))
+            return [ResidueGroup(minpoly=minpoly, arg=(den.to_ratfunc(),))]
     # resultant in a fresh residue symbol appended as variable index `arity`
     ext = arity + 1
     t_rf = RatFunc(MultiPoly.variable(ext, arity))

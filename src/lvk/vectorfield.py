@@ -56,9 +56,19 @@ class PolyVectorField:
         return total
 
     def lie_derivative_ratfunc(self, f: RatFunc) -> RatFunc:
+        """X(n/d) = (d*X(n) - n*X(d)) / d^2, from two polynomial Lie derivatives.
+
+        The same value as ``lie_derivative_log`` of d(n/d), with one
+        normalization instead of a rational derivative, product and sum per
+        variable.
+        """
         if f.arity != self.arity:
             raise ParseError("arity mismatch")
-        return self.lie_derivative_log(OneForm(f.derivative(i) for i in range(self.arity)))
+        n, d = f.num, f.den
+        num = d * self.lie_derivative(n) - n * self.lie_derivative(d)
+        if num.is_zero():
+            return RatFunc.zero(self.arity)
+        return RatFunc(num, d * d)
 
     def lie_derivative_log(self, w: OneForm) -> RatFunc:
         """X(log F) = sum w_i P_i for w = d(log F)."""

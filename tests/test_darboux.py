@@ -11,16 +11,20 @@ from lvk.darboux import (
     DarbouxFunction,
     Reject,
     cofactor_of,
+    first_integral_residual,
     is_first_integral,
     is_jacobian_multiplier,
+    multiplier_residual,
     synthesize,
     verify_exponential_factor,
 )
 from lvk.errors import VerificationError
 from lvk.forms import is_closed
+from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_darboux, parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
-from lvk.vectorfield import parse_system
+from lvk.residues import ResidueGroup
+from lvk.vectorfield import PolyVectorField, parse_system
 
 from conftest import random_poly, random_ratfunc
 
@@ -167,6 +171,58 @@ def test_is_first_integral_golden():
     H = parse_darboux("x^2 * y^-1", NAMES)
     assert is_first_integral(SCALE, H).ok
     assert not is_first_integral(LINEAR, H).ok
+
+
+def _quadratic_group(arity, arg0):
+    """sum over t^2 = 2 of t*log(arg0 + t*x_n); arg0 + t*x_n vanishes at no root."""
+    return ResidueGroup(
+        minpoly=(Fraction(-2), Fraction(0), Fraction(1)),
+        arg=(arg0, RatFunc(MultiPoly.variable(arity, arity - 1))),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("arity", [2, 3])
+def test_first_integral_residual_matches_the_one_form_oracle(seed, arity):
+    # exp(g) * prod f_k^e_k * (quadratic group)^s, against sum_i w_i P_i with w = d log D
+    rng = random.Random(10 * arity + seed)
+    names = ["x", "y", "z"][:arity]
+    X = PolyVectorField(names, [random_poly(rng, arity, max_deg=2) for _ in names])
+    factors = []
+    while len(factors) < 2:
+        f = random_poly(rng, arity, max_deg=2, nonzero=True)
+        if not f.is_constant():
+            factors.append((f, Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 3]))))
+    group = _quadratic_group(arity, RatFunc(random_poly(rng, arity, max_deg=1)))
+    D = DarbouxFunction(
+        random_ratfunc(rng, arity, max_deg=2),
+        factors=factors,
+        groups=[(group, Fraction(rng.choice([1, -1, 2]), 2))],
+    )
+    oracle = X.lie_derivative_log(D.log_derivative())
+    residual = first_integral_residual(X, D)
+    assert not residual.is_zero()  # D is no first integral: the residuals must agree as values
+    assert residual == oracle
+    assert residual.render(names) == oracle.render(names)
+    multiplier = multiplier_residual(X, D)
+    assert multiplier == oracle + RatFunc(X.divergence())
+    assert multiplier.render(names) == (oracle + RatFunc(X.divergence())).render(names)
+
+
+def test_first_integral_residual_vanishes_on_functions_of_a_hamiltonian():
+    # X = (H_y, -H_x) kills every function of H, so exp(H/(H + 1)) * H^(3/2) is a
+    # first integral; times the group sum over t^2 = 2 of t*log(H + t*y) it is not
+    H = parse_poly("x^2 + x*y - y^2 + 1", NAMES)
+    X = PolyVectorField(NAMES, [H.derivative(1), -H.derivative(0)])
+    h = RatFunc(H)
+    D = DarbouxFunction(h / (h + RatFunc.one(2)), factors=[(H, Fraction(3, 2))])
+    assert first_integral_residual(X, D).is_zero()
+    assert X.lie_derivative_log(D.log_derivative()).is_zero()
+    group = _quadratic_group(2, h)
+    with_group = D * DarbouxFunction(RatFunc.zero(2), groups=[(group, Fraction(1))])
+    residual = first_integral_residual(X, with_group)
+    assert not residual.is_zero()
+    assert residual == X.lie_derivative_log(with_group.log_derivative())
 
 
 # -- synthesis ----------------------------------------------------------------------

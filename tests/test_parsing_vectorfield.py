@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from lvk.errors import ParseError
+from lvk.forms import OneForm
 from lvk.parsing import parse_darboux, parse_poly, parse_ratfunc
-from lvk.vectorfield import parse_system
+from lvk.ratfunc import RatFunc
+from lvk.vectorfield import PolyVectorField, parse_system
+
+from conftest import random_poly, random_ratfunc
 
 NAMES = ["x", "y"]
 
@@ -99,6 +104,22 @@ def test_divergence_and_lie_derivative():
     # lie derivative of an invariant polynomial is a multiple of it
     f = parse_poly("x", NAMES)
     assert X.lie_derivative(f) == parse_poly("x - x*y", NAMES)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_lie_derivative_ratfunc_matches_the_one_form_oracle(seed, arity):
+    # X(n/d) from X(n) and X(d) against sum_i d_i(n/d) * P_i
+    rng = random.Random(10 * arity + seed)
+    names = ["x", "y", "z"][:arity]
+    X = PolyVectorField(names, [random_poly(rng, arity, max_deg=2) for _ in names])
+    cases = [random_ratfunc(rng, arity) for _ in range(4)]
+    cases += [RatFunc(random_poly(rng, arity)), RatFunc.zero(arity), RatFunc.constant(arity, 3)]
+    for f in cases:
+        oracle = X.lie_derivative_log(OneForm(f.derivative(i) for i in range(arity)))
+        got = X.lie_derivative_ratfunc(f)
+        assert got == oracle
+        assert got.render(names) == oracle.render(names)
 
 
 def test_permuted_variables():

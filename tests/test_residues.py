@@ -6,11 +6,13 @@ import pytest
 import lvk.residues
 from conftest import random_poly
 from lvk.errors import NonConstantResidue, ZeroDivisionInField
+from lvk.integrator import IntegrationResult, differentiate, integrate_closed
 from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
 from lvk.residues import (
     ResidueGroup,
+    _divisors,
     _rational_squarefree_factors,
     power_sums,
     qpoly_render,
@@ -109,6 +111,13 @@ def test_group_argument_vanishing_at_a_root_is_a_zero_division():
 # -- Rothstein-Trager ---------------------------------------------------------------
 
 
+def _count_resultants(monkeypatch):
+    calls = []
+    resultant = lvk.residues.resultant
+    monkeypatch.setattr(lvk.residues, "resultant", lambda p, q: calls.append(1) or resultant(p, q))
+    return calls
+
+
 def test_rt_simple_log():
     num, den = _unipair("1", "x", ["x"])
     groups = rothstein_trager(num, den)
@@ -118,10 +127,12 @@ def test_rt_simple_log():
     assert g.arg_at_rational(F(1)) == parse_ratfunc("x", ["x"])
 
 
-def test_rt_two_rational_residues():
-    # (3x - 1)/(x^2 - x) = 1/x + 2/(x - 1)
+def test_rt_two_rational_residues(monkeypatch):
+    # (3x - 1)/(x^2 - x) = 1/x + 2/(x - 1): num is no multiple of den', so R(t) is built
     num, den = _unipair("3*x - 1", "x^2 - x", ["x"])
+    calls = _count_resultants(monkeypatch)
     groups = rothstein_trager(num, den)
+    assert calls == [1]
     got = sorted(
         (g.residue_value(), g.arg_at_rational(g.residue_value()).render(["x"]))
         for g in groups
@@ -153,8 +164,63 @@ def test_rt_parameterized_coefficients():
 def test_rt_rejects_non_constant_residue():
     # y/x has residue y: not a constant, must abort rather than guess
     num, den = _unipair("y", "x", ["x", "y"])
-    with pytest.raises(NonConstantResidue):
+    message = "^residue polynomial coefficient -x2 is not constant$"
+    with pytest.raises(NonConstantResidue, match=message):
         rothstein_trager(num, den)
+
+
+def _x_polynomial(rng, arity, degree):
+    """A polynomial of degree exactly `degree` in x1 whose leading coefficient
+    may involve the other variables."""
+    while True:
+        lead = random_poly(rng, arity, max_deg=1, max_terms=2, nonzero=True)
+        if lead.involves(0):
+            continue
+        p = lead * MultiPoly.variable(arity, 0) ** degree + random_poly(rng, arity, max_deg=degree)
+        if UniPoly.of_poly(p, 0).degree() == degree:
+            return p
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_rt_single_residue_is_read_off_without_a_resultant(monkeypatch, seed, arity, degree):
+    # c * D'/D has the one residue c and the log argument D, made monic in x1
+    rng = random.Random(100 * degree + 10 * arity + seed)
+    while True:
+        d = _x_polynomial(rng, arity, degree)
+        den = UniPoly.of_poly(d, 0)
+        if gcd_uni(den, den.derivative()).degree() == 0:
+            break
+    c = F(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 3]))
+    num = den.derivative().scale(RatFunc.constant(arity, c))
+    calls = _count_resultants(monkeypatch)
+    groups = rothstein_trager(num, den)
+    assert groups == [ResidueGroup(minpoly=(-c, F(1)), arg=(den.monic().to_ratfunc(),))]
+    assert calls == []
+    assert groups[0].log_derivative(0) == RatFunc(d.derivative(0), d).scale(c)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("degree", [2, 3])
+def test_single_log_forms_round_trip(seed, degree):
+    # d(c * log A) with A quadratic or cubic in x1, over two and three variables
+    rng = random.Random(1000 + 10 * degree + seed)
+    for arity in (2, 3):
+        a = RatFunc(_x_polynomial(rng, arity, degree))
+        c = F(rng.choice([1, -2, 3]), rng.choice([1, 2]))
+        psi = IntegrationResult(
+            log_groups=((ResidueGroup(minpoly=(-c, F(1)), arg=(a,)), F(1)),),
+            rat_part=RatFunc.zero(arity),
+        )
+        w = differentiate(psi)
+        assert differentiate(integrate_closed(w)) == w
+
+
+def test_divisors_are_listed_once():
+    assert _divisors(1) == [1]
+    assert sorted(_divisors(36)) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    assert sorted(_divisors(-12)) == [1, 2, 3, 4, 6, 12]
 
 
 def test_rt_mixed_rational_and_algebraic():
