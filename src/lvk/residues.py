@@ -7,11 +7,12 @@ shadow of closedness); arguments may involve the x variables and powers of t.
 
 A single residue needs no resultant: when num = c*den' for a constant c, the
 logarithmic part is c*log(den).  Otherwise a rational residue c gets its
-argument from one monic gcd over the field K of the other variables, at
-t = c.  Only a factor of m without rational roots goes to the D5 gcd, which
-works modulo m and splits m dynamically when a zero divisor shows up.  The
-trace of t * d(arg)/arg over the roots of m is one d x d linear solve in
-K[t]/(m) plus Newton power sums.
+argument from one monic gcd at t = c, over the level's coefficient field: Q
+when the level involves only its main variable, else the field K of the
+other variables.  Only a factor of m without rational roots goes to the D5
+gcd, which works modulo m and splits m dynamically when a zero divisor shows
+up.  The trace of t * d(arg)/arg over the roots of m is one d x d linear
+solve in K[t]/(m) plus Newton power sums.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import LvkError, NonConstantResidue, ZeroDivisionInField
 from .linalg import rref
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
-from .unipoly import UniPoly, dense_divmod, gcd_uni, resultant
+from .unipoly import UniPoly, coeff_inverse, dense_divmod, gcd_uni, resultant, squarefree_yun
 
 
 class SplitRequired(LvkError):
@@ -404,49 +405,6 @@ def _rational_roots(m: list[Fraction]) -> list[Fraction]:
     return roots
 
 
-def _qpoly_derivative(p: list[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(p)][1:]
-
-
-def _qpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return qpoly_trim([x - y for x, y in zip(a, b)])
-
-
-def _qpoly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two rational polynomials in t, by Euclid on monic remainders."""
-    a, b = qpoly_monic(a), qpoly_monic(b)
-    while b:
-        a, b = b, qpoly_monic(qpoly_divmod(a, b)[1])
-    return a
-
-
-def _rational_squarefree_factors(m: list[Fraction]) -> list[list[Fraction]]:
-    """Distinct monic squarefree factors of a rational polynomial in t.
-
-    Yun's algorithm, as squarefree_yun runs it, on dense Fraction lists; the
-    factors come in increasing multiplicity.
-    """
-    p = qpoly_monic(m)
-    if not p:
-        raise ZeroDivisionInField("squarefree decomposition of zero")
-    dp = _qpoly_derivative(p)
-    g = _qpoly_gcd(p, dp)
-    w = qpoly_divmod(p, g)[0]
-    y = qpoly_divmod(dp, g)[0]
-    z = _qpoly_sub(y, _qpoly_derivative(w))
-    out = []
-    while len(w) > 1:
-        f = _qpoly_gcd(w, z)
-        if len(f) > 1:
-            out.append(f)
-        w = qpoly_divmod(w, f)[0]
-        z = _qpoly_sub(qpoly_divmod(z, f)[0], _qpoly_derivative(w))
-    return out
-
-
 def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
     """Logarithmic part of num/den in the main variable of den.
 
@@ -457,66 +415,69 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
     With den monic, num = c*den' for a constant c is answered first, as the
     one group c*log(den): it covers every degree-1 den with a constant
     residue.  Every other input takes the resultant R(t) = res(den,
-    num - t*den'), its squarefree factors, one gcd per rational residue and
-    the D5 gcd for the irrational rest.
+    num - t*den'), its squarefree factors by ``squarefree_yun`` over Q, one
+    gcd per rational residue and the D5 gcd for the irrational rest.  The
+    shortcut and the rational residues run over the level's own field; the
+    resultant and D5 work over K, so a level over Q lifts its coefficients
+    to constant RatFuncs for them.
     """
     if den.is_zero():
         raise ZeroDivisionInField("zero denominator")
     if num.is_zero():
         return []
-    mv = den.main_var
+    num, den = num.common(den)
     arity = den.arity
     lc = den.lc()
     den = den.monic()
-    num = num.scale(lc.inverse())
+    num = num.scale(coeff_inverse(lc))
     dden = den.derivative()
     if num.degree() == dden.degree():
         # one residue c: num = c*den' gives R(t) = (t - c)^d * res(den, den')
         # and gcd(den, num - c*den') = den, so the log part is c*log(den)
         c = num.lc() / dden.lc()
-        if c.is_constant() and num == dden.scale(c):
-            minpoly = (-c.constant_value(), Fraction(1))
-            return [ResidueGroup(minpoly=minpoly, arg=(den.to_ratfunc(),))]
-    # resultant in a fresh residue symbol appended as variable index `arity`
+        if isinstance(c, RatFunc):
+            c = c.constant_value() if c.is_constant() else None
+        if c is not None and num == dden.scale(c):
+            return [ResidueGroup(minpoly=(-c, Fraction(1)), arg=(den.to_ratfunc(),))]
+    # resultant in a fresh residue symbol appended as variable index `arity`;
+    # a level over Q lifts its coefficients to constants of that arity
     ext = arity + 1
     t_rf = RatFunc(MultiPoly.variable(ext, arity))
-    num_e = UniPoly(mv, ext, [c.extend_arity(ext) for c in num.coeffs])
-    den_e = UniPoly(mv, ext, [c.extend_arity(ext) for c in den.coeffs])
-    dden_e = UniPoly(mv, ext, [c.extend_arity(ext) for c in dden.coeffs])
-    q = num_e - dden_e.scale(t_rf)
-    res = resultant(den_e, q)
+    q = num.lift(ext) - dden.lift(ext).scale(t_rf)
+    res = resultant(den.lift(ext), q)
     res_t = UniPoly.of_poly(res.num, arity)  # univariate view in t
     if res_t.degree() <= 0:
         raise NonConstantResidue("resultant degenerates; preconditions violated")
-    lead = res_t.lc()
-    m_full: list[Fraction] = []
-    for i in range(res_t.degree() + 1):
-        ratio = res_t.coeff(i) / lead
-        if not ratio.is_constant():
-            raise NonConstantResidue(
-                f"residue polynomial coefficient {ratio.render()} is not constant"
-            )
-        m_full.append(ratio.constant_value())
+    if not res_t.over_q:
+        lead = res_t.lc()
+        m_full: list[Fraction] = []
+        for c in res_t.coeffs:
+            ratio = c / lead
+            if not ratio.is_constant():
+                raise NonConstantResidue(
+                    f"residue polynomial coefficient {ratio.render()} is not constant"
+                )
+            m_full.append(ratio.constant_value())
+        res_t = UniPoly(arity, ext, m_full)
     groups: list[ResidueGroup] = []
-    for m_j in _rational_squarefree_factors(m_full):
-        # a rational residue c: log of the monic gcd(den, num - c*den') over K
+    for factor, _ in squarefree_yun(res_t).parts:
+        m_j = factor.coeffs
+        # a rational residue c: log of the monic gcd(den, num - c*den')
         for c in _rational_roots(m_j):
             m_j = qpoly_divmod(m_j, [-c, Fraction(1)])[0]
             if c != 0:
-                v = gcd_uni(den, num - dden.scale(RatFunc.constant(arity, c)))
+                v = gcd_uni(den, num - dden.scale(c))
                 groups.append(ResidueGroup(minpoly=(-c, Fraction(1)), arg=(v.to_ratfunc(),)))
         if len(m_j) - 1 < 1:
             continue
-        # the irrational rest: gcd(den, num - t*den') mod m_j, splitting m_j on demand
-        a = [[c] for c in den.coeffs]
-        b = [[n_c, -d_c] for n_c, d_c in zip(
-            [num.coeff(i) for i in range(den.degree())],
-            [dden.coeff(i) for i in range(den.degree())],
-        )]
+        # the irrational rest: gcd(den, num - t*den') mod m_j over K, splitting m_j on demand
+        den_k, num_k, dden_k = den.lift(), num.lift(), dden.lift()
+        a = [[c] for c in den_k.coeffs]
+        b = [[num_k.coeff(i), -dden_k.coeff(i)] for i in range(den.degree())]
         for m_branch, v in d5_gcd(a, b, m_j, arity):
             if len(v) - 1 < 1:
                 continue  # trivial gcd: no residue from this branch
-            x_rf = RatFunc(MultiPoly.variable(arity, mv))
+            x_rf = RatFunc(MultiPoly.variable(arity, den.main_var))
             d_branch = len(m_branch) - 1
             arg = [RatFunc.zero(arity) for _ in range(d_branch)]
             for i, telem in enumerate(v):

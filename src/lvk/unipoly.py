@@ -1,8 +1,26 @@
-"""Univariate polynomial algorithms over the fraction field of the other variables.
+"""Univariate polynomial algorithms over the field Q or over K = Q(other variables).
 
-A UniPoly is a dense polynomial in one distinguished variable whose
-coefficients are RatFunc values free of that variable.  This is the machinery
-behind Hermite reduction and the Rothstein-Trager logarithmic part.
+A UniPoly is a dense polynomial in one distinguished variable, the main
+variable.  Its coefficients lie in one of two fields, and the ``zero`` slot
+holds that field's zero:
+
+- Q: ``Fraction`` coefficients, when the polynomial involves no variable but
+  the main one;
+- K: ``RatFunc`` coefficients free of the main variable, otherwise.
+
+The field is chosen once, where a polynomial enters: ``UniPoly.of_poly``
+takes Q exactly when its input involves only the main variable, and
+``ratfunc_as_unipair`` takes Q when numerator and denominator both do.
+Results go back to ``RatFunc`` once, through ``to_ratfunc``.  Every
+algorithm here, and the log part in ``residues``, is one implementation
+over either field: coefficients need only +, -, *, / and ==, and the two
+steps that differ, an inverse and a rational multiple, are
+``coeff_inverse`` and ``_times``.  An operation that meets both fields
+lifts the Q operand into K (``lift``), so Q-levels cost ``Fraction``
+arithmetic and K-levels cost what they did.
+
+This is the machinery behind Hermite reduction and the Rothstein-Trager
+logarithmic part.
 """
 
 from __future__ import annotations
@@ -13,6 +31,7 @@ from fractions import Fraction
 from .errors import ArityMismatch, LvkError, ZeroDivisionInField
 from .multipoly import (
     MultiPoly,
+    _check_cap,
     _coeffs_in_var,
     _from_coeffs_in_var,
     exact_div,
@@ -21,54 +40,104 @@ from .multipoly import (
 )
 from .ratfunc import RatFunc
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def coeff_inverse(c):
+    """1/c in the coefficient field of c."""
+    return _ONE / c if type(c) is Fraction else c.inverse()
+
+
+def _times(c, k):
+    """c times the rational number k, in the coefficient field of c."""
+    return c * k if type(c) is Fraction else c.scale(k)
+
 
 class UniPoly:
-    """coeffs[i] is the coefficient of mainVar**i; the top one is nonzero."""
+    """coeffs[i] is the coefficient of mainVar**i; the top one is nonzero.
 
-    __slots__ = ("main_var", "arity", "coeffs")
+    zero is the coefficient field's zero: Fraction(0) over Q,
+    RatFunc.zero(arity) over K.
+    """
 
-    def __init__(self, main_var: int, arity: int, coeffs: list[RatFunc]):
+    __slots__ = ("main_var", "arity", "coeffs", "zero")
+
+    def __init__(self, main_var: int, arity: int, coeffs: list):
+        """Coefficients all rational (over Q) or all RatFunc (over K); no coefficients is over K."""
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
+        if coeffs and not isinstance(coeffs[0], RatFunc):
+            zero = _ZERO
+            coeffs = [Fraction(c) for c in coeffs]
+        else:
+            zero = RatFunc.zero(arity)
+            for c in coeffs:
+                if not isinstance(c, RatFunc) or c.arity != arity:
+                    raise ArityMismatch("coefficient arity mismatch")
+                if c.involves(main_var):
+                    raise ArityMismatch("coefficient involves the main variable")
+        while coeffs and coeffs[-1] == zero:
             coeffs.pop()
-        for c in coeffs:
-            if c.arity != arity:
-                raise ArityMismatch("coefficient arity mismatch")
-            if c.involves(main_var):
-                raise ArityMismatch("coefficient involves the main variable")
         self.main_var = main_var
         self.arity = arity
         self.coeffs = coeffs
+        self.zero = zero
 
     @classmethod
-    def _raw(cls, main_var: int, arity: int, coeffs: list[RatFunc]) -> "UniPoly":
-        """Adopt coefficients already of this arity and free of main_var; trims zero tops."""
-        while coeffs and coeffs[-1].is_zero():
+    def _raw(cls, main_var: int, arity: int, coeffs: list, zero) -> "UniPoly":
+        """Adopt coefficients of the field of zero, free of main_var; trims zero tops."""
+        while coeffs and coeffs[-1] == zero:
             coeffs.pop()
         p = object.__new__(cls)
         p.main_var = main_var
         p.arity = arity
         p.coeffs = coeffs
+        p.zero = zero
         return p
+
+    def _new(self, coeffs: list) -> "UniPoly":
+        """A polynomial in the same variable over the same field."""
+        return UniPoly._raw(self.main_var, self.arity, coeffs, self.zero)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(main_var: int, arity: int) -> "UniPoly":
-        return UniPoly(main_var, arity, [])
-
-    @staticmethod
-    def const(main_var: int, arity: int, c: RatFunc) -> "UniPoly":
-        return UniPoly(main_var, arity, [c])
-
-    @staticmethod
     def of_poly(p: MultiPoly, main_var: int) -> "UniPoly":
+        """p in main_var: over Q when p involves no other variable, else over K."""
+        terms = p.terms
+        if all(sum(e) == e[main_var] for e in terms):
+            coeffs = [_ZERO] * (max((e[main_var] for e in terms), default=-1) + 1)
+            for e, c in terms.items():
+                coeffs[e[main_var]] = c
+            return UniPoly._raw(main_var, p.arity, coeffs, _ZERO)
         by_deg = _coeffs_in_var(p, main_var)
         zero = MultiPoly.zero(p.arity)
-        coeffs = [RatFunc(by_deg.get(i, zero)) for i in range(max(by_deg, default=-1) + 1)]
-        return UniPoly(main_var, p.arity, coeffs)
+        coeffs = [RatFunc.of_poly(by_deg.get(i, zero)) for i in range(max(by_deg) + 1)]
+        return UniPoly._raw(main_var, p.arity, coeffs, RatFunc.zero(p.arity))
+
+    def lift(self, arity: int | None = None) -> "UniPoly":
+        """This polynomial over K of the given arity, its own by default.
+
+        Q lifts as constant RatFuncs; a larger arity appends variables.
+        """
+        arity = self.arity if arity is None else arity
+        if self.over_q:
+            coeffs = [RatFunc.constant(arity, c) for c in self.coeffs]
+        elif arity == self.arity:
+            return self
+        else:
+            coeffs = [c.extend_arity(arity) for c in self.coeffs]
+        return UniPoly._raw(self.main_var, arity, coeffs, RatFunc.zero(arity))
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def over_q(self) -> bool:
+        return type(self.zero) is Fraction
+
+    def one(self):
+        """The coefficient field's one."""
+        return _ONE if self.over_q else RatFunc.one(self.arity)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -76,106 +145,126 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lc(self) -> RatFunc:
+    def lc(self):
         if self.is_zero():
             raise ZeroDivisionInField("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, i: int) -> RatFunc:
+    def coeff(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return RatFunc.zero(self.arity)
+        return self.zero
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.lc() == RatFunc.one(self.arity)
+        return not self.is_zero() and self.lc() == self.one()
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "UniPoly"):
+    def common(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """self and other over one field: Q if both are, else K."""
         if self.main_var != other.main_var or self.arity != other.arity:
             raise ArityMismatch("UniPoly main variable or arity mismatch")
+        if type(self.zero) is type(other.zero):
+            return self, other
+        return self.lift(), other.lift()
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly._raw(
-            self.main_var,
-            self.arity,
-            [self.coeff(i) + other.coeff(i) for i in range(n)],
-        )
+        a, b = self.common(other)
+        n = max(len(a.coeffs), len(b.coeffs))
+        return a._new([a.coeff(i) + b.coeff(i) for i in range(n)])
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly._raw(self.main_var, self.arity, [-c for c in self.coeffs])
+        return self._new([-c for c in self.coeffs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.main_var, self.arity)
-        out = [RatFunc.zero(self.arity)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        a, b = self.common(other)
+        if a.is_zero() or b.is_zero():
+            return a._new([])
+        zero = a.zero
+        out = [zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x == zero:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly._raw(self.main_var, self.arity, out)
+            for j, y in enumerate(b.coeffs):
+                out[i + j] = out[i + j] + x * y
+        return a._new(out)
 
-    def scale(self, c: RatFunc) -> "UniPoly":
-        """Multiply by c, which must be free of the main variable."""
-        return UniPoly._raw(self.main_var, self.arity, [x * c for x in self.coeffs])
+    def scale(self, c) -> "UniPoly":
+        """Multiply by c: a rational number, or a RatFunc free of the main variable (over K)."""
+        if isinstance(c, RatFunc):
+            p = self.lift()
+            return p._new([x * c for x in p.coeffs])
+        return self._new([_times(x, c) for x in self.coeffs])
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return self.scale(self.lc().inverse())
+        return self.scale(coeff_inverse(self.lc()))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        self._check(other)
-        if other.is_zero():
+        a, b = self.common(other)
+        if b.is_zero():
             raise ZeroDivisionInField("division by zero UniPoly")
-        q, r = dense_divmod(self.coeffs, other.coeffs, RatFunc.zero(self.arity))
-        mv, ar = self.main_var, self.arity
-        return UniPoly._raw(mv, ar, q), UniPoly._raw(mv, ar, r)
+        q, r = dense_divmod(a.coeffs, b.coeffs, a.zero)
+        return a._new(q), a._new(r)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
     def derivative(self) -> "UniPoly":
-        return UniPoly._raw(
-            self.main_var,
-            self.arity,
-            [
-                self.coeffs[i].scale(i)
-                for i in range(1, len(self.coeffs))
-            ],
-        )
+        return self._new([_times(self.coeffs[i], i) for i in range(1, len(self.coeffs))])
 
     def integrate(self) -> "UniPoly":
         """Antiderivative in the main variable with constant 0."""
-        out = [RatFunc.zero(self.arity)]
-        for i, c in enumerate(self.coeffs):
-            out.append(c.scale(Fraction(1, i + 1)))
-        return UniPoly._raw(self.main_var, self.arity, out)
-
-    def to_ratfunc(self) -> RatFunc:
-        x = RatFunc(MultiPoly.variable(self.arity, self.main_var))
-        acc = RatFunc.zero(self.arity)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniPoly)
-            and self.main_var == other.main_var
-            and self.arity == other.arity
-            and self.coeffs == other.coeffs
+        return self._new(
+            [self.zero] + [_times(c, Fraction(1, i + 1)) for i, c in enumerate(self.coeffs)]
         )
 
+    def to_ratfunc(self) -> RatFunc:
+        """The polynomial as a RatFunc, in lowest terms by construction.
+
+        Over Q the MultiPoly is built directly.  Over K, with L the monic lcm
+        of the coefficient denominators, it is (sum of c_i.num * (L/c_i.den)
+        * x^i) / L, x the main variable.  That is in lowest terms: every
+        irreducible factor p of L reaches its full multiplicity in some
+        c_i.den, so p divides neither c_i.num nor L/c_i.den, hence not the
+        x^i coefficient of the numerator; as p is free of x, it does not
+        divide the numerator.
+        """
+        mv, ar = self.main_var, self.arity
+        if self.over_q:
+            terms = {}
+            for i, c in enumerate(self.coeffs):
+                if c:
+                    e = [0] * ar
+                    e[mv] = i
+                    terms[tuple(e)] = c
+            _check_cap(len(self.coeffs) - 1)
+            return RatFunc._raw(MultiPoly._raw(ar, terms), MultiPoly.one(ar))
+        lcm = MultiPoly.one(ar)
+        for c in self.coeffs:
+            if not c.den.is_constant():
+                lcm = lcm * gcd_cofactors(lcm, c.den)[2]
+        if lcm.is_constant():
+            by_deg = {i: c.num for i, c in enumerate(self.coeffs)}
+        else:
+            by_deg = {i: c.num * exact_div(lcm, c.den) for i, c in enumerate(self.coeffs)}
+        return RatFunc._raw(_from_coeffs_in_var(by_deg, mv, ar), lcm)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UniPoly):
+            return False
+        if self.main_var != other.main_var or self.arity != other.arity:
+            return False
+        a, b = self.common(other)
+        return a.coeffs == b.coeffs
+
     def __repr__(self):
-        return f"UniPoly(var={self.main_var}, {[c.render() for c in self.coeffs]})"
+        coeffs = [c.render() if isinstance(c, RatFunc) else str(c) for c in self.coeffs]
+        return f"UniPoly(var={self.main_var}, {coeffs})"
 
 
 def dense_divmod(a: list, b: list, zero) -> tuple[list, list]:
@@ -204,8 +293,8 @@ def dense_divmod(a: list, b: list, zero) -> tuple[list, list]:
 
 
 def ratfunc_as_unipair(f: RatFunc, main_var: int) -> tuple[UniPoly, UniPoly]:
-    """Split a rational function into (numerator, denominator) UniPolys."""
-    return UniPoly.of_poly(f.num, main_var), UniPoly.of_poly(f.den, main_var)
+    """Split a rational function into (numerator, denominator) UniPolys over one field."""
+    return UniPoly.of_poly(f.num, main_var).common(UniPoly.of_poly(f.den, main_var))
 
 
 def gcd_uni(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -219,9 +308,8 @@ def gcd_uni(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def extended_gcd_uni(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     """(g, s, t) with s*a + t*b = g, g monic."""
-    mv, ar = a.main_var, a.arity
-    one = UniPoly.const(mv, ar, RatFunc.one(ar))
-    zero = UniPoly.zero(mv, ar)
+    a, b = a.common(b)
+    one, zero = a._new([a.one()]), a._new([])
     r0, r1 = a, b
     s0, s1 = one, zero
     t0, t1 = zero, one
@@ -232,7 +320,7 @@ def extended_gcd_uni(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         raise ZeroDivisionInField("extended gcd of two zero polynomials")
-    inv = r0.lc().inverse()
+    inv = coeff_inverse(r0.lc())
     return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
@@ -241,16 +329,12 @@ class SquarefreeDecomposition:
     """input = unit * prod(factor ** multiplicity), factors monic squarefree."""
 
     parts: list[tuple[UniPoly, int]]
-    unit: RatFunc
+    unit: Fraction | RatFunc
 
     def multiply_back(self) -> UniPoly:
-        sample = None
-        for f, _ in self.parts:
-            sample = f
-            break
-        if sample is None:
+        if not self.parts:
             raise ValueError("empty decomposition has no intrinsic variable")
-        acc = UniPoly.const(sample.main_var, sample.arity, self.unit)
+        acc = self.parts[0][0]._new([self.unit])
         for f, m in self.parts:
             for _ in range(m):
                 acc = acc * f
@@ -284,32 +368,23 @@ def squarefree_yun(p: UniPoly) -> SquarefreeDecomposition:
     return SquarefreeDecomposition(parts=parts, unit=unit)
 
 
-def _clear_denominators(p: UniPoly) -> tuple[MultiPoly, MultiPoly]:
-    """(L, L*p as a MultiPoly), L the lcm of p's coefficient denominators."""
-    lcm = MultiPoly.one(p.arity)
-    for c in p.coeffs:
-        lcm = lcm * gcd_cofactors(lcm, c.den)[2]
-    by_deg = {i: c.num * exact_div(lcm, c.den) for i, c in enumerate(p.coeffs)}
-    return lcm, _from_coeffs_in_var(by_deg, p.main_var, p.arity)
-
-
 def resultant(p: UniPoly, q: UniPoly) -> RatFunc:
     """Resultant of p and q in the main variable.
 
     Sign convention frozen: the determinant of the matrix whose first deg(q)
     rows carry p's coefficients (highest first) and whose last deg(p) rows
     carry q's, i.e. lc(p)^deg(q) times the product of q over p's roots.  Both
-    operands are cleared of coefficient denominators (lcm L) and the
-    fraction-free subresultant PRS of multipoly does the elimination:
+    operands are cleared of coefficient denominators, as ``to_ratfunc``
+    writes them (Lp*p)/Lp, and the fraction-free subresultant PRS of
+    multipoly does the elimination:
     Res(p, q) = Res(Lp*p, Lq*q) / (Lp^deg q * Lq^deg p).
     """
     if p.is_zero() or q.is_zero():
         raise ZeroDivisionInField("resultant of zero polynomial")
-    p._check(q)
-    lp, pp = _clear_denominators(p)
-    lq, qq = _clear_denominators(q)
-    res = resultant_in_var(pp, qq, p.main_var)
-    return RatFunc(res, lp ** q.degree() * lq ** p.degree())
+    p.common(q)  # one main variable and arity
+    fp, fq = p.to_ratfunc(), q.to_ratfunc()
+    res = resultant_in_var(fp.num, fq.num, p.main_var)
+    return RatFunc(res, fp.den ** q.degree() * fq.den ** p.degree())
 
 
 class HermiteError(LvkError):
@@ -333,10 +408,11 @@ def hermite_reduce(num: UniPoly, den: UniPoly) -> tuple[RatFunc, UniPoly, UniPol
     """
     if den.is_zero():
         raise ZeroDivisionInField("zero denominator")
-    mv, ar = den.main_var, den.arity
+    num, den = num.common(den)
+    ar = den.arity
     if num.is_zero():
-        return RatFunc.zero(ar), UniPoly.zero(mv, ar), UniPoly.const(mv, ar, RatFunc.one(ar))
-    a = num.scale(den.lc().inverse())
+        return RatFunc.zero(ar), den._new([]), den._new([den.one()])
+    a = num.scale(coeff_inverse(den.lc()))
     den = den.monic()
     d_minus = gcd_uni(den, den.derivative())
     if d_minus.degree() == 0:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -251,3 +252,17 @@ def test_catalog_goldens_under_python_optimize(name):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == (CATALOG / f"{name}.golden.json").read_text()
+
+
+def test_lvk_source_has_no_assert_statement():
+    # -O strips assert statements, so a certificate checked by one would vanish
+    src = Path(__file__).resolve().parent.parent / "src" / "lvk"
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import lvk.integrator
 from lvk.errors import NotClosed
 from lvk.forms import ClosednessWitness, OneForm, is_closed
 from lvk.integrator import (
@@ -251,3 +252,40 @@ def test_potential_derivative_matches_sympy():
         for s, component in zip(symbols, form):
             assert sympy.cancel(sympy.diff(potential, s) - component) == 0
     assert logs >= 8
+
+
+def _split_potential(rng):
+    """A potential A(x) + B(y, z): its x-level is over Q, its y- and z-levels over K.
+
+    A has rational residues, a conjugate pair over 8t^2 = 1 and a rational
+    part with a repeated factor; B has logs and a rational part in y and z.
+    """
+    names = ["x", "y", "z"]
+    a, b = rng.sample(range(-3, 4), 2)
+    groups = [
+        (ResidueGroup(minpoly=(F(-2), F(1)), arg=(parse_ratfunc(f"x - {a}", names),)), F(1)),
+        (ResidueGroup(minpoly=(F(-1, 8), F(0), F(1)), arg=(
+            parse_ratfunc(f"x - {b}", names), RatFunc.constant(3, -4))), F(1)),
+    ]
+    for arg in (f"y*z + {rng.randint(1, 3)}", f"y^2 + {rng.randint(-2, 2)}*z"):
+        c = F(rng.choice([1, -1, 3]), rng.choice([1, 2]))
+        groups.append((ResidueGroup(minpoly=(-c, F(1)), arg=(parse_ratfunc(arg, names),)), F(1)))
+    rat = parse_ratfunc(f"{rng.randint(1, 3)}/(x - {b})^2 + y/(z + {rng.randint(1, 3)})", names)
+    return IntegrationResult(log_groups=tuple(groups), rat_part=rat)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_levels_over_q_and_k_in_either_order(monkeypatch, seed):
+    fields = []
+    hermite = lvk.integrator.hermite_reduce
+    monkeypatch.setattr(
+        lvk.integrator, "hermite_reduce", lambda n, d: fields.append(d.over_q) or hermite(n, d)
+    )
+    w = differentiate(_split_potential(random.Random(seed)))
+    # the last level's remainder is a log of one variable: log(y*z + c) integrates
+    # in y to log(y + c/z), leaving -d log(z); in z to log(z + c/y), leaving -d log(y)
+    for order, levels in (([0, 1, 2], [True, False, True]), ([2, 1, 0], [False, True, True])):
+        del fields[:]
+        r = integrate_closed(w, order=order)
+        assert fields == levels, order
+        assert differentiate(r) == w, order

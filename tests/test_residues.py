@@ -13,13 +13,12 @@ from lvk.ratfunc import RatFunc
 from lvk.residues import (
     ResidueGroup,
     _divisors,
-    _rational_squarefree_factors,
     power_sums,
     qpoly_render,
     rothstein_trager,
     trace_of_algebraic,
 )
-from lvk.unipoly import UniPoly, gcd_uni
+from lvk.unipoly import UniPoly, gcd_uni, squarefree_yun
 
 F = Fraction
 
@@ -69,12 +68,15 @@ def test_rational_squarefree_factors_match_sympy():
         ascending = [F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
         _, parts = poly.sqf_list()
         expected = [
-            [F(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]
-            for f, _ in sorted(parts, key=lambda part: part[1])
+            ([F(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())], k)
+            for f, k in sorted(parts, key=lambda part: part[1])
         ]
-        assert _rational_squarefree_factors(ascending) == expected, m
+        # R(t) enters squarefree_yun over Q, as rothstein_trager passes it
+        d = squarefree_yun(UniPoly(0, 1, ascending))
+        assert all(f.over_q for f, _ in d.parts), m
+        assert [(f.coeffs, k) for f, k in d.parts] == expected, m
     with pytest.raises(ZeroDivisionInField):
-        _rational_squarefree_factors([F(0)])
+        squarefree_yun(UniPoly(0, 1, [F(0)]))
 
 
 # -- residue groups ---------------------------------------------------------------

@@ -7,7 +7,8 @@ from lvk.linalg import determinant
 from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
-from lvk.residues import qpoly_divmod, qpoly_trim
+import lvk.residues
+from lvk.residues import qpoly_divmod, qpoly_trim, rothstein_trager
 from lvk.unipoly import (
     UniPoly,
     extended_gcd_uni,
@@ -315,3 +316,173 @@ def test_ratfunc_as_unipair():
     f = parse_ratfunc("(x + y)/(x*y)", ["x", "y"])
     num, den = ratfunc_as_unipair(f, 0)
     assert num.to_ratfunc() / den.to_ratfunc() == f
+
+
+def test_of_poly_picks_q_exactly_when_only_the_main_variable_occurs():
+    assert U("x^2 - 3*x + 1/2").over_q
+    assert U("0").over_q and U("7").over_q
+    assert not U("x^2 + y").over_q
+    assert not U("y").over_q
+    num, den = ratfunc_as_unipair(parse_ratfunc("1/(x + y)", ["x", "y"]), 0)
+    assert not num.over_q and not den.over_q  # one field for the pair
+    num, den = ratfunc_as_unipair(parse_ratfunc("(x + 1)/(x^2 - 2)", ["x", "y"]), 0)
+    assert num.over_q and den.over_q
+    # arithmetic that meets both fields lifts into K and keeps the value
+    mixed = U("x + 1") * U("x - y")
+    assert not mixed.over_q and mixed == U("x^2 + x - y*x - y")
+    assert U("x + 1").lift() == U("x + 1")
+
+
+def horner(p: UniPoly) -> RatFunc:
+    """Reference: Horner's rule over RatFunc, each step normalized."""
+    x = RatFunc(MultiPoly.variable(p.arity, p.main_var))
+    acc = RatFunc.zero(p.arity)
+    for c in reversed(p.coeffs):
+        acc = acc * x + (c if isinstance(c, RatFunc) else RatFunc.constant(p.arity, c))
+    return acc
+
+
+def test_to_ratfunc_matches_horner():
+    rng = random.Random(4242)
+    polys = [random_unipoly(rng, rng.randint(0, 4)) for _ in range(25)]
+    # denominators from a few shared factors in y and z, to powers 1..3, so the
+    # lcm is no plain product and numerators may share factors with it
+    names = ["x", "y", "z"]
+    pool = [parse_poly(e, names) for e in ("y", "y + 1", "y*z - 2", "z^2 + y")]
+    for _ in range(25):
+        coeffs = []
+        for _ in range(rng.randint(1, 5)):
+            den = MultiPoly.one(3)
+            for f in rng.sample(pool, rng.randint(0, 3)):
+                den = den * f ** rng.randint(1, 3)
+            num = MultiPoly(3, {(0,) + e: c for e, c in random_poly(rng, 2, max_deg=3).terms.items()})
+            coeffs.append(RatFunc(num * rng.choice(pool + [MultiPoly.one(3)]), den))
+        polys.append(UniPoly(0, 3, coeffs))
+    # over Q, in a main variable that is not the first
+    for _ in range(10):
+        coeffs = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))]
+        polys.append(UniPoly(1, 2, coeffs))
+    for p in polys:
+        # both sides are normalized, so a result not in lowest terms would differ
+        assert p.to_ratfunc() == horner(p), p
+
+
+# -- one implementation over Q and over K ----------------------------------------------
+
+QK_PLACES = [(1, 0), (2, 1)]  # (arity, main variable)
+
+
+def _q_poly(rng, degree):
+    coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)]
+    coeffs[-1] = coeffs[-1] or F(1)
+    return coeffs
+
+
+def _qk(coeffs, arity, main_var):
+    """One polynomial twice: Fraction coefficients, and the same as constant RatFuncs."""
+    q = UniPoly(main_var, arity, coeffs)
+    k = UniPoly(main_var, arity, [RatFunc.constant(arity, c) for c in coeffs])
+    assert q.over_q and not k.over_q
+    return q, k
+
+
+def _same(q: UniPoly, k: UniPoly):
+    """q over Q and k over K with constant coefficients of the same values."""
+    assert q.over_q and not k.over_q
+    assert all(c.is_constant() for c in k.coeffs)
+    assert q.coeffs == [c.constant_value() for c in k.coeffs]
+
+
+def _product(factors, arity, main_var):
+    p = UniPoly(main_var, arity, [F(1)])
+    for f, m in factors:
+        for _ in range(m):
+            p = p * UniPoly(main_var, arity, f)
+    return p.coeffs
+
+
+@pytest.mark.parametrize("arity, main_var", QK_PLACES)
+def test_gcds_and_yun_agree_over_q_and_k(arity, main_var):
+    rng = random.Random(50 + arity)
+    for _ in range(15):
+        common = _q_poly(rng, rng.randint(1, 2))
+        a = _product([(common, 1), (_q_poly(rng, rng.randint(0, 3)), 1)], arity, main_var)
+        b = _product([(common, 1), (_q_poly(rng, rng.randint(0, 3)), 1)], arity, main_var)
+        (qa, ka), (qb, kb) = _qk(a, arity, main_var), _qk(b, arity, main_var)
+        _same(gcd_uni(qa, qb), gcd_uni(ka, kb))
+        for q, k in zip(extended_gcd_uni(qa, qb), extended_gcd_uni(ka, kb)):
+            _same(q, k)
+        # repeated factors: f1 * f2^2 * f3^3 with some absent, degree 1..5
+        parts = [(_q_poly(rng, 1), m) for m in (1, 2, 3) if rng.random() < 0.6]
+        p = _product(parts or [(_q_poly(rng, 2), 2)], arity, main_var)
+        dq, dk = squarefree_yun(_qk(p, arity, main_var)[0]), squarefree_yun(_qk(p, arity, main_var)[1])
+        assert dk.unit == RatFunc.constant(arity, dq.unit)
+        assert [m for _, m in dq.parts] == [m for _, m in dk.parts]
+        for (fq, _), (fk, _) in zip(dq.parts, dk.parts):
+            _same(fq, fk)
+
+
+@pytest.mark.parametrize("arity, main_var", QK_PLACES)
+def test_hermite_agrees_over_q_and_k(arity, main_var):
+    rng = random.Random(70 + arity)
+    checked = 0
+    while checked < 15:
+        factors = [(_q_poly(rng, 1), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+        den = _product(factors, arity, main_var)
+        if not 1 <= len(den) - 1 <= 5:
+            continue
+        num = _q_poly(rng, rng.randint(0, len(den) - 2))
+        (qn, kn), (qd, kd) = _qk(num, arity, main_var), _qk(den, arity, main_var)
+        if gcd_uni(qn, qd).degree() > 0:
+            continue
+        rat_q, rnum_q, rden_q = hermite_reduce(qn, qd)
+        rat_k, rnum_k, rden_k = hermite_reduce(kn, kd)
+        assert rat_q == rat_k
+        _same(rnum_q, rnum_k)
+        _same(rden_q, rden_k)
+        checked += 1
+
+
+def _log_parts(rng):
+    """(name, num, den) pairs with a squarefree den of degree 1..5 over Q, dense ascending."""
+    a, b = rng.sample(range(-4, 5), 2)
+    c1, c2 = F(rng.choice([1, -2, 3]), rng.choice([1, 2])), F(rng.choice([2, -1, 5]), 3)
+    k = rng.choice([2, 3, 5, -1])  # x^2 - k has no rational root
+    lin_a, lin_b, quad = [F(-a), F(1)], [F(-b), F(1)], [F(-k), F(0), F(1)]
+    out = []
+    while True:  # c * den'/den with den squarefree
+        den = _q_poly(rng, rng.randint(1, 5))
+        q = UniPoly(0, 1, den)
+        if gcd_uni(q, q.derivative()).degree() == 0:
+            out.append(("single", q.derivative().scale(c1).coeffs, den))
+            break
+    # c1/(x - a) + c2/(x - b): R(t) = (t - c1)(t - c2) up to a constant
+    two = UniPoly(0, 1, lin_b).scale(c1) + UniPoly(0, 1, lin_a).scale(c2)
+    out.append(("two-rational", two.coeffs, _product([(lin_a, 1), (lin_b, 1)], 1, 0)))
+    # c1/(x - a) + 1/(x^2 - k): a rational residue and a conjugate pair
+    mixed = UniPoly(0, 1, quad).scale(c1) + UniPoly(0, 1, lin_a)
+    out.append(("rational-and-quadratic", mixed.coeffs, _product([(lin_a, 1), (quad, 1)], 1, 0)))
+    return out
+
+
+@pytest.mark.parametrize("arity, main_var", QK_PLACES)
+@pytest.mark.parametrize("seed", range(3))
+def test_rothstein_trager_agrees_over_q_and_k(monkeypatch, arity, main_var, seed):
+    rng = random.Random(90 + seed)
+    calls = []
+    resultant = lvk.residues.resultant
+    monkeypatch.setattr(lvk.residues, "resultant", lambda p, q: calls.append(1) or resultant(p, q))
+    for name, num, den in _log_parts(rng):
+        (qn, kn), (qd, kd) = _qk(num, arity, main_var), _qk(den, arity, main_var)
+        del calls[:]
+        groups = rothstein_trager(qn, qd)
+        q_calls = len(calls)
+        assert groups == rothstein_trager(kn, kd), name
+        # the shortcut needs no resultant; the other levels over Q lift into the resultant
+        assert q_calls == len(calls) - q_calls == (0 if name == "single" else 1), name
+        total = RatFunc.zero(arity)
+        for g in groups:
+            total = total + g.log_derivative(main_var)
+        assert total == qn.to_ratfunc() / qd.to_ratfunc(), name
+        degrees = sorted(g.degree for g in groups)
+        assert degrees == {"single": [1], "two-rational": [1, 1]}.get(name, [1, 2]), name
