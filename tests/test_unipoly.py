@@ -355,7 +355,8 @@ def test_to_ratfunc_matches_horner():
             den = MultiPoly.one(3)
             for f in rng.sample(pool, rng.randint(0, 3)):
                 den = den * f ** rng.randint(1, 3)
-            num = MultiPoly(3, {(0,) + e: c for e, c in random_poly(rng, 2, max_deg=3).terms.items()})
+            in_yz = random_poly(rng, 2, max_deg=3).terms.items()
+            num = MultiPoly(3, {(0,) + e: c for e, c in in_yz})
             coeffs.append(RatFunc(num * rng.choice(pool + [MultiPoly.one(3)]), den))
         polys.append(UniPoly(0, 3, coeffs))
     # over Q, in a main variable that is not the first
@@ -415,7 +416,7 @@ def test_gcds_and_yun_agree_over_q_and_k(arity, main_var):
         # repeated factors: f1 * f2^2 * f3^3 with some absent, degree 1..5
         parts = [(_q_poly(rng, 1), m) for m in (1, 2, 3) if rng.random() < 0.6]
         p = _product(parts or [(_q_poly(rng, 2), 2)], arity, main_var)
-        dq, dk = squarefree_yun(_qk(p, arity, main_var)[0]), squarefree_yun(_qk(p, arity, main_var)[1])
+        dq, dk = (squarefree_yun(u) for u in _qk(p, arity, main_var))
         assert dk.unit == RatFunc.constant(arity, dq.unit)
         assert [m for _, m in dq.parts] == [m for _, m in dk.parts]
         for (fq, _), (fk, _) in zip(dq.parts, dk.parts):
