@@ -171,7 +171,7 @@ class DarbouxFunction:
             pieces.append(f"exp({self.exp_arg.render(names)})")
         for base, exponent in self.factors:
             b = base.render(names)
-            if len(base.terms) > 1 or (exponent != 1 and "*" in b):
+            if len(base.nums) > 1 or (exponent != 1 and "*" in b):
                 b = f"({b})"
             if exponent == 1:
                 pieces.append(b)
@@ -344,11 +344,13 @@ def synthesize(X, darboux_polys, exp_factors, target: str) -> list[DarbouxFuncti
     rhs_poly = (
         -X.divergence() if target == "multiplier" else MultiPoly.zero(arity)
     )
+    tables = [k.terms for k in cofactors]
+    rhs_terms = rhs_poly.terms
     rows = []
     rhs = []
     for e in monos:
-        rows.append([k.terms.get(e, Fraction(0)) for k in cofactors])
-        rhs.append(rhs_poly.terms.get(e, Fraction(0)))
+        rows.append([t.get(e, Fraction(0)) for t in tables])
+        rhs.append(rhs_terms.get(e, Fraction(0)))
     sol = solve_linear(rows, rhs)
     if sol is None:
         return []

@@ -1,8 +1,24 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Terms are stored as a map from exponent tuples to nonzero ``Fraction``
-coefficients.  The monomial order used everywhere (normalization, leading
-terms, printing) is graded lexicographic with the declared variable order.
+A polynomial is stored as integer numerators over one common denominator:
+p = (1/den) * sum of nums[e] * x^e, with ``nums`` a map from exponent tuples
+to nonzero ints and ``den`` a positive int.  The invariant is gcd(den, every
+numerator) = 1, and zero is ``{}`` over 1.  The form is canonical, so
+equality and hashing are structural.  The kernel (ring operations, scaling,
+derivatives, evaluation, the univariate views, the subresultant PRS and the
+gcd ladder) runs on Python ints and restores the invariant with one
+``math.gcd`` over the denominator and the numerators.  ``terms`` is a
+read-only view of the coefficients as ``Fraction``s, built on demand for
+callers outside the kernel.
+
+``try_exact_div`` divides the numerators of a by the primitive part of the
+numerators of b with integer ``divmod``.  By Gauss's lemma a quotient of an
+integer polynomial by a primitive one has integer coefficients when it
+exists, so a nonzero remainder at a leading coefficient certifies that b
+does not divide a.
+
+The monomial order used everywhere (normalization, leading terms,
+printing) is graded lexicographic with the declared variable order.
 
 ``gcd_multivar`` returns the monic gcd; ``gcd_cofactors`` returns it with
 both cofactors, (g, a/g, b/g), for callers that divide by the gcd.  Both run
@@ -14,6 +30,9 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -26,8 +45,6 @@ from .errors import (
 
 #: Degree of the zero polynomial: strictly less than every integer.
 MINUS_INFINITY = float("-inf")
-
-_ONE = Fraction(1)
 
 
 def degree_cap() -> int:
@@ -58,62 +75,81 @@ def _check_cap(degree) -> None:
 class MultiPoly:
     """Immutable sparse polynomial in a fixed number of variables.
 
-    The public constructor validates its terms (arity, zero coefficients,
-    ``LVK_MAX_DEGREE``).  Arithmetic builds results with the trusted
-    ``_raw``; only ``__mul__`` and ``_from_coeffs_in_var`` can raise the
-    total degree, and they check the cap once per result.
+    Stored as integer numerators ``nums`` over a positive integer ``den``
+    with gcd(den, numerators) = 1 (zero is ``{}`` over 1); ``terms`` is a
+    read-only view of the coefficients as ``Fraction``s.  The public
+    constructor takes ``int`` and ``Fraction`` coefficients and validates
+    them (exponent vectors, arity, ``LVK_MAX_DEGREE``).  Arithmetic builds
+    results with the trusted ``_raw``; only ``__mul__`` and
+    ``_from_coeffs_in_var`` can raise the total degree, and they check the
+    cap once per result.
     """
 
-    __slots__ = ("arity", "terms", "_hash")
+    __slots__ = ("arity", "nums", "den", "_hash")
 
-    def __init__(self, arity: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, arity: int, terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
         cap = degree_cap()
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if c == 0:
-                    continue
+                exps = tuple(exps)
                 if len(exps) != arity:
                     raise ArityMismatch(
                         f"exponent vector {exps} has length {len(exps)}, expected {arity}"
                     )
+                if any(type(k) is not int or k < 0 for k in exps):
+                    raise ParseError(f"exponent vector {exps} is not of non-negative ints")
+                if not isinstance(coeff, (int, Fraction)) or isinstance(coeff, bool):
+                    raise ParseError(f"coefficient {coeff!r} is not an int or a Fraction")
+                if not coeff:
+                    continue
                 if sum(exps) > cap:
                     raise DegreeCapExceeded(
                         f"term of total degree {sum(exps)} exceeds LVK_MAX_DEGREE={cap}"
                     )
-                clean[tuple(exps)] = c
+                clean[exps] = coeff
+        nums, den = _over_common_den(clean)
         _set_arity(self, arity)
-        _set_terms(self, clean)
+        _set_nums(self, nums)
+        _set_den(self, den)
         _set_hash(self, None)
 
-    @classmethod
-    def _raw(cls, arity: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
-        """Adopt terms as they are: tuples of length arity, nonzero Fractions, within the cap."""
-        p = _new(cls)
+    @staticmethod
+    def _raw(arity: int, nums: dict[tuple[int, ...], int], den: int) -> "MultiPoly":
+        """Adopt numerators over den as they are: the invariant holds and degrees are within the cap."""
+        p = _new(MultiPoly)
         _set_arity(p, arity)
-        _set_terms(p, terms)
+        _set_nums(p, nums)
+        _set_den(p, den)
         _set_hash(p, None)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """The coefficients as Fractions: a read-only view built on each access."""
+        den = self.den
+        return MappingProxyType({e: Fraction(n, den) for e, n in self.nums.items()})
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(arity: int) -> "MultiPoly":
-        return MultiPoly._raw(arity, {})
+        return _raw(arity, {}, 1)
 
     @staticmethod
     def constant(arity: int, value) -> "MultiPoly":
         if type(value) is not Fraction:
             value = Fraction(value)
-        return MultiPoly._raw(arity, {(0,) * arity: value} if value else {})
+        if not value:
+            return _raw(arity, {}, 1)
+        return _raw(arity, {(0,) * arity: value.numerator}, value.denominator)
 
     @staticmethod
     def one(arity: int) -> "MultiPoly":
-        return MultiPoly._raw(arity, {(0,) * arity: _ONE})
+        return _raw(arity, {(0,) * arity: 1}, 1)
 
     @staticmethod
     def variable(arity: int, index: int) -> "MultiPoly":
@@ -121,41 +157,42 @@ class MultiPoly:
             raise ArityMismatch(f"variable index {index} out of range for arity {arity}")
         exps = [0] * arity
         exps[index] = 1
-        return MultiPoly(arity, {tuple(exps): Fraction(1)})
+        return MultiPoly(arity, {tuple(exps): 1})
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.arity in self.terms)
+        nums = self.nums
+        return not nums or (len(nums) == 1 and (0,) * self.arity in nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.arity, Fraction(0))
+        return Fraction(self.nums.get((0,) * self.arity, 0), self.den)
 
     def total_degree(self):
-        if not self.terms:
+        if not self.nums:
             return MINUS_INFINITY
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.nums))
 
     def degree_in(self, var: int):
-        if not self.terms:
+        if not self.nums:
             return MINUS_INFINITY
-        return max(e[var] for e in self.terms)
+        return max(e[var] for e in self.nums)
 
     def involves(self, var: int) -> bool:
-        return any(e[var] > 0 for e in self.terms)
+        return any(e[var] > 0 for e in self.nums)
 
     def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
+        if not self.nums:
             raise ZeroDivisionInField("zero polynomial has no leading monomial")
-        return max(self.terms, key=_grlex_key)
+        return max(self.nums, key=_grlex_key)
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        return Fraction(self.nums[self.leading_monomial()], self.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -164,60 +201,75 @@ class MultiPoly:
             raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            if s is None:
-                terms[e] = c
-            else:
-                s += c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return MultiPoly._raw(self.arity, terms)
+        return _sum(self, other, 1)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw(self.arity, {e: -c for e, c in self.terms.items()})
+        return _raw(self.arity, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        if not self.terms or not other.terms:
-            return MultiPoly._raw(self.arity, {})
+        p, q = self.nums, other.nums
+        if not p or not q:
+            return _raw(self.arity, {}, 1)
         origin = (0,) * self.arity
-        if len(other.terms) == 1 and origin in other.terms:
-            return self.scale(other.terms[origin])
-        if len(self.terms) == 1 and origin in self.terms:
-            return other.scale(self.terms[origin])
+        if len(q) == 1 and origin in q:
+            return self._scale(q[origin], other.den)
+        if len(p) == 1 and origin in p:
+            return other._scale(p[origin], self.den)
         # over a field the leading terms multiply: the degrees add exactly
         _check_cap(self.total_degree() + other.total_degree())
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e)
+        nums: dict[tuple[int, ...], int] = {}
+        get = nums.get
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = tuple(map(add, e1, e2))
+                s = get(e)
                 if s is None:
-                    terms[e] = c1 * c2
+                    nums[e] = c1 * c2
                 else:
                     s += c1 * c2
                     if s:
-                        terms[e] = s
+                        nums[e] = s
                     else:
-                        del terms[e]
-        return MultiPoly._raw(self.arity, terms)
+                        del nums[e]
+        return _reduced(self.arity, nums, self.den * other.den)
 
     def scale(self, c) -> "MultiPoly":
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        if c == 1:
+        if type(c) is int:
+            n, d = c, 1
+        else:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            n, d = c.numerator, c.denominator
+        if not n:
+            return _raw(self.arity, {}, 1)
+        return self._scale(n, d)
+
+    def _scale(self, n: int, d: int) -> "MultiPoly":
+        """self * n/d for coprime ints n != 0 and d > 0.
+
+        With gcd(den, numerators) = 1 and gcd(n, d) = 1, the only common
+        factors of the new numerators and d*den are gcd(n, den) and the gcd
+        of d with the numerators.
+        """
+        if n == d or not self.nums:
             return self
-        if c == 0:
-            return MultiPoly.zero(self.arity)
-        return MultiPoly._raw(self.arity, {e: c * v for e, v in self.terms.items()})
+        nums, den = self.nums, self.den
+        g = gcd(n, den)
+        if g != 1:
+            n //= g
+            den //= g
+        if d != 1:
+            g = gcd(d, *nums.values())
+            if g != 1:
+                d //= g
+                nums = {e: c // g for e, c in nums.items()}
+        if n != 1:
+            nums = {e: c * n for e, c in nums.items()}
+        return _raw(self.arity, nums, den * d)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -236,40 +288,52 @@ class MultiPoly:
     def derivative(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.arity:
             raise ArityMismatch(f"variable index {var} out of range")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[var] == 0:
-                continue
-            new = list(e)
-            new[var] -= 1
-            terms[tuple(new)] = c * e[var]
-        return MultiPoly._raw(self.arity, terms)
+        nums: dict[tuple[int, ...], int] = {}
+        for e, c in self.nums.items():
+            k = e[var]
+            if k:
+                new = list(e)
+                new[var] = k - 1
+                nums[tuple(new)] = c * k
+        return _reduced(self.arity, nums, self.den)
 
     def eval_partial(self, assignments: Mapping[int, Fraction]) -> "MultiPoly":
-        """Substitute rational values for some variables (others untouched)."""
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            value = c
+        """Substitute rational values for some variables (others untouched).
+
+        Each value p/q of a variable of degree D is taken as p^k * q^(D-k)
+        over q^D, so every term stays an integer over one denominator.
+        """
+        values = [(var, Fraction(val)) for var, val in assignments.items()]
+        if not self.nums or not values:
+            return self
+        den = self.den
+        tops = {}
+        for var, val in values:
+            tops[var] = top = max(e[var] for e in self.nums)
+            den *= val.denominator**top
+        nums: dict[tuple[int, ...], int] = {}
+        for e, c in self.nums.items():
             new = list(e)
-            for var, val in assignments.items():
-                value *= Fraction(val) ** e[var]
+            for var, val in values:
+                k = e[var]
+                c *= val.numerator**k * val.denominator ** (tops[var] - k)
                 new[var] = 0
-            if value == 0:
+            if not c:
                 continue
             key = tuple(new)
-            s = terms.get(key, Fraction(0)) + value
-            if s == 0:
-                terms.pop(key, None)
+            s = nums.get(key, 0) + c
+            if s:
+                nums[key] = s
             else:
-                terms[key] = s
-        return MultiPoly._raw(self.arity, terms)
+                del nums[key]
+        return _reduced(self.arity, nums, den)
 
     def extend_arity(self, new_arity: int) -> "MultiPoly":
         """Reinterpret in a larger variable set (new variables appended)."""
         if new_arity < self.arity:
             raise ArityMismatch("cannot shrink arity")
         pad = (0,) * (new_arity - self.arity)
-        return MultiPoly._raw(new_arity, {e + pad: c for e, c in self.terms.items()})
+        return _raw(new_arity, {e + pad: c for e, c in self.nums.items()}, self.den)
 
     # -- equality / hashing / printing ---------------------------------
 
@@ -277,22 +341,23 @@ class MultiPoly:
         return (
             isinstance(other, MultiPoly)
             and self.arity == other.arity
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.arity, frozenset(self.terms.items())))
+            h = hash((self.arity, self.den, frozenset(self.nums.items())))
             _set_hash(self, h)
         return h
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order."""
+        """Terms in descending graded-lex order, coefficients as Fractions."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
     def render(self, names: list[str] | None = None) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         names = names or [f"x{i+1}" for i in range(self.arity)]
         pieces = []
@@ -320,8 +385,74 @@ class MultiPoly:
 # once, they cost about half of what object.__setattr__ does per slot.
 _new = object.__new__
 _set_arity = MultiPoly.arity.__set__
-_set_terms = MultiPoly.terms.__set__
+_set_nums = MultiPoly.nums.__set__
+_set_den = MultiPoly.den.__set__
 _set_hash = MultiPoly._hash.__set__
+_raw = MultiPoly._raw
+
+
+def _over_common_den(terms: Mapping[tuple[int, ...], int | Fraction]) -> tuple[dict, int]:
+    """(nums, den) of nonzero int or Fraction coefficients: den is the lcm of their denominators.
+
+    Every prime power of that lcm divides the denominator of some reduced
+    coefficient in full, whose numerator it does not divide, so gcd(den,
+    numerators) = 1 without a gcd.
+    """
+    if not terms:
+        return {}, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _reduced(arity: int, nums: dict[tuple[int, ...], int], den: int) -> MultiPoly:
+    """The polynomial nums/den (den > 0, no zero numerators) with their common factor removed."""
+    if not nums:
+        return _raw(arity, nums, 1)
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
+    return _raw(arity, nums, den)
+
+
+def _sum(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
+    """a + sign*b for sign = 1 or -1, over lcm(a.den, b.den).
+
+    A prime that divides only one of the two denominators cannot cancel, so
+    the result needs a gcd only when gcd(a.den, b.den) != 1.
+    """
+    a._check(b)
+    q = b.nums
+    if not q:
+        return a
+    if not a.nums:
+        return b if sign == 1 else -b
+    da, db = a.den, b.den
+    if da == db:
+        g = da
+        nums = dict(a.nums)
+        m = sign
+    else:
+        g = gcd(da, db)
+        ma = db // g
+        m = da // g * sign
+        da *= ma
+        nums = {e: c * ma for e, c in a.nums.items()}
+    get = nums.get
+    for e, c in q.items():
+        s = get(e)
+        if s is None:
+            nums[e] = c * m
+        else:
+            s += c * m
+            if s:
+                nums[e] = s
+            else:
+                del nums[e]
+    if g == 1 or not nums:
+        return _raw(a.arity, nums, da if nums else 1)
+    return _reduced(a.arity, nums, da)
 
 
 # -- division and gcd ------------------------------------------------------
@@ -331,37 +462,53 @@ def try_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     """Quotient a/b when b divides a exactly, else None.
 
     A constant b scales a by 1/b (a itself when b is 1).  Otherwise greedy
-    leading-term division in graded-lex order: when b | a the leading term of
-    every partial remainder is divisible by the leading term of b, so a
-    failed monomial division certifies non-divisibility.
+    leading-term division in graded-lex order of the numerators of a by the
+    primitive part B of the numerators of b, over the integers.  When B
+    divides the numerators A of a over Q, Gauss's lemma makes the quotient
+    integral, so every partial remainder is an integer multiple of B: its
+    leading monomial is divisible by that of B and its leading coefficient
+    by lc(B).  A monomial that does not divide or a nonzero ``divmod``
+    remainder therefore certifies non-divisibility.  Then a/b = (A/B) *
+    den(b) / (den(a) * content(b)).
     """
     a._check(b)
-    if b.is_zero():
+    bn = b.nums
+    if not bn:
         raise ZeroDivisionInField("division by zero polynomial")
-    if a.is_zero():
-        return MultiPoly.zero(a.arity)
-    if b.is_constant():
-        return a.scale(1 / b.constant_value())
-    lm_b = b.leading_monomial()
-    lc_b = b.terms[lm_b]
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    rem = dict(a.terms)
+    if not a.nums:
+        return _raw(a.arity, {}, 1)
+    origin = (0,) * a.arity
+    if len(bn) == 1 and origin in bn:
+        c = bn[origin]
+        return a._scale(-b.den, -c) if c < 0 else a._scale(b.den, c)
+    content = gcd(*bn.values())
+    if content != 1:
+        bn = {e: c // content for e, c in bn.items()}
+    lm_b = max(bn, key=_grlex_key)
+    lc_b = bn[lm_b]
+    quotient: dict[tuple[int, ...], int] = {}
+    rem = dict(a.nums)
     while rem:
         lm_r = max(rem, key=_grlex_key)
-        exps = tuple(r - s for r, s in zip(lm_r, lm_b))
-        if any(e < 0 for e in exps):
+        exps = tuple(map(sub, lm_r, lm_b))
+        if min(exps) < 0:
             return None
-        c = rem[lm_r] / lc_b
+        c, r = divmod(rem[lm_r], lc_b)
+        if r:
+            return None
         quotient[exps] = c
-        # rem -= c * x^exps * b; its terms stay at or below lm_r
-        for e, v in b.terms.items():
-            key = tuple(x + y for x, y in zip(exps, e))
+        # rem -= c * x^exps * B; its terms stay at or below lm_r
+        for e, v in bn.items():
+            key = tuple(map(add, exps, e))
             s = rem.get(key, 0) - c * v
             if s:
                 rem[key] = s
             else:
-                rem.pop(key, None)
-    return MultiPoly._raw(a.arity, quotient)
+                del rem[key]
+    if b.den != 1:
+        n = b.den
+        quotient = {e: c * n for e, c in quotient.items()}
+    return _reduced(a.arity, quotient, a.den * content)
 
 
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -372,34 +519,54 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def monic_grlex(p: MultiPoly) -> MultiPoly:
-    """Scale so the graded-lex leading coefficient is 1."""
-    if p.is_zero():
+    """Scale so the graded-lex leading coefficient is 1.
+
+    p/lc(p) is the numerators over their leading one, so it is the
+    numerators divided by their content, over the leading one, signed.
+    """
+    nums = p.nums
+    if not nums:
         return p
-    return p.scale(1 / p.leading_coefficient())
+    lc = nums[max(nums, key=_grlex_key)]
+    if lc == 1 and p.den == 1:
+        return p
+    g = gcd(*nums.values())
+    if lc < 0:
+        g = -g
+    if g != 1:
+        nums = {e: c // g for e, c in nums.items()}
+    return _raw(p.arity, nums, lc // g)
 
 
 def _coeffs_in_var(p: MultiPoly, var: int) -> dict[int, MultiPoly]:
     """View p as univariate in var with MultiPoly coefficients."""
-    out: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for e, c in p.terms.items():
+    out: dict[int, dict[tuple[int, ...], int]] = {}
+    for e, c in p.nums.items():
         d = e[var]
         rest = list(e)
         rest[var] = 0
         out.setdefault(d, {})[tuple(rest)] = c
-    return {d: MultiPoly._raw(p.arity, t) for d, t in out.items()}
+    den = p.den
+    return {d: _reduced(p.arity, t, den) for d, t in out.items()}
 
 
 def _from_coeffs_in_var(coeffs: dict[int, MultiPoly], var: int, arity: int) -> MultiPoly:
-    """Inverse of _coeffs_in_var; the coefficients must be free of var."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    """Inverse of _coeffs_in_var; the coefficients must be free of var.
+
+    The coefficients go over the lcm of their denominators.  Their terms do
+    not overlap, so, as in ``_over_common_den``, no gcd is needed.
+    """
+    den = lcm(*(poly.den for poly in coeffs.values()))
+    nums: dict[tuple[int, ...], int] = {}
     for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
+        m = den // poly.den
+        for e, c in poly.nums.items():
             new = list(e)
             new[var] += d
-            terms[tuple(new)] = c
-    if terms:
-        _check_cap(max(map(sum, terms)))
-    return MultiPoly._raw(arity, terms)
+            nums[tuple(new)] = c * m
+    if nums:
+        _check_cap(max(map(sum, nums)))
+    return _raw(arity, nums, den)
 
 
 class _UniView:
@@ -534,22 +701,22 @@ def _gcd(a: MultiPoly, b: MultiPoly, cofactors: bool):
             return g
         lc = MultiPoly.constant(arity, a.leading_coefficient())
         return g, lc, lc
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        mono, other = (a, b) if len(a.terms) == 1 else (b, a)
-        f = next(iter(mono.terms))
-        for e in other.terms:
+    if len(a.nums) == 1 or len(b.nums) == 1:
+        mono, other = (a, b) if len(a.nums) == 1 else (b, a)
+        f = next(iter(mono.nums))
+        for e in other.nums:
             f = tuple(map(min, f, e))
-        g = MultiPoly._raw(arity, {f: _ONE})
+        g = _raw(arity, {f: 1}, 1)
         return (g, _shift_down(a, f), _shift_down(b, f)) if cofactors else g
     a_low = a.total_degree() <= b.total_degree()
     s, t = (a, b) if a_low else (b, a)
     if all(s.degree_in(v) <= t.degree_in(v) for v in range(arity)):
         q = try_exact_div(t, s)
         if q is not None:
-            lc = s.leading_coefficient()
-            g = s.scale(1 / lc)
+            g = monic_grlex(s)
             if not cofactors:
                 return g
+            lc = s.leading_coefficient()
             cs, ct = MultiPoly.constant(arity, lc), q.scale(lc)
             return (g, cs, ct) if a_low else (g, ct, cs)
     if s.total_degree() == 1:
@@ -585,9 +752,7 @@ def _gcd(a: MultiPoly, b: MultiPoly, cofactors: bool):
 
 def _shift_down(p: MultiPoly, f: tuple[int, ...]) -> MultiPoly:
     """p / x^f for a monomial x^f that divides every term of p."""
-    return MultiPoly._raw(
-        p.arity, {tuple(x - y for x, y in zip(e, f)): c for e, c in p.terms.items()}
-    )
+    return _raw(p.arity, {tuple(map(sub, e, f)): c for e, c in p.nums.items()}, p.den)
 
 
 def _next_scale(g: MultiPoly, h: MultiPoly, delta: int) -> MultiPoly:
@@ -647,4 +812,3 @@ def resultant_in_var(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     final = exact_div(rem.lc(), g * h**delta)
     h = _next_scale(last.lc(), h, delta)
     return exact_div(final**d, h ** (d - 1)).scale(sign)
-

@@ -224,9 +224,9 @@ class RatFunc:
             return self.num.render(names)
         num = self.num.render(names)
         den = self.den.render(names)
-        if len(self.num.terms) > 1:
+        if len(self.num.nums) > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1 or "*" in den:
+        if len(self.den.nums) > 1 or "*" in den:
             den = f"({den})"
         return f"{num}/{den}"
 

@@ -34,6 +34,7 @@ from .multipoly import (
     _check_cap,
     _coeffs_in_var,
     _from_coeffs_in_var,
+    _over_common_den,
     exact_div,
     gcd_cofactors,
     resultant_in_var,
@@ -104,11 +105,11 @@ class UniPoly:
     @staticmethod
     def of_poly(p: MultiPoly, main_var: int) -> "UniPoly":
         """p in main_var: over Q when p involves no other variable, else over K."""
-        terms = p.terms
-        if all(sum(e) == e[main_var] for e in terms):
-            coeffs = [_ZERO] * (max((e[main_var] for e in terms), default=-1) + 1)
-            for e, c in terms.items():
-                coeffs[e[main_var]] = c
+        nums, den = p.nums, p.den
+        if all(sum(e) == e[main_var] for e in nums):
+            coeffs = [_ZERO] * (max((e[main_var] for e in nums), default=-1) + 1)
+            for e, c in nums.items():
+                coeffs[e[main_var]] = Fraction(c, den)
             return UniPoly._raw(main_var, p.arity, coeffs, _ZERO)
         by_deg = _coeffs_in_var(p, main_var)
         zero = MultiPoly.zero(p.arity)
@@ -243,7 +244,7 @@ class UniPoly:
                     e[mv] = i
                     terms[tuple(e)] = c
             _check_cap(len(self.coeffs) - 1)
-            return RatFunc._raw(MultiPoly._raw(ar, terms), MultiPoly.one(ar))
+            return RatFunc._raw(MultiPoly._raw(ar, *_over_common_den(terms)), MultiPoly.one(ar))
         lcm = MultiPoly.one(ar)
         for c in self.coeffs:
             if not c.den.is_constant():

@@ -25,3 +25,24 @@ def test_every_traced_name_resolves():
         modname, cls_name = path.rsplit(".", 1)
         cls = getattr(importlib.import_module(modname), cls_name)
         assert method in vars(cls), (path, method)
+
+
+def test_tracer_reads_coefficient_size_from_polynomials():
+    """_coeff_bits and the gcd growth hook read bits, terms and degree through p.terms."""
+    from fractions import Fraction
+
+    from lvk.multipoly import MultiPoly
+
+    spans = load_spans()
+    a = MultiPoly(2, {(2, 0): Fraction(3, 1024)})  # 1024 = 2^10 has bit length 11
+    b = MultiPoly(2, {(1, 0): Fraction(5, 3), (0, 3): 1000, (0, 0): -1})
+    assert spans._coeff_bits(a) == 11
+    assert spans._coeff_bits(b) == 10  # 1000 < 2^10
+    assert spans._coeff_bits(MultiPoly(2, {(1, 1): Fraction(-(2**70), 7)})) == 71
+    assert spans._coeff_bits(MultiPoly.zero(2)) == 0
+    tracer = spans.Tracer()
+    hook = tracer._hook("gcd", "lvk.multipoly")
+    hook((a, b), MultiPoly.one(2))
+    assert tracer.growth["multipoly.gcd_multivar.deg_max"] == 3
+    assert tracer.growth["multipoly.gcd_multivar.terms_max"] == 3
+    assert tracer.growth["multipoly.gcd_multivar.coeff_bits_max"] == 11
