@@ -116,7 +116,7 @@ class MultiPoly:
 
     @staticmethod
     def _raw(arity: int, nums: dict[tuple[int, ...], int], den: int) -> "MultiPoly":
-        """Adopt numerators over den as they are: the invariant holds and degrees are within the cap."""
+        """Adopt nums over den as they are: the invariant holds and degrees are within the cap."""
         p = _new(MultiPoly)
         _set_arity(p, arity)
         _set_nums(p, nums)
