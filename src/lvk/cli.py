@@ -1,10 +1,15 @@
-"""Command-line surface: parse inputs, dispatch analyses, emit certificates.
+"""Command-line surface: load inputs, dispatch analyses, emit certificates.
+
+Input text is read here and parsed in `lvk.parsing`, which owns every
+format: system files, form files, expressions, and the variable lists of
+--vars and --var-order.
 
 Every command produces an AnalysisReport: command name, system name, status,
 a result payload, and a list of (identity, residual, isZero) certificates.
 JSON output is byte-stable for identical input (canonical term order plus
-sorted keys).  Exit codes: 0 ok, 2 parse error, 3 verification/solution
-failure, 4 algebraic-extension unavailability, 5 non-closed form.
+sorted keys).  Exit codes: 0 ok, 2 parse error or unreadable input, 3
+verification or solution failure, 4 algebraic-extension unavailability,
+5 non-closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +39,14 @@ from .errors import (
 )
 from .forms import OneForm, is_closed
 from .integrator import differentiate, integrate_closed, to_darboux
-from .parsing import parse_darboux, parse_poly, parse_ratfunc
+from .parsing import (
+    parse_components,
+    parse_darboux,
+    parse_form,
+    parse_poly,
+    parse_ratfunc,
+    parse_variables,
+)
 from .pipeline import (
     ClosedFormUnavailable,
     first_integral_2d,
@@ -73,8 +85,11 @@ def _report(command: str, system_name: str, status: str, result: dict, certs: li
     }
 
 
-def _status_from(certs: list) -> str:
-    return "ok" if all(c["isZero"] for c in certs) else "failed"
+def _certified(command: str, system_name: str, result: dict, certs: list) -> tuple[dict, int]:
+    """The report whose status, and exit code, follow from its certificates."""
+    ok = all(c["isZero"] for c in certs)
+    report = _report(command, system_name, "ok" if ok else "failed", result, certs)
+    return report, EXIT_OK if ok else EXIT_VERIFY
 
 
 def _dump_human(value, indent: int, out: list) -> None:
@@ -119,12 +134,12 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load_system(args):
@@ -135,62 +150,31 @@ def _load_system(args):
     return X, name
 
 
-def _parse_var_order(text: str | None, names) -> list[int] | None:
+def _parse_var_order(text: str | None, names: list[str]) -> list[int] | None:
     if text is None:
         return None
-    wanted = [s.strip() for s in text.split(",") if s.strip()]
+    wanted = parse_variables(text)
     if sorted(wanted) != sorted(names):
         raise ParseError(
             f"--var-order must be a permutation of {', '.join(names)}"
         )
-    return [list(names).index(w) for w in wanted]
-
-
-def _split_components(text: str) -> list[str]:
-    """Split on commas outside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    return [names.index(w) for w in wanted]
 
 
 def _load_form(args) -> tuple[OneForm, list[str], str]:
     if args.form:
-        text = _read_text(args.form)
-        lines = [
-            ln.split("#", 1)[0].strip()
-            for ln in text.splitlines()
-        ]
-        lines = [ln for ln in lines if ln]
-        if not lines or not lines[0].startswith("vars"):
-            raise ParseError("form file must start with a 'vars' line")
-        names = [s.strip() for s in lines[0][len("vars"):].split(",") if s.strip()]
-        exprs = _split_components(",".join(lines[1:]))
+        names, comps = parse_form(_read_text(args.form))
         name = Path(args.form).stem
     else:
         if not args.vars:
             raise ParseError("--vars is required with inline components")
-        names = [s.strip() for s in args.vars.split(",") if s.strip()]
-        exprs = []
-        for chunk in args.component or []:
-            exprs.extend(_split_components(chunk))
+        names = parse_variables(args.vars)
+        comps = [c for chunk in args.component or [] for c in parse_components(chunk, names)]
         name = "inline"
-    if not names or len(set(names)) != len(names):
-        raise ParseError("malformed variable list")
-    if len(exprs) != len(names):
+    if len(comps) != len(names):
         raise ParseError(
-            f"{len(names)} variables but {len(exprs)} form components"
+            f"{len(names)} variables but {len(comps)} form components"
         )
-    comps = [parse_ratfunc(e, names) for e in exprs]
     return OneForm(comps), names, name
 
 
@@ -223,15 +207,10 @@ def cmd_verify(args) -> tuple[dict, int]:
     result: dict = {}
     if kind == "darboux_poly":
         f = parse_poly(args.darboux_poly, names)
-        lie = X.lie_derivative(f)
-        quotient = RatFunc(lie) / RatFunc(f)
         k = cofactor_of(X, f)
-        if k is not None:
-            result = {"object": f.render(names), "cofactor": k.render(names)}
-            certs.append(_certificate("invariance", None, names))
-        else:
-            result = {"object": f.render(names), "cofactor": None}
-            certs.append(_certificate("invariance", quotient, names))
+        result = {"object": f.render(names), "cofactor": None if k is None else k.render(names)}
+        residual = RatFunc(X.lie_derivative(f)) / RatFunc(f) if k is None else None
+        certs.append(_certificate("invariance", residual, names))
     elif kind == "exp_factor":
         arg = parse_ratfunc(args.exp_factor, names)
         outcome = _verify_exp(X, arg.num, arg.den)
@@ -262,9 +241,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         )
         result = {"object": D.render(names)}
         certs.append(_certificate(label, check.residual, names))
-    status = _status_from(certs)
-    report = _report("verify", name, status, result, certs)
-    return report, EXIT_OK if status == "ok" else EXIT_VERIFY
+    return _certified("verify", name, result, certs)
 
 
 def cmd_synthesize(args) -> tuple[dict, int]:
@@ -301,9 +278,7 @@ def cmd_synthesize(args) -> tuple[dict, int]:
         "representative": rendered[0],
         "solutions": rendered,
     }
-    status = _status_from(certs)
-    report = _report("synthesize", name, status, result, certs)
-    return report, EXIT_OK if status == "ok" else EXIT_VERIFY
+    return _certified("synthesize", name, result, certs)
 
 
 def cmd_integrate_form(args) -> tuple[dict, int]:
@@ -352,9 +327,7 @@ def cmd_integrate_form(args) -> tuple[dict, int]:
         "logGroups": [_group_payload(g, s, names) for g, s in result.log_groups],
         "darboux": to_darboux(result).render(names),
     }
-    status = _status_from(certs)
-    report = _report("integrate-form", name, status, payload, certs)
-    return report, EXIT_OK if status == "ok" else EXIT_VERIFY
+    return _certified("integrate-form", name, payload, certs)
 
 
 def _pipeline_theorem2(args, X, name) -> tuple[dict, int]:
@@ -379,9 +352,7 @@ def _pipeline_theorem2(args, X, name) -> tuple[dict, int]:
         "multiplier": d.result.render(names),
         "warnings": list(d.warnings),
     }
-    status = _status_from(certs)
-    report = _report("pipeline", name, status, payload, certs)
-    return report, EXIT_OK if status == "ok" else EXIT_VERIFY
+    return _certified("pipeline", name, payload, certs)
 
 
 def _pipeline_theorem1(args, X, name) -> tuple[dict, int]:
@@ -423,9 +394,7 @@ def _pipeline_theorem1(args, X, name) -> tuple[dict, int]:
         certs.append(
             _certificate("first-integral-residual", X.lie_derivative_log(grad), names)
         )
-    status = _status_from(certs)
-    report = _report("pipeline", name, status, payload, certs)
-    return report, EXIT_OK if status == "ok" else EXIT_VERIFY
+    return _certified("pipeline", name, payload, certs)
 
 
 def cmd_pipeline(args) -> tuple[dict, int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .errors import ParseError
 from .forms import OneForm
 from .multipoly import MultiPoly
-from .parsing import parse_poly, tokenize
+from .parsing import parse_equations
 from .ratfunc import RatFunc
 
 
@@ -108,57 +108,4 @@ class PolyVectorField:
 
 def parse_system(text: str) -> PolyVectorField:
     """Parse the system grammar: a `vars` line then one `d<var> = expr` line each."""
-    lines = []
-    current: list = []
-    for tok in tokenize(text):
-        if tok.kind in ("newline", "end"):
-            if current:
-                lines.append(current)
-            current = []
-        else:
-            current.append(tok)
-    if not lines:
-        raise ParseError("empty system description")
-    header = lines[0]
-    if not (header[0].kind == "ident" and header[0].text == "vars"):
-        raise ParseError(
-            "system must start with a 'vars' line", header[0].line, header[0].column
-        )
-    names = []
-    expect_name = True
-    for tok in header[1:]:
-        if expect_name:
-            if tok.kind != "ident":
-                raise ParseError("expected variable name", tok.line, tok.column)
-            if tok.text in names:
-                raise ParseError(f"duplicate variable {tok.text!r}", tok.line, tok.column)
-            names.append(tok.text)
-            expect_name = False
-        else:
-            if tok.kind != "op" or tok.text != ",":
-                raise ParseError("expected ','", tok.line, tok.column)
-            expect_name = True
-    if not names or expect_name:
-        raise ParseError("malformed vars line", header[0].line, header[0].column)
-    components: dict[str, MultiPoly] = {}
-    for line in lines[1:]:
-        head = line[0]
-        if head.kind != "ident" or not head.text.startswith("d"):
-            raise ParseError("expected a d<var> = ... line", head.line, head.column)
-        var = head.text[1:]
-        if var not in names:
-            raise ParseError(f"unknown variable {var!r}", head.line, head.column)
-        if var in components:
-            raise ParseError(f"duplicate equation for {var!r}", head.line, head.column)
-        if len(line) < 2 or line[1].kind != "op" or line[1].text != "=":
-            raise ParseError("expected '='", head.line, head.column)
-        rhs_tokens = line[2:]
-        if not rhs_tokens:
-            raise ParseError("empty right-hand side", head.line, head.column)
-        # re-render the token span for the expression parser
-        expr = " ".join(t.text for t in rhs_tokens)
-        components[var] = parse_poly(expr, names)
-    missing = [n for n in names if n not in components]
-    if missing:
-        raise ParseError(f"missing equation for {', '.join(missing)}")
-    return PolyVectorField(names, [components[n] for n in names])
+    return PolyVectorField(*parse_equations(text))

@@ -54,6 +54,62 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--system", "--form"])
+def test_unreadable_input_is_a_parse_error_exit_2(capsys, tmp_path, flag):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"vars x\n\xff\n")
+    command = ["verify", "--multiplier", "1"] if flag == "--system" else ["integrate-form"]
+    for path in (tmp_path, binary):
+        code, out, err = run(capsys, *command, flag, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: cannot read {path}: ")
+
+
+def test_var_order_with_a_repeated_name_exit_2(capsys, lotka):
+    argv = ["pipeline", "--system", lotka, "--mode", "theorem2", "--integral", "x*y"]
+    code, _, err = run(capsys, *argv, "--var-order", "x,x")
+    assert code == 2
+    assert err.startswith("parse error: duplicate variable 'x'")
+
+
+# every class of malformed input: (command line, file contents by name)
+MALFORMED = [
+    (["verify", "--system", "{dir}", "--multiplier", "1"], {}),
+    (["verify", "--system", "{dir}/bin", "--multiplier", "1"], {"bin": b"\xff"}),
+    (["integrate-form", "--form", "{dir}"], {}),
+    (["integrate-form", "--form", "{dir}/bin"], {"bin": b"vars x\n\xff"}),
+    (["verify", "--system", "{dir}/s", "--multiplier", "1"], {"s": b"vars x\ndx = x +\n"}),
+    (["integrate-form", "--form", "{dir}/f"], {"f": b"vars x, y\ny,\nx + * y\n"}),
+    (["integrate-form", "--vars", "x,y", "--component", "y, x + * y"], {}),
+    (["integrate-form", "--vars", "x,,y", "--component", "y, x"], {}),
+    (["integrate-form", "--vars", "x,1y", "--component", "y, x"], {}),
+    (["integrate-form", "--vars", "x,y", "--component", "y, x", "--var-order", "y,y"], {}),
+    (["verify", "--system", "{dir}/s", "--multiplier", "2^(1/2)"], {"s": b"vars x\ndx = x\n"}),
+    (["verify", "--system", "{dir}/s", "--multiplier", "exp(x)/0"], {"s": b"vars x\ndx = x\n"}),
+    (["verify", "--system", "{dir}/s", "--first-integral", "0"], {"s": b"vars x\ndx = x\n"}),
+    (["verify", "--system", "{dir}/s", "--first-integral", "2*²"], {"s": b"vars x\ndx = x\n"}),
+    (["verify", "--system", "{dir}/s", "--multiplier", "x/0^-1"], {"s": b"vars x\ndx = x\n"}),
+]
+
+
+def test_malformed_input_exits_2_with_one_line_and_no_traceback(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "LVK_MAX_DEGREE"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    for i, (argv, files) in enumerate(MALFORMED):
+        case = tmp_path / str(i)
+        case.mkdir()
+        for name, data in files.items():
+            (case / name).write_bytes(data)
+        argv = [a.replace("{dir}", str(case)) for a in argv]
+        out = subprocess.run(
+            [sys.executable, "-m", "lvk.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 2, (argv, out.stderr)
+        assert out.stderr.startswith("parse error: "), (argv, out.stderr)
+        assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr, argv
+
+
 def test_not_closed_exit_5(capsys):
     code, out, _ = run(
         capsys, "integrate-form", "--vars", "x,y", "--component", "y", "--component", "0"
@@ -186,6 +242,25 @@ def test_var_order_flag(capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["lastVariable"] == "y"
+
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+@pytest.mark.parametrize(
+    "flag,expr,outcome,code",
+    [
+        ("--darboux-poly", "x", "ok", 0),
+        ("--darboux-poly", "x+1", "failed", 3),
+        ("--exp-factor", "x+y", "ok", 0),
+        ("--exp-factor", "1/(x+1)", "failed", 3),
+    ],
+)
+def test_verify_darboux_poly_and_exp_factor_goldens(capsys, flag, expr, outcome, code):
+    argv = ["verify", "--system", str(CATALOG / "lotka2.system"), flag, expr, "--json"]
+    got = run(capsys, *argv)
+    golden = (GOLDENS / f"lotka2-{flag[2:]}-{outcome}.json").read_text()
+    assert got == (code, golden, "")
 
 
 def test_json_and_human_agree(capsys, lotka):

@@ -5,7 +5,14 @@ import pytest
 
 from lvk.errors import ParseError
 from lvk.forms import OneForm
-from lvk.parsing import parse_darboux, parse_poly, parse_ratfunc
+from lvk.parsing import (
+    parse_components,
+    parse_darboux,
+    parse_form,
+    parse_poly,
+    parse_ratfunc,
+    parse_variables,
+)
 from lvk.ratfunc import RatFunc
 from lvk.vectorfield import PolyVectorField, parse_system
 
@@ -64,6 +71,29 @@ def test_darboux_exp_and_products():
 def test_darboux_rejects_sums_of_transcendentals():
     with pytest.raises(ParseError):
         parse_darboux("exp(x) + y", NAMES)
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("2^(1/2)", 2),  # fractional power of the constant 2
+        ("(2*x)^(1/2)", 6),  # of the constant factor 2 of 2*x
+        ("exp(x)/0", 7),
+        ("0^(1/2)", 2),
+        ("0", 1),  # zero is not a Darboux function
+        ("0^-1", 2),
+        ("x*²", 3),  # a digit that is not a decimal digit
+    ],
+)
+def test_darboux_input_errors_are_parse_errors_at_their_position(text, column):
+    with pytest.raises(ParseError) as e:
+        parse_darboux(text, NAMES)
+    assert (e.value.line, e.value.column) == (1, column)
+
+
+def test_negative_power_of_zero_is_a_division_by_zero():
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_ratfunc("x + 0^-2", NAMES)
 
 
 # -- vector fields ------------------------------------------------------------------
@@ -127,3 +157,59 @@ def test_permuted_variables():
     Y = X.permuted([1, 0])
     assert Y.var_names == ("y", "x")
     assert Y.render() == "vars y, x\ndy = -x\ndx = y\n"
+
+
+# -- input formats --------------------------------------------------------------------
+
+
+def test_system_error_reports_its_position_in_the_file():
+    with pytest.raises(ParseError) as e:
+        parse_system("vars x, y\ndx = x\ndy = x +  * y\n")
+    assert (e.value.line, e.value.column) == (3, 11)
+    assert str(e.value).endswith("(line 3, column 11)")
+
+
+def test_form_error_reports_its_position_in_the_file():
+    with pytest.raises(ParseError) as e:
+        parse_form("vars x, y  # the header\n1/x + y,\nx + * y\n")
+    assert (e.value.line, e.value.column) == (3, 5)
+
+
+def test_inline_component_error_reports_its_position_in_the_argument():
+    with pytest.raises(ParseError) as e:
+        parse_components("y, (x + y) * /x", NAMES)
+    assert (e.value.line, e.value.column) == (1, 14)
+
+
+def test_form_components_split_at_top_level_commas_and_line_ends():
+    names, comps = parse_form("# comment\nvars x, y\n\n1/(x*y), # first\n(x + y)^2\n")
+    assert names == ["x", "y"]
+    assert comps == [parse_ratfunc("1/(x*y)", NAMES), parse_ratfunc("(x + y)^2", NAMES)]
+    assert parse_components("1/(x*y), (x + y)^2", NAMES) == comps
+    with pytest.raises(ParseError):
+        parse_form("vars x, y\nx^2/(x,\ny)\n")  # a line end closes the component
+
+
+def test_variable_lists():
+    assert parse_variables(" x , y_1,z2 ") == ["x", "y_1", "z2"]
+    assert parse_form("vars x, y\n1, 1\n")[0] == ["x", "y"]
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda v: parse_system(f"{v}\ndx = x\ndy = y\n"),
+        lambda v: parse_form(f"{v}\nx, y\n"),
+    ],
+    ids=["system", "form"],
+)
+@pytest.mark.parametrize("header", ["varsx, y", "vars x y", "vars x, x", "vars x,", "vars"])
+def test_vars_line_rejections(parse, header):
+    with pytest.raises(ParseError):
+        parse(header)
+
+
+@pytest.mark.parametrize("text", ["x,,y", "x,1y", "x y", "x, y,", ",x", "", "x, x"])
+def test_variable_list_rejections(text):
+    with pytest.raises(ParseError):
+        parse_variables(text)
