@@ -167,6 +167,9 @@ def test_system_error_reports_its_position_in_the_file():
         parse_system("vars x, y\ndx = x\ndy = x +  * y\n")
     assert (e.value.line, e.value.column) == (3, 11)
     assert str(e.value).endswith("(line 3, column 11)")
+    with pytest.raises(ParseError) as e:
+        parse_system("vars x, y\ndx = x -\ndy = y\n")  # the expression ends at its line end
+    assert (e.value.line, e.value.column) == (2, 9)
 
 
 def test_form_error_reports_its_position_in_the_file():
