@@ -208,9 +208,9 @@ def cmd_verify(args) -> tuple[dict, int]:
     if kind == "darboux_poly":
         f = parse_poly(args.darboux_poly, names)
         k = cofactor_of(X, f)
-        result = {"object": f.render(names), "cofactor": None if k is None else k.render(names)}
-        residual = RatFunc(X.lie_derivative(f)) / RatFunc(f) if k is None else None
-        certs.append(_certificate("invariance", residual, names))
+        rejected = isinstance(k, Reject)
+        result = {"object": f.render(names), "cofactor": None if rejected else k.render(names)}
+        certs.append(_certificate("invariance", k.residual if rejected else None, names))
     elif kind == "exp_factor":
         arg = parse_ratfunc(args.exp_factor, names)
         outcome = _verify_exp(X, arg.num, arg.den)

@@ -191,14 +191,15 @@ class DarbouxFunction:
 # -- verification ------------------------------------------------------------
 
 
-def cofactor_of(X, f: MultiPoly) -> Cofactor | None:
-    """Cofactor k with X(f) = k*f, or None when f is not a Darboux polynomial."""
+def cofactor_of(X, f: MultiPoly) -> Cofactor | Reject:
+    """Cofactor k with X(f) = k*f, or Reject with residual X(f)/f when f is not
+    a Darboux polynomial."""
     if f.is_zero() or f.is_constant():
         raise VerificationError("Darboux polynomial candidates must be nonconstant")
     lie = X.lie_derivative(f)
     q = try_exact_div(lie, f)
     if q is None:
-        return None
+        return Reject("f does not divide X(f)", residual=RatFunc(lie) / RatFunc(f))
     deg = q.total_degree()
     if deg is not MINUS_INFINITY and deg > X.degree - 1:
         raise VerificationError(f"cofactor degree {deg} exceeds m-1 = {X.degree - 1}")
@@ -328,7 +329,7 @@ def synthesize(X, darboux_polys, exp_factors, target: str) -> list[DarbouxFuncti
     cofactors = []
     for f in darboux_polys:
         k = cofactor_of(X, f)
-        if k is None:
+        if isinstance(k, Reject):
             raise VerificationError(f"{f.render(X.var_names)} is not a Darboux polynomial")
         cofactors.append(k.poly)
     verified_exp = []

@@ -10,9 +10,15 @@ logarithmic part is c*log(den).  Otherwise a rational residue c gets its
 argument from one monic gcd at t = c, over the level's coefficient field: Q
 when the level involves only its main variable, else the field K of the
 other variables.  Only a factor of m without rational roots goes to the D5
-gcd, which works modulo m and splits m dynamically when a zero divisor shows
-up.  The trace of t * d(arg)/arg over the roots of m is one d x d linear
-solve in K[t]/(m) plus Newton power sums.
+gcd (Della Dora, Dicrescenzo and Duval), which works modulo m over the same
+field and splits m dynamically when a zero divisor shows up.  The trace of
+t * d(arg)/arg over the roots of m is one d x d linear solve in K[t]/(m) plus
+Newton power sums.
+
+Every polynomial in t is a ``UniPoly`` in variable ``arity`` of ``arity + 1``,
+the slot the resultant gives t: the factors of R(t) over Q, and the elements
+of F[t]/(m) over the level's field F, with K's elements as RatFuncs of
+``arity + 1`` that do not involve t.
 """
 
 from __future__ import annotations
@@ -25,45 +31,27 @@ from .errors import LvkError, NonConstantResidue, ZeroDivisionInField
 from .linalg import rref
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
-from .unipoly import UniPoly, coeff_inverse, dense_divmod, gcd_uni, resultant, squarefree_yun
+from .unipoly import (
+    UniPoly,
+    coeff_inverse,
+    half_extended_gcd_uni,
+    gcd_uni,
+    resultant,
+    squarefree_yun,
+)
 
 
 class SplitRequired(LvkError):
     """A zero divisor mod m(t) was hit; m factors as g * (m/g)."""
 
-    def __init__(self, factor: list[Fraction]):
+    def __init__(self, factor: UniPoly):
         self.factor = factor
         super().__init__("modulus must be split")
 
 
-# -- rational univariate helpers (polynomials in t over Q, dense ascending) --
-
-
-def qpoly_trim(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def qpoly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    b = qpoly_trim(b)
-    if not b:
-        raise ZeroDivisionInField("division by zero polynomial in t")
-    return dense_divmod(qpoly_trim(a), b, Fraction(0))
-
-
-def qpoly_monic(p: list[Fraction]) -> list[Fraction]:
-    p = qpoly_trim(p)
-    if not p:
-        return p
-    lc = p[-1]
-    return [c / lc for c in p]
-
-
 def qpoly_render(p: list[Fraction], symbol: str = "t") -> str:
     """Render with denominators cleared to integers, descending powers."""
-    p = qpoly_trim(p)
+    p = UniPoly(0, 1, p).coeffs
     if not p:
         return "0"
     mult = 1
@@ -90,7 +78,6 @@ def qpoly_render(p: list[Fraction], symbol: str = "t") -> str:
 
 def power_sums(m: list[Fraction], count: int) -> list[Fraction]:
     """Newton power sums p_0..p_{count-1} of the roots of monic m."""
-    m = qpoly_trim(m)
     d = len(m) - 1
     a = m  # a[i] is the coefficient of t^i, a[d] == 1
     sums = [Fraction(d)]
@@ -109,166 +96,93 @@ def power_sums(m: list[Fraction], count: int) -> list[Fraction]:
 
 def trace_of_algebraic(p: list[Fraction], m: list[Fraction]) -> Fraction:
     """Exact sum of p(t) over all roots of squarefree monic m."""
-    m = qpoly_monic(m)
-    _, p = qpoly_divmod(qpoly_trim([Fraction(c) for c in p]), m)
-    sums = power_sums(m, len(m) - 1)
-    return sum((c * sums[i] for i, c in enumerate(p)), Fraction(0))
+    m = UniPoly(0, 1, m).monic()
+    p = UniPoly(0, 1, p) % m
+    sums = power_sums(m.coeffs, m.degree())
+    return sum((c * sums[i] for i, c in enumerate(p.coeffs)), Fraction(0))
 
 
-# -- arithmetic in K[t]/(m) with K a RatFunc field --------------------------
+# -- the D5 gcd in (F[t]/(m))[x] ------------------------------------------------
 #
-# elements are dense lists of RatFunc indexed by the power of t
+# An element of F[t]/(m) is a UniPoly in t reduced mod m, over the level's
+# field F; m has rational coefficients, and d5_gcd lifts it into F once.  A
+# polynomial in the main variable x is a dense list of such elements, indexed
+# by the power of x.
 
 
-def tp_trim(a: list[RatFunc]) -> list[RatFunc]:
-    a = list(a)
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def tp_is_zero(a: list[RatFunc]) -> bool:
-    return not tp_trim(a)
-
-
-def tp_reduce(a: list[RatFunc], m: list[Fraction], arity: int) -> list[RatFunc]:
-    a = tp_trim(a)
-    d = len(m) - 1
-    while len(a) > d:
-        lead = a.pop()
-        k = len(a) - d
-        for i in range(d):
-            a[k + i] = a[k + i] - lead.scale(m[i])
-        a = tp_trim(a)
-    return a
-
-def tp_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else None
-        y = b[i] if i < len(b) else None
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(x + y)
-    return tp_trim(out)
-
-
-def tp_neg(a):
-    return [-x for x in a]
-
-
-def tp_mul(a, b, m, arity):
-    a, b = tp_trim(a), tp_trim(b)
-    if not a or not b:
-        return []
-    out = [RatFunc.zero(arity)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return tp_reduce(out, m, arity)
-
-
-def _coerce_rational_tpoly(g: list[RatFunc]) -> list[Fraction]:
-    out = []
-    for c in g:
-        if not c.is_constant():
-            raise NonConstantResidue(
-                "a divisor of the residue minimal polynomial has non-constant "
-                f"coefficient {c.render()}"
-            )
-        out.append(c.constant_value())
-    return out
-
-
-def tp_inv(a: list[RatFunc], m: list[Fraction], arity: int) -> list[RatFunc]:
+def tp_inv(a: UniPoly, m: UniPoly) -> UniPoly:
     """Inverse of a mod m; raises SplitRequired on a proper zero divisor.
 
-    One extended Euclid over K[t]: the final remainder is gcd(a, m), and a
-    nonconstant gcd is the factor m must be split by.
+    One half-extended Euclid over F[t]: g = gcd(a, m) is 1 for a unit, and a
+    g of positive degree is the factor m must be split by.
     """
-    a = tp_reduce(a, m, arity)
-    if not a:
+    a = a % m
+    if a.is_zero():
         raise ZeroDivisionInField("inverse of zero mod m")
-    r0, r1 = [RatFunc.constant(arity, c) for c in m], a
-    t0, t1 = [], [RatFunc.one(arity)]
-    zero = RatFunc.zero(arity)
-    while r1:
-        q, r = dense_divmod(r0, r1, zero)
-        r0, r1 = r1, r
-        t0, t1 = t1, tp_add(t0, tp_neg(tp_mul(q, t1, m, arity)))
-    inv = r0[-1].inverse()
-    if len(r0) > 1:
-        factor = qpoly_monic(_coerce_rational_tpoly([c * inv for c in r0]))
-        if len(factor) == len(m):
-            raise ZeroDivisionInField("element is zero mod m")
-        raise SplitRequired(factor)
-    return tp_reduce([x * inv for x in t0], m, arity)
+    g, inv = half_extended_gcd_uni(a, m)
+    if g.degree() > 0:
+        if not g.over_q:
+            for c in g.coeffs:
+                if not c.is_constant():
+                    raise NonConstantResidue(
+                        "a divisor of the residue minimal polynomial has non-constant "
+                        f"coefficient {c.render()}"
+                    )
+            g = UniPoly(g.main_var, g.arity, [c.constant_value() for c in g.coeffs])
+        raise SplitRequired(g)
+    return inv
 
 
-# -- polynomials in the main variable with coefficients in K[t]/(m) ----------
-#
-# represented as dense lists (by power of the main variable) of t-element lists
-
-
-def xp_trim(p, m, arity):
-    p = [tp_reduce(c, m, arity) for c in p]
-    while p and not p[-1]:
+def xp_trim(p: list[UniPoly], m: UniPoly) -> list[UniPoly]:
+    p = [c % m for c in p]
+    while p and p[-1].is_zero():
         p.pop()
     return p
 
 
-def xp_monic(p, m, arity):
-    inv = tp_inv(p[-1], m, arity)
-    return [tp_mul(c, inv, m, arity) for c in p]
+def xp_monic(p: list[UniPoly], m: UniPoly) -> list[UniPoly]:
+    inv = tp_inv(p[-1], m)
+    return [(c * inv) % m for c in p]
 
 
-def xp_rem(a, b, m, arity):
+def xp_rem(a: list[UniPoly], b: list[UniPoly], m: UniPoly) -> list[UniPoly]:
     """Remainder of a by monic b."""
-    r = [list(c) for c in a]
+    r = list(a)
     while len(r) >= len(b) and r:
         k = len(r) - len(b)
         lead = r[-1]
-        if tp_is_zero(lead):
+        if lead.is_zero():
             r.pop()
             continue
         for i in range(len(b)):
-            r[k + i] = tp_add(r[k + i], tp_neg(tp_mul(lead, b[i], m, arity)))
-        r = xp_trim(r, m, arity)
-    return xp_trim(r, m, arity)
+            r[k + i] = r[k + i] - lead * b[i]
+        r = xp_trim(r, m)
+    return xp_trim(r, m)
 
 
-def d5_gcd(a, b, m, arity):
-    """Monic gcd of a, b in (K[t]/m)[x] with dynamic splitting of m.
+def d5_gcd(
+    a: list[UniPoly], b: list[UniPoly], m: UniPoly
+) -> list[tuple[UniPoly, list[UniPoly]]]:
+    """Monic gcd of a, b in (F[t]/m)[x] with dynamic splitting of m.
 
     Returns a list of (m_branch, gcd) pairs covering all conjugate branches.
     """
+    mod = m if a[-1].over_q else m.lift()  # m in the elements' field, lifted once
     try:
-        p = xp_trim(a, m, arity)
-        q = xp_trim(b, m, arity)
+        p = xp_trim(a, mod)
+        q = xp_trim(b, mod)
         while q:
-            q = xp_monic(q, m, arity)
-            p, q = q, xp_rem(p, q, m, arity)
+            q = xp_monic(q, mod)
+            p, q = q, xp_rem(p, q, mod)
         if not p:
             raise ZeroDivisionInField("gcd of zero polynomials mod m")
-        p = xp_monic(p, m, arity)
-        return [(list(m), p)]
+        return [(m, xp_monic(p, mod))]
     except SplitRequired as split:
         g = split.factor
-        h, rem = qpoly_divmod(m, g)
-        if rem:
+        h, rem = m.divmod(g)
+        if not rem.is_zero():
             raise NonConstantResidue("split factor does not divide the modulus")
-        out = []
-        for sub in (qpoly_monic(g), qpoly_monic(h)):
-            sub_a = [tp_reduce(c, sub, arity) for c in a]
-            sub_b = [tp_reduce(c, sub, arity) for c in b]
-            out.extend(d5_gcd(sub_a, sub_b, sub, arity))
-        return out
+        return d5_gcd(a, b, g) + d5_gcd(a, b, h.monic())
 
 
 # -- residue groups ----------------------------------------------------------
@@ -333,33 +247,47 @@ class ResidueGroup:
 
 def _group_log_derivative(m: list[Fraction], arg: list[RatFunc], var: int) -> RatFunc:
     arity = arg[0].arity
-    m = qpoly_monic(m)
-    d = len(m) - 1
-    if d == 1:
-        c = -m[0]
+    if len(m) == 2:
+        c = -m[0] / m[1]
         val = RatFunc.zero(arity)
         for k in reversed(range(len(arg))):
             val = val.scale(c) + arg[k]
         return val.log_derivative(var).scale(c)
     # u = t * d(arg)/arg in K[t]/(m) solves  sum_j u_j * (t^j * arg) = t * d(arg):
-    # column j of the system holds t^j * arg mod m
-    zero = RatFunc.zero(arity)
-    col = tp_reduce(list(arg), m, arity)
+    # column j of the system holds t^j * arg mod m.  K is the field of every
+    # level variable here, its elements RatFuncs of arity + 1 free of t.
+    ext = arity + 1
+    m = UniPoly(arity, ext, m).monic()
+    d = m.degree()
+    mod, zero = m.lift(), RatFunc.zero(ext)
+    col = UniPoly(arity, ext, [c.extend_arity(ext) for c in arg]) % mod
     cols = []
     for _ in range(d):
-        cols.append(col + [zero] * (d - len(col)))
-        col = tp_reduce([zero, *col], m, arity)
-    rhs = tp_reduce([zero, *(c.derivative(var) for c in arg)], m, arity)
-    rhs += [zero] * (d - len(rhs))
-    _, u, pivots = rref([[c[i] for c in cols] for i in range(d)], rhs)
+        cols.append(col)
+        col = UniPoly(arity, ext, [zero, *col.coeffs]) % mod  # t * col
+    rhs = UniPoly(arity, ext, [zero, *(c.derivative(var).extend_arity(ext) for c in arg)]) % mod
+    # the solve runs over the level's own variables
+    _, u, pivots = rref(
+        [[_drop_t(c.coeff(i), arity) for c in cols] for i in range(d)],
+        [_drop_t(rhs.coeff(i), arity) for i in range(d)],
+    )
     if len(pivots) < d:
         # the determinant is the norm of arg, which is zero
         raise ZeroDivisionInField("group argument vanishes at a root of its minimal polynomial")
-    sums = power_sums(m, d)
-    total = zero
+    sums = power_sums(m.coeffs, d)
+    total = RatFunc.zero(arity)
     for k, c in enumerate(u):
         total = total + c.scale(sums[k])
     return total
+
+
+def _drop_t(f: RatFunc, arity: int) -> RatFunc:
+    """f, free of the residue symbol t (variable `arity`), over the level's variables."""
+    num, den = (
+        MultiPoly._raw(arity, {e[:arity]: c for e, c in p.nums.items()}, p.den)
+        for p in (f.num, f.den)
+    )
+    return RatFunc._raw(num, den)
 
 
 def _divisors(n: int) -> list[int]:
@@ -377,11 +305,10 @@ def _divisors(n: int) -> list[int]:
 
 def _rational_roots(m: list[Fraction]) -> list[Fraction]:
     """Rational roots of a monic squarefree polynomial, by trial of p/q."""
-    m = qpoly_monic(m)
     roots: list[Fraction] = []
     if len(m) > 1 and m[0] == 0:
         roots.append(Fraction(0))
-        m = qpoly_monic(m[1:])
+        m = m[1:]
     if len(m) <= 1:
         return roots
     mult = 1
@@ -417,9 +344,9 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
     residue.  Every other input takes the resultant R(t) = res(den,
     num - t*den'), its squarefree factors by ``squarefree_yun`` over Q, one
     gcd per rational residue and the D5 gcd for the irrational rest.  The
-    shortcut and the rational residues run over the level's own field; the
-    resultant and D5 work over K, so a level over Q lifts its coefficients
-    to constant RatFuncs for them.
+    shortcut, the rational residues and D5 run over the level's own field;
+    the resultant works over K, so a level over Q lifts its coefficients to
+    constant RatFuncs for it.
     """
     if den.is_zero():
         raise ZeroDivisionInField("zero denominator")
@@ -460,31 +387,31 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
             m_full.append(ratio.constant_value())
         res_t = UniPoly(arity, ext, m_full)
     groups: list[ResidueGroup] = []
-    for factor, _ in squarefree_yun(res_t).parts:
-        m_j = factor.coeffs
+    for m_j, _ in squarefree_yun(res_t).parts:
         # a rational residue c: log of the monic gcd(den, num - c*den')
-        for c in _rational_roots(m_j):
-            m_j = qpoly_divmod(m_j, [-c, Fraction(1)])[0]
+        for c in _rational_roots(m_j.coeffs):
+            m_j = m_j.divmod(UniPoly(arity, ext, [-c, Fraction(1)]))[0]
             if c != 0:
                 v = gcd_uni(den, num - dden.scale(c))
                 groups.append(ResidueGroup(minpoly=(-c, Fraction(1)), arg=(v.to_ratfunc(),)))
-        if len(m_j) - 1 < 1:
+        if m_j.degree() < 1:
             continue
-        # the irrational rest: gcd(den, num - t*den') mod m_j over K, splitting m_j on demand
-        den_k, num_k, dden_k = den.lift(), num.lift(), dden.lift()
-        a = [[c] for c in den_k.coeffs]
-        b = [[num_k.coeff(i), -dden_k.coeff(i)] for i in range(den.degree())]
-        for m_branch, v in d5_gcd(a, b, m_j, arity):
-            if len(v) - 1 < 1:
+        # the irrational rest: gcd(den, num - t*den') mod m_j over the level's
+        # field, splitting m_j on demand
+        den_t, num_t, dden_t = (p if p.over_q else p.lift(ext) for p in (den, num, dden))
+        a = [UniPoly(arity, ext, [c]) for c in den_t.coeffs]
+        b = [UniPoly(arity, ext, [num_t.coeff(i), -dden_t.coeff(i)]) for i in range(den.degree())]
+        for m_branch, v in d5_gcd(a, b, m_j):
+            if len(v) < 2:
                 continue  # trivial gcd: no residue from this branch
-            x_rf = RatFunc(MultiPoly.variable(arity, den.main_var))
-            d_branch = len(m_branch) - 1
-            arg = [RatFunc.zero(arity) for _ in range(d_branch)]
-            for i, telem in enumerate(v):
-                xpow = x_rf**i
-                for k, c in enumerate(telem):
-                    arg[k] = arg[k] + c * xpow
+            # the coefficient of t^k in the argument is a polynomial in x
+            arg = (
+                UniPoly(den.main_var, ext, [e.coeff(k) for e in v]).to_ratfunc()
+                for k in range(m_branch.degree())
+            )
             groups.append(
-                ResidueGroup(minpoly=tuple(qpoly_monic(m_branch)), arg=tuple(arg))
+                ResidueGroup(
+                    minpoly=tuple(m_branch.coeffs), arg=tuple(_drop_t(f, arity) for f in arg)
+                )
             )
     return groups

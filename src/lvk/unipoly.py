@@ -307,22 +307,27 @@ def gcd_uni(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def extended_gcd_uni(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """(g, s, t) with s*a + t*b = g, g monic."""
+def half_extended_gcd_uni(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(g, s) with s*a = g mod b, g monic: the Euclidean algorithm carrying a's cofactor."""
     a, b = a.common(b)
-    one, zero = a._new([a.one()]), a._new([])
     r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
+    s0, s1 = a._new([a.one()]), a._new([])
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         raise ZeroDivisionInField("extended gcd of two zero polynomials")
     inv = coeff_inverse(r0.lc())
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    return r0.scale(inv), s0.scale(inv)
+
+
+def extended_gcd_uni(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """(g, s, t) with s*a + t*b = g, g monic; t = (g - s*a)/b exactly (Bronstein, 1.3)."""
+    g, s = half_extended_gcd_uni(a, b)
+    if b.is_zero():
+        return g, s, g._new([])
+    return g, s, (g - s * a).divmod(b)[0]
 
 
 @dataclass

@@ -79,23 +79,6 @@ class PolyVectorField:
             total = total + wi * RatFunc(Pi)
         return total
 
-    def permuted(self, order: list[int]) -> "PolyVectorField":
-        """The same system with variables reordered by the given permutation."""
-        if sorted(order) != list(range(self.arity)):
-            raise ParseError(f"{order} is not a permutation of the variables")
-        names = [self.var_names[i] for i in order]
-        # exponent vectors and component slots both move
-        comps = []
-        for i in order:
-            src = self.components[i]
-            comps.append(
-                MultiPoly(
-                    self.arity,
-                    {tuple(e[j] for j in order): c for e, c in src.terms.items()},
-                )
-            )
-        return PolyVectorField(names, comps)
-
     def render(self) -> str:
         lines = ["vars " + ", ".join(self.var_names)]
         for name, c in zip(self.var_names, self.components):

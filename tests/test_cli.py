@@ -263,6 +263,21 @@ def test_verify_darboux_poly_and_exp_factor_goldens(capsys, flag, expr, outcome,
     assert got == (code, golden, "")
 
 
+def test_verify_darboux_poly_takes_one_lie_derivative(capsys, monkeypatch):
+    # a rejected candidate's X(f)/f residual reuses the X(f) of the divisibility test
+    from lvk.vectorfield import PolyVectorField
+
+    calls = []
+    lie_derivative = PolyVectorField.lie_derivative
+    monkeypatch.setattr(
+        PolyVectorField, "lie_derivative", lambda X, f: calls.append(f) or lie_derivative(X, f)
+    )
+    argv = ["verify", "--system", str(CATALOG / "lotka2.system"), "--darboux-poly", "x+1", "--json"]
+    got = run(capsys, *argv)
+    assert got == (3, (GOLDENS / "lotka2-darboux-poly-failed.json").read_text(), "")
+    assert len(calls) == 1
+
+
 def test_json_and_human_agree(capsys, lotka):
     argv = ["verify", "--system", lotka, "--multiplier", "1/(x*y)"]
     code_h, human, _ = run(capsys, *argv)

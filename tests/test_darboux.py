@@ -45,7 +45,15 @@ def test_cofactor_of_invariant_lines():
 
 
 def test_cofactor_of_non_invariant():
-    assert cofactor_of(LOTKA, parse_poly("x + 1", NAMES)) is None
+    # X(x + 1) = x - x*y is no multiple of x + 1: the Reject carries X(f)/f
+    r = cofactor_of(LOTKA, parse_poly("x + 1", NAMES))
+    assert isinstance(r, Reject)
+    assert r.residual == parse_ratfunc("(x - x*y)/(x + 1)", NAMES)
+
+
+def test_synthesize_names_a_candidate_that_is_not_darboux():
+    with pytest.raises(VerificationError, match="^x \\+ 1 is not a Darboux polynomial$"):
+        synthesize(LOTKA, [parse_poly("x", NAMES), parse_poly("x + 1", NAMES)], [], "multiplier")
 
 
 def test_cofactor_rejects_constants():

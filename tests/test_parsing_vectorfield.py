@@ -152,13 +152,6 @@ def test_lie_derivative_ratfunc_matches_the_one_form_oracle(seed, arity):
         assert got.render(names) == oracle.render(names)
 
 
-def test_permuted_variables():
-    X = parse_system("vars x, y\ndx = y\ndy = -x\n")
-    Y = X.permuted([1, 0])
-    assert Y.var_names == ("y", "x")
-    assert Y.render() == "vars y, x\ndy = -x\ndx = y\n"
-
-
 # -- input formats --------------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from lvk.residues import (
     rothstein_trager,
     trace_of_algebraic,
 )
-from lvk.unipoly import UniPoly, gcd_uni, squarefree_yun
+from lvk.unipoly import UniPoly, gcd_uni, ratfunc_as_unipair, squarefree_yun
 
 F = Fraction
 
@@ -269,7 +269,7 @@ def test_rt_rational_roots_take_one_gcd_each(monkeypatch, seed, quadratic):
     d5_calls = []
     d5_gcd = lvk.residues.d5_gcd
     monkeypatch.setattr(
-        lvk.residues, "d5_gcd", lambda *a: d5_calls.append(a[2]) or d5_gcd(*a)
+        lvk.residues, "d5_gcd", lambda *a: d5_calls.append(a[2].coeffs) or d5_gcd(*a)
     )
     groups = rothstein_trager(num, den)
     rational = [g for g in groups if g.degree == 1]
@@ -284,6 +284,82 @@ def test_rt_rational_roots_take_one_gcd_each(monkeypatch, seed, quadratic):
         total = total + g.log_derivative(0)
     assert total == f
     assert d5_calls == ([[F(-1, 8), F(0), F(1)]] if quadratic else [])
+
+
+def test_irrational_level_over_q_reaches_d5_over_q(monkeypatch):
+    # 1/(x^2 - 2) is a level over Q: D5 gets polynomials in t over Q, in the
+    # residue symbol's slot (variable 1 of 2), and no RatFunc
+    num, den = _unipair("1", "x^2 - 2", ["x"])
+    calls = []
+    d5_gcd = lvk.residues.d5_gcd
+    monkeypatch.setattr(lvk.residues, "d5_gcd", lambda *a: calls.append(a) or d5_gcd(*a))
+    (g,) = rothstein_trager(num, den)
+    assert g.render(["x"]) == "sum[t: 8*t^2 - 1 = 0] t*log(x + (-4)*t)"
+    ((a, b, m),) = calls
+    assert m.coeffs == [F(-1, 8), F(0), F(1)]
+    for e in [*a, *b, m]:
+        assert isinstance(e, UniPoly) and e.over_q
+        assert (e.main_var, e.arity) == (1, 2)
+
+
+# irreducible over Q: no group of these splits off a rational residue
+PLANTED_MINPOLYS = {
+    1: [
+        (F(-2), F(0), F(1)),
+        (F(1), F(0), F(1)),
+        (F(-2), F(0), F(0), F(1)),
+        (F(-1), F(-1), F(0), F(1)),
+    ],
+    2: [(F(-2), F(0), F(1)), (F(1), F(0), F(1))],
+}
+
+
+def _planted_group(rng, arity, xdeg):
+    """sum over m(t) = 0 of t*log(A) with A monic of degree xdeg in x1; over K
+    (arity 2) the coefficients of A are linear in x2."""
+    m = rng.choice(PLANTED_MINPOLYS[arity])
+    x = MultiPoly.variable(arity, 0)
+    arg = []
+    for k in range(len(m) - 1):
+        c = x**xdeg if k == 0 else MultiPoly.zero(arity)
+        for i in range(xdeg if k == 0 else xdeg - 1):
+            coeff = MultiPoly.constant(arity, rng.randint(-2, 2))
+            if arity == 2:
+                coeff = coeff + MultiPoly.variable(2, 1).scale(rng.randint(-1, 1))
+            c = c + coeff * x**i
+        arg.append(RatFunc(c))
+    return ResidueGroup(minpoly=m, arg=tuple(arg))
+
+
+@pytest.mark.parametrize("arity", [1, 2], ids=["over-Q", "over-K"])
+@pytest.mark.parametrize("xdeg", [2, 3])
+def test_planted_irrational_groups_sum_back(monkeypatch, arity, xdeg):
+    # an argument of x-degree d makes m a factor of multiplicity d in R(t)
+    multiplicities = []
+    yun = lvk.residues.squarefree_yun
+
+    def recording_yun(p):
+        d = yun(p)
+        multiplicities.extend(k for _, k in d.parts)
+        return d
+
+    monkeypatch.setattr(lvk.residues, "squarefree_yun", recording_yun)
+    rng = random.Random(100 * arity + xdeg)
+    done = 0
+    while done < 3:
+        f = _planted_group(rng, arity, xdeg).log_derivative(0)
+        num, den = ratfunc_as_unipair(f, 0)
+        if gcd_uni(den, den.derivative()).degree() > 0:
+            continue
+        multiplicities.clear()
+        groups = rothstein_trager(num, den)
+        assert max(multiplicities) >= 2
+        assert all(g.degree >= 2 for g in groups)
+        total = RatFunc.zero(arity)
+        for g in groups:
+            total = total + g.log_derivative(0)
+        assert total == f
+        done += 1
 
 
 # -- independent oracle: sympy's RootSum ---------------------------------------------

@@ -8,7 +8,7 @@ from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
 import lvk.residues
-from lvk.residues import qpoly_divmod, qpoly_trim, rothstein_trager
+from lvk.residues import rothstein_trager
 from lvk.unipoly import (
     UniPoly,
     extended_gcd_uni,
@@ -54,23 +54,19 @@ def test_divmod_inverts_multiplication():
         return p[:-1] + [p[-1] or F(1)]
 
     # Fraction coefficients: 1 + x^4 by 1 + 3x^2, a lower-degree dividend, random pairs
-    # whose divisor carries a zero top coefficient for qpoly_divmod to trim
+    # whose divisor carries a zero top coefficient for the constructor to trim
     q_pairs = [
         ([F(1), F(0), F(0), F(0), F(1)], [F(1), F(0), F(3)]),
         ([F(2), F(1)], [F(1), F(0), F(1)]),
     ]
     q_pairs += [(q_poly(rng.randint(0, 6)), q_poly(rng.randint(0, 3)) + [F(0)]) for _ in range(30)]
     for a, b in q_pairs:
-        q, r = qpoly_divmod(a, b)
-        b = qpoly_trim(b)
-        back = [F(0)] * max(len(q) + len(b) - 1, len(r))
-        for i, x in enumerate(q):
-            for j, y in enumerate(b):
-                back[i + j] += x * y
-        for i, x in enumerate(r):
-            back[i] += x
-        assert qpoly_trim(back) == qpoly_trim(a)
-        assert r == qpoly_trim(r) and len(r) < len(b)
+        a, b = UniPoly(0, 1, a), UniPoly(0, 1, b)
+        assert a.over_q and b.over_q and b.coeffs[-1] != 0
+        q, r = a.divmod(b)
+        assert q.over_q and r.over_q
+        assert q * b + r == a
+        assert r.degree() < b.degree()
 
 
 def test_gcd_uni_monic():
