@@ -302,6 +302,26 @@ def test_irrational_level_over_q_reaches_d5_over_q(monkeypatch):
         assert (e.main_var, e.arity) == (1, 2)
 
 
+@pytest.mark.parametrize("arity", [1, 2], ids=["over-Q", "over-K"])
+def test_d5_splits_the_modulus_at_a_zero_divisor(arity):
+    # mod m = (t^2 - 2)(t^2 - 3), a = (t^2 - 2)*x + c and b = x + c leave the
+    # remainder c*(3 - t^2), a zero divisor: m splits, and the gcd is x + c
+    # where t^2 = 3 and 1 where t^2 = 2; over K, c is the other variable
+    ext = arity + 1
+    k = F if arity == 1 else (lambda v: RatFunc.constant(ext, v))
+    c = k(1) if arity == 1 else RatFunc(MultiPoly.variable(ext, 1))
+
+    def T(*coeffs):
+        return UniPoly(arity, ext, list(coeffs))
+
+    m = T(*map(F, (6, 0, -5, 0, 1)))
+    branches = lvk.residues.d5_gcd([T(c), T(k(-2), k(0), k(1))], [T(c), T(k(1))], m)
+    assert [(mb.coeffs, v) for mb, v in branches] == [
+        ([F(-3), F(0), F(1)], [T(c), T(k(1))]),
+        ([F(-2), F(0), F(1)], [T(k(1))]),
+    ]
+
+
 # irreducible over Q: no group of these splits off a rational residue
 PLANTED_MINPOLYS = {
     1: [
