@@ -91,9 +91,6 @@ def form_text():
     return "vars x, y, z\n" + ", ".join(c.render(XYZ) for c in w.components) + "\n"
 
 
-INTEGRATE_ARGV = ["integrate-form", "--form", str(GOLDENS / "algebraic-t2-2.form"), "--json"]
-
-
 @pytest.fixture
 def wide_cap(monkeypatch):
     # the t^3 - t - 1 level outgrows the CLI's default cap of 64 (ROADMAP baseline)
@@ -115,7 +112,7 @@ def test_form_file_is_the_recorded_form():
 
 
 def test_integrate_algebraic_form_golden(capsys):
-    code = main(INTEGRATE_ARGV)
+    code = main(["integrate-form", "--form", str(GOLDENS / "algebraic-t2-2.form"), "--json"])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDENS / "algebraic-t2-2.golden.json").read_text()
