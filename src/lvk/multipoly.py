@@ -764,7 +764,7 @@ def _next_scale(g: MultiPoly, h: MultiPoly, delta: int) -> MultiPoly:
     return exact_div(g**delta, h ** (delta - 1))
 
 
-def _subresultant_prs(a: _UniView, b: _UniView):
+def _subresultant_prs(a: _UniView, b: _UniView, chain: list | None = None):
     """Subresultant PRS of a, b (Brown and Collins) up to its last pseudo-remainder.
 
     Requires deg a >= deg b >= 1.  Stops at the first rem = prem(a, b) of
@@ -772,6 +772,11 @@ def _subresultant_prs(a: _UniView, b: _UniView):
     the last element of positive degree, rem is zero or a nonzero constant,
     g and h are the current scales, delta = deg a - deg b, and sign is the
     product of (-1)^(deg a * deg b) over all steps, which resultants need.
+
+    A given ``chain`` list gets every nonzero remainder, the constant one
+    too, as the regular subresultant of its degree, up to sign: a remainder
+    s whose degree is gap > 1 below b's becomes Lazard's s * lc(s)^(gap-1) /
+    h^(gap-1), h the scale of b (Ducos 2000).
     """
     g = h = MultiPoly.one(a.arity)
     sign = 1
@@ -780,11 +785,18 @@ def _subresultant_prs(a: _UniView, b: _UniView):
         if a.degree() % 2 and b.degree() % 2:
             sign = -sign
         rem = _pseudo_rem(a, b)
-        if rem.degree() <= 0:
+        if rem.degree() <= 0 and (chain is None or rem.is_zero()):
             return b, rem, g, h, delta, sign
         a, b = b, rem.div_coeff(g * h**delta)
         g = a.lc()
         h = _next_scale(g, h, delta)
+        if chain is not None:
+            gap = a.degree() - b.degree()
+            if gap > 1:
+                b = b.mul_coeff(b.lc() ** (gap - 1)).div_coeff(h ** (gap - 1))
+            chain.append(b)
+            if b.degree() == 0:
+                return None
 
 
 def resultant_in_var(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:

@@ -9,11 +9,12 @@ A single residue needs no resultant: when num = c*den' for a constant c, the
 logarithmic part is c*log(den).  Otherwise a rational residue c gets its
 argument from one monic gcd at t = c, over the level's coefficient field: Q
 when the level involves only its main variable, else the field K of the
-other variables.  Only a factor of m without rational roots goes to the D5
-gcd (Della Dora, Dicrescenzo and Duval), which works modulo m over the same
-field and splits m dynamically when a zero divisor shows up.  The trace of
-t * d(arg)/arg over the roots of m is one d x d linear solve in K[t]/(m) plus
-Newton power sums.
+other variables.  Only a factor of m without rational roots goes to
+``d5_gcd``, which reads the gcd at each root of m off one subresultant chain
+and splits m where that differs between roots.  Arithmetic modulo m is one
+adjugate: a * adj(a) = Norm(a) mod m with the norm free of t, so the monic
+gcd and the trace of t * d(arg)/arg over the roots of m (Newton power sums)
+each divide once, by a norm.
 
 Every polynomial in t is a ``UniPoly`` in variable ``arity`` of ``arity + 1``,
 the slot the resultant gives t: the factors of R(t) over Q, and the elements
@@ -27,26 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import LvkError, NonConstantResidue, ZeroDivisionInField
-from .linalg import rref
-from .multipoly import MultiPoly
+from .errors import NonConstantResidue, ZeroDivisionInField
+from .multipoly import MultiPoly, _coeffs_in_var, _subresultant_prs, _UniView, resultant_in_var
 from .ratfunc import RatFunc
-from .unipoly import (
-    UniPoly,
-    coeff_inverse,
-    half_extended_gcd_uni,
-    gcd_uni,
-    resultant,
-    squarefree_yun,
-)
-
-
-class SplitRequired(LvkError):
-    """A zero divisor mod m(t) was hit; m factors as g * (m/g)."""
-
-    def __init__(self, factor: UniPoly):
-        self.factor = factor
-        super().__init__("modulus must be split")
+from .unipoly import UniPoly, coeff_inverse, gcd_uni, resultant, squarefree_yun
 
 
 def qpoly_render(p: list[Fraction], symbol: str = "t") -> str:
@@ -102,87 +87,95 @@ def trace_of_algebraic(p: list[Fraction], m: list[Fraction]) -> Fraction:
     return sum((c * sums[i] for i, c in enumerate(p.coeffs)), Fraction(0))
 
 
-# -- the D5 gcd in (F[t]/(m))[x] ------------------------------------------------
+# -- arithmetic modulo m(t) ------------------------------------------------------
 #
-# An element of F[t]/(m) is a UniPoly in t reduced mod m, over the level's
-# field F; m has rational coefficients, and d5_gcd lifts it into F once.  A
-# polynomial in the main variable x is a dense list of such elements, indexed
-# by the power of x.
+# Here a polynomial is a MultiPoly over Q in the level's variables, t (the
+# variable ``t``) and one spare variable, the last: x in d5_gcd, u in the
+# adjugate.  m is a list of rational coefficients, monic.
 
 
-def tp_inv(a: UniPoly, m: UniPoly) -> UniPoly:
-    """Inverse of a mod m; raises SplitRequired on a proper zero divisor.
+def _mod(p: MultiPoly, m: list[Fraction], t: int) -> MultiPoly:
+    """p reduced modulo m in its variable t."""
+    return (UniPoly.of_poly(p, t) % UniPoly(t, p.arity, m)).to_ratfunc().num
 
-    One half-extended Euclid over F[t]: g = gcd(a, m) is 1 for a unit, and a
-    g of positive degree is the factor m must be split by.
+
+def _drop(p: MultiPoly, arity: int) -> MultiPoly:
+    """p, free of every variable from index ``arity`` on, over the first ``arity``."""
+    return MultiPoly._raw(arity, {e[:arity]: c for e, c in p.nums.items()}, p.den)
+
+
+def _adjugate(a: MultiPoly, m: list[Fraction], t: int) -> tuple[MultiPoly, MultiPoly]:
+    """(adj, norm) with a * adj = norm mod m and norm free of t.
+
+    a is reduced mod m and free of the spare variable u.  adj = Res_u((m(u) -
+    m(t))/(u - t), a(u)) mod m: at a root of m the quotient is monic with the
+    other roots, so adj there is the product of a over them.
     """
-    a = a % m
-    if a.is_zero():
-        raise ZeroDivisionInField("inverse of zero mod m")
-    g, inv = half_extended_gcd_uni(a, m)
-    if g.degree() > 0:
-        if not g.over_q:
-            for c in g.coeffs:
-                if not c.is_constant():
-                    raise NonConstantResidue(
-                        "a divisor of the residue minimal polynomial has non-constant "
-                        f"coefficient {c.render()}"
-                    )
-            g = UniPoly(g.main_var, g.arity, [c.constant_value() for c in g.coeffs])
-        raise SplitRequired(g)
-    return inv
-
-
-def xp_trim(p: list[UniPoly], m: UniPoly) -> list[UniPoly]:
-    p = [c % m for c in p]
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def xp_monic(p: list[UniPoly], m: UniPoly) -> list[UniPoly]:
-    inv = tp_inv(p[-1], m)
-    return [(c * inv) % m for c in p]
-
-
-def xp_rem(a: list[UniPoly], b: list[UniPoly], m: UniPoly) -> list[UniPoly]:
-    """Remainder of a by monic b."""
-    r = list(a)
-    while len(r) >= len(b) and r:
-        k = len(r) - len(b)
-        lead = r[-1]
-        if lead.is_zero():
-            r.pop()
-            continue
-        for i in range(len(b)):
-            r[k + i] = r[k + i] - lead * b[i]
-        r = xp_trim(r, m)
-    return xp_trim(r, m)
+    n = a.arity
+    u = n - 1
+    quotient = {}
+    for k, c in enumerate(m):
+        for i in range(k):  # (u^k - t^k)/(u - t) = sum of u^i * t^(k-1-i)
+            e = [0] * n
+            e[u], e[t] = i, k - 1 - i
+            quotient[tuple(e)] = c
+    swap = {t: u, u: t}
+    a_u = {tuple(e[swap.get(i, i)] for i in range(n)): c for e, c in a.nums.items()}
+    adj = _mod(resultant_in_var(MultiPoly(n, quotient), MultiPoly._raw(n, a_u, a.den), u), m, t)
+    return adj, _mod(a * adj, m, t)
 
 
 def d5_gcd(
     a: list[UniPoly], b: list[UniPoly], m: UniPoly
 ) -> list[tuple[UniPoly, list[UniPoly]]]:
-    """Monic gcd of a, b in (F[t]/m)[x] with dynamic splitting of m.
+    """Monic gcd of a, b in (F[t]/m)[x], splitting m where it differs between roots.
 
     Returns a list of (m_branch, gcd) pairs covering all conjugate branches.
+    a and b, cleared of denominators, run one subresultant chain in x over
+    Q[level variables, t].  At a root of m where lc(a) does not vanish, the
+    gcd is the chain element of least degree whose leading coefficient does
+    not vanish there: the regular gcd of Moreno Maza and Rioboo (1995).
     """
-    mod = m if a[-1].over_q else m.lift()  # m in the elements' field, lifted once
-    try:
-        p = xp_trim(a, mod)
-        q = xp_trim(b, mod)
-        while q:
-            q = xp_monic(q, mod)
-            p, q = q, xp_rem(p, q, mod)
-        if not p:
-            raise ZeroDivisionInField("gcd of zero polynomials mod m")
-        return [(m, xp_monic(p, mod))]
-    except SplitRequired as split:
-        g = split.factor
-        h, rem = m.divmod(g)
-        if not rem.is_zero():
-            raise NonConstantResidue("split factor does not divide the modulus")
-        return d5_gcd(a, b, g) + d5_gcd(a, b, h.monic())
+    n = m.arity + 1
+    x = n - 1  # the spare variable
+    pa, pb = (
+        _UniView.of(UniPoly(x, n, [c.to_ratfunc().extend_arity(n) for c in p]).to_ratfunc().num, x)
+        for p in (a, b)
+    )
+    if pa.degree() < pb.degree():
+        pa, pb = pb, pa
+    chain = [pa, pb]
+    if pb.degree() > 0:
+        _subresultant_prs(pa, pb, chain)
+    return _regular_gcd(chain, m, a[-1].over_q)
+
+
+def _regular_gcd(
+    chain: list[_UniView], m: UniPoly, over_q: bool
+) -> list[tuple[UniPoly, list[UniPoly]]]:
+    t, ext = m.main_var, m.arity
+    for s in reversed(chain):  # least degree first
+        if s.is_zero() or (lc := _mod(s.lc(), m.coeffs, t)).is_zero():
+            continue  # vanishes at every root of m
+        adj, norm = _adjugate(lc, m.coeffs, t)
+        if norm.is_zero():
+            # lc vanishes at some roots of m only: split m there
+            g = gcd_uni(UniPoly.of_poly(_drop(lc, ext), t), m)
+            if not g.over_q:
+                for c in g.coeffs:
+                    if not c.is_constant():
+                        raise NonConstantResidue(
+                            "a divisor of the residue minimal polynomial has non-constant "
+                            f"coefficient {c.render()}"
+                        )
+                g = UniPoly(t, ext, [c.constant_value() for c in g.coeffs])
+            return _regular_gcd(chain, g, over_q) + _regular_gcd(chain, m.divmod(g)[0], over_q)
+        # monic: multiply by adj mod m, then divide once by the t-free norm
+        norm = _drop(norm, ext)
+        inv = coeff_inverse(norm.constant_value()) if over_q else RatFunc(MultiPoly.one(ext), norm)
+        v = [UniPoly.of_poly(_drop(_mod(c * adj, m.coeffs, t), ext), t) for c in s.coeffs]
+        return [(m, [c.scale(inv) for c in v])]
+    raise ZeroDivisionInField("gcd of zero polynomials mod m")
 
 
 # -- residue groups ----------------------------------------------------------
@@ -253,41 +246,24 @@ def _group_log_derivative(m: list[Fraction], arg: list[RatFunc], var: int) -> Ra
         for k in reversed(range(len(arg))):
             val = val.scale(c) + arg[k]
         return val.log_derivative(var).scale(c)
-    # u = t * d(arg)/arg in K[t]/(m) solves  sum_j u_j * (t^j * arg) = t * d(arg):
-    # column j of the system holds t^j * arg mod m.  K is the field of every
-    # level variable here, its elements RatFuncs of arity + 1 free of t.
-    ext = arity + 1
-    m = UniPoly(arity, ext, m).monic()
-    d = m.degree()
-    mod, zero = m.lift(), RatFunc.zero(ext)
-    col = UniPoly(arity, ext, [c.extend_arity(ext) for c in arg]) % mod
-    cols = []
-    for _ in range(d):
-        cols.append(col)
-        col = UniPoly(arity, ext, [zero, *col.coeffs]) % mod  # t * col
-    rhs = UniPoly(arity, ext, [zero, *(c.derivative(var).extend_arity(ext) for c in arg)]) % mod
-    # the solve runs over the level's own variables
-    _, u, pivots = rref(
-        [[_drop_t(c.coeff(i), arity) for c in cols] for i in range(d)],
-        [_drop_t(rhs.coeff(i), arity) for i in range(d)],
-    )
-    if len(pivots) < d:
-        # the determinant is the norm of arg, which is zero
+    # arg = A/L with L free of t: sum_t t*dA/A is Tr(t * dA * adj(A)) / Norm(A),
+    # and sum_t t*dL/L is p_1 * dL/L
+    t, n = arity, arity + 2
+    m = UniPoly(0, 1, m).monic().coeffs
+    f = UniPoly(t, arity + 1, [c.extend_arity(arity + 1) for c in arg]).to_ratfunc()
+    a = f.num.extend_arity(n)
+    adj, norm = _adjugate(a, m, t)
+    if norm.is_zero():
         raise ZeroDivisionInField("group argument vanishes at a root of its minimal polynomial")
-    sums = power_sums(m.coeffs, d)
-    total = RatFunc.zero(arity)
-    for k, c in enumerate(u):
-        total = total + c.scale(sums[k])
+    sums = power_sums(m, len(m) - 1)
+    tr = _mod(MultiPoly.variable(n, t) * a.derivative(var) * adj, m, t)
+    trace = MultiPoly.zero(n)
+    for k, c in _coeffs_in_var(tr, t).items():
+        trace = trace + c.scale(sums[k])
+    total = RatFunc(_drop(trace, arity), _drop(norm, arity))
+    if sums[1]:
+        total = total - RatFunc(_drop(f.den, arity)).log_derivative(var).scale(sums[1])
     return total
-
-
-def _drop_t(f: RatFunc, arity: int) -> RatFunc:
-    """f, free of the residue symbol t (variable `arity`), over the level's variables."""
-    num, den = (
-        MultiPoly._raw(arity, {e[:arity]: c for e, c in p.nums.items()}, p.den)
-        for p in (f.num, f.den)
-    )
-    return RatFunc._raw(num, den)
 
 
 def _divisors(n: int) -> list[int]:
@@ -343,10 +319,10 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
     one group c*log(den): it covers every degree-1 den with a constant
     residue.  Every other input takes the resultant R(t) = res(den,
     num - t*den'), its squarefree factors by ``squarefree_yun`` over Q, one
-    gcd per rational residue and the D5 gcd for the irrational rest.  The
-    shortcut, the rational residues and D5 run over the level's own field;
-    the resultant works over K, so a level over Q lifts its coefficients to
-    constant RatFuncs for it.
+    gcd per rational residue and ``d5_gcd`` for the irrational rest.  The
+    shortcut and the rational residues run over the level's own field, and
+    ``d5_gcd`` over Q[level variables, t]; the resultant works over K, so a
+    level over Q lifts its coefficients to constant RatFuncs for it.
     """
     if den.is_zero():
         raise ZeroDivisionInField("zero denominator")
@@ -396,8 +372,8 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
                 groups.append(ResidueGroup(minpoly=(-c, Fraction(1)), arg=(v.to_ratfunc(),)))
         if m_j.degree() < 1:
             continue
-        # the irrational rest: gcd(den, num - t*den') mod m_j over the level's
-        # field, splitting m_j on demand
+        # the irrational rest: gcd(den, num - t*den') mod m_j, splitting m_j
+        # where the gcd differs between its roots
         den_t, num_t, dden_t = (p if p.over_q else p.lift(ext) for p in (den, num, dden))
         a = [UniPoly(arity, ext, [c]) for c in den_t.coeffs]
         b = [UniPoly(arity, ext, [num_t.coeff(i), -dden_t.coeff(i)]) for i in range(den.degree())]
@@ -411,7 +387,8 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
             )
             groups.append(
                 ResidueGroup(
-                    minpoly=tuple(m_branch.coeffs), arg=tuple(_drop_t(f, arity) for f in arg)
+                    minpoly=tuple(m_branch.coeffs),
+                    arg=tuple(RatFunc._raw(_drop(f.num, arity), _drop(f.den, arity)) for f in arg),
                 )
             )
     return groups

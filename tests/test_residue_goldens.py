@@ -93,11 +93,16 @@ def form_text():
 
 @pytest.fixture
 def wide_cap(monkeypatch):
-    # the t^3 - t - 1 level outgrows the CLI's default cap of 64 (ROADMAP baseline)
     monkeypatch.setenv("LVK_MAX_DEGREE", "4096")
 
 
-def test_rothstein_trager_renders_match_goldens(wide_cap):
+@pytest.fixture
+def default_cap(monkeypatch):
+    # conftest widens the cap for every test; the CLI's default is 64
+    monkeypatch.delenv("LVK_MAX_DEGREE", raising=False)
+
+
+def _check_residue_goldens():
     golden = json.loads((GOLDENS / "residue-groups.json").read_text())
     got = residue_cases()
     assert list(got) == list(golden)
@@ -105,6 +110,14 @@ def test_rothstein_trager_renders_match_goldens(wide_cap):
         assert got[name] == groups, name
     assert golden["bronstein"] == ["sum[t: 4*t^2 + 1 = 0] t*log(x^3 - 3*x + (2*x^2 - 4)*t)"]
     assert sum(any(g.startswith("sum[") for g in gs) for gs in golden.values()) >= 10
+
+
+def test_rothstein_trager_renders_match_goldens(wide_cap):
+    _check_residue_goldens()
+
+
+def test_rothstein_trager_renders_match_goldens_at_the_default_cap(default_cap):
+    _check_residue_goldens()
 
 
 def test_form_file_is_the_recorded_form():
@@ -117,6 +130,19 @@ def test_integrate_algebraic_form_golden(capsys):
     assert code == 0
     assert out == (GOLDENS / "algebraic-t2-2.golden.json").read_text()
     assert json.loads(out)["status"] == "ok"
+
+
+def test_integrate_cubic_form_at_the_default_cap(default_cap, tmp_path, capsys):
+    # the t^3 - t - 1 form once outgrew the default cap of 64 modulo m(t)
+    w = form_of(*FORMS[2][1:])
+    path = tmp_path / "cubic.form"
+    path.write_text("vars x, y, z\n" + ", ".join(c.render(XYZ) for c in w.components) + "\n")
+    code = main(["integrate-form", "--form", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["status"] == "ok"
+    assert [g["minPoly"] for g in report["result"]["logGroups"]] == ["t^3 - t - 1"]
+    certificates = report["certificates"]
+    assert certificates and all(c["isZero"] and c["residual"] == "0" for c in certificates)
 
 
 def test_seeded_set_keeps_the_stated_draws():

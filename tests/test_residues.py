@@ -7,7 +7,7 @@ import lvk.residues
 from conftest import random_poly
 from lvk.errors import NonConstantResidue, ZeroDivisionInField
 from lvk.integrator import IntegrationResult, differentiate, integrate_closed
-from lvk.multipoly import MultiPoly
+from lvk.multipoly import MultiPoly, _coeffs_in_var
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
 from lvk.residues import (
@@ -323,21 +323,13 @@ def test_d5_splits_the_modulus_at_a_zero_divisor(arity):
 
 
 # irreducible over Q: no group of these splits off a rational residue
-PLANTED_MINPOLYS = {
-    1: [
-        (F(-2), F(0), F(1)),
-        (F(1), F(0), F(1)),
-        (F(-2), F(0), F(0), F(1)),
-        (F(-1), F(-1), F(0), F(1)),
-    ],
-    2: [(F(-2), F(0), F(1)), (F(1), F(0), F(1))],
-}
+QUADRATIC_MINPOLYS = [(F(-2), F(0), F(1)), (F(1), F(0), F(1))]
+CUBIC_MINPOLYS = [(F(-2), F(0), F(0), F(1)), (F(-1), F(-1), F(0), F(1))]
 
 
-def _planted_group(rng, arity, xdeg):
+def _planted_group(rng, m, arity, xdeg):
     """sum over m(t) = 0 of t*log(A) with A monic of degree xdeg in x1; over K
     (arity 2) the coefficients of A are linear in x2."""
-    m = rng.choice(PLANTED_MINPOLYS[arity])
     x = MultiPoly.variable(arity, 0)
     arg = []
     for k in range(len(m) - 1):
@@ -365,11 +357,17 @@ def test_planted_irrational_groups_sum_back(monkeypatch, arity, xdeg):
 
     monkeypatch.setattr(lvk.residues, "squarefree_yun", recording_yun)
     rng = random.Random(100 * arity + xdeg)
+    # each minimal polynomial in turn; a cubic over K at x-degree 3 takes
+    # seconds a draw, as R(t) and the chain run the same PRS twice
+    minpolys = QUADRATIC_MINPOLYS + (CUBIC_MINPOLYS if arity == 1 or xdeg == 2 else [])
     done = 0
-    while done < 3:
-        f = _planted_group(rng, arity, xdeg).log_derivative(0)
+    while done < max(3, len(minpolys)):
+        f = _planted_group(rng, minpolys[done % len(minpolys)], arity, xdeg).log_derivative(0)
         num, den = ratfunc_as_unipair(f, 0)
-        if den.over_q != (arity == 1) or gcd_uni(den, den.derivative()).degree() > 0:
+        # a zero f comes from an argument free of t and a root sum of 0
+        if num.is_zero() or den.over_q != (arity == 1):
+            continue
+        if gcd_uni(den, den.derivative()).degree() > 0:
             continue
         multiplicities.clear()
         groups = rothstein_trager(num, den)
@@ -380,6 +378,144 @@ def test_planted_irrational_groups_sum_back(monkeypatch, arity, xdeg):
             total = total + g.log_derivative(0)
         assert total == f
         done += 1
+
+
+def test_quartic_group_round_trips():
+    # d(sum over t^4 = 2 of t*log(x + t*y + t^2*z + t^3) + x/(y+1)) in x, y, z
+    names = ["x", "y", "z"]
+    group = ResidueGroup(
+        minpoly=(F(-2), F(0), F(0), F(0), F(1)),
+        arg=tuple(parse_ratfunc(a, names) for a in ("x", "y", "z", "1")),
+    )
+    psi = IntegrationResult(log_groups=((group, F(1)),), rat_part=parse_ratfunc("x/(y+1)", names))
+    w = differentiate(psi)
+    assert differentiate(integrate_closed(w)) == w
+
+
+# -- independent oracle for d5_gcd: sympy's gcd over Q(alpha) -------------------------
+
+
+def _d5_input(p, arity):
+    """p, a MultiPoly in x1, the other level variables and t (the last), as the
+    list of its x1-coefficients, polynomials in t over the level's field."""
+    by_deg = _coeffs_in_var(p, 0)
+    zero = MultiPoly.zero(arity + 1)
+    coeffs = [UniPoly.of_poly(by_deg.get(i, zero), arity) for i in range(max(by_deg) + 1)]
+    return coeffs if arity == 1 else [c.lift() for c in coeffs]
+
+
+def _check_d5_against_sympy(sympy, a, b, m, arity, roots):
+    """d5_gcd(a, b, m) is sympy's gcd over Q(alpha), made monic in x1, at each
+    of the given roots alpha of m; each root lies on exactly one branch."""
+    symbols = sympy.symbols("x y")[:arity]
+    t = sympy.Symbol("t")
+    at = {s: _sympy_poly(sympy, p, [*symbols, t]) for s, p in (("a", a), ("b", b))}
+    branches = lvk.residues.d5_gcd(_d5_input(a, arity), _d5_input(b, arity), m)
+    covered = []
+    for m_branch, v in branches:
+        assert v[-1] == UniPoly(arity, arity + 1, [F(1)])
+        for alpha in roots:
+            if sympy.expand(sum(c * alpha**k for k, c in enumerate(m_branch.coeffs))) != 0:
+                continue
+            covered.append(alpha)
+            a_at, b_at = (at[s].subs(t, alpha) for s in "ab")
+            expected = sympy.gcd(a_at, b_at, *symbols, extension=alpha)
+            got = sum(
+                _sympy_ratfunc(sympy, c.to_ratfunc(), [*symbols, t]) * symbols[0] ** i
+                for i, c in enumerate(v)
+            )
+            num, den = sympy.fraction(sympy.together(got.subs(t, alpha)))
+            difference = num * sympy.LC(expected, symbols[0]) - den * expected
+            assert sympy.Poly(difference, *symbols, extension=alpha).is_zero, (alpha, v)
+    assert sorted(covered, key=str) == sorted(roots, key=str)
+    return branches
+
+
+D5_MODULI = [
+    pytest.param((F(-2), F(0), F(1)), 1, id="t2-2-over-Q"),
+    pytest.param((F(-2), F(0), F(0), F(1)), 1, id="t3-2-over-Q"),
+    pytest.param((F(-2), F(0), F(1)), 2, id="t2-2-over-K"),
+    pytest.param((F(-2), F(0), F(0), F(1)), 2, id="t3-2-over-K"),
+]
+
+
+@pytest.mark.parametrize("minpoly, arity", D5_MODULI)
+def test_d5_gcd_matches_sympy_on_defective_chains(monkeypatch, minpoly, arity):
+    # a = f*(x^4 + d*x + e) and b = f*(x^3 + c), f = x + t + k: the chain of
+    # a and b drops from degree 4 to 2 or less, through Lazard's step
+    sympy = pytest.importorskip("sympy")
+    gaps = []
+    prs = lvk.residues._subresultant_prs
+
+    def recording_prs(a, b, chain):
+        prs(a, b, chain)
+        degrees = [s.degree() for s in chain]
+        gaps.extend(p - q for p, q in zip(degrees[1:], degrees[2:]))
+
+    monkeypatch.setattr(lvk.residues, "_subresultant_prs", recording_prs)
+    ext = arity + 1
+    x, t = MultiPoly.variable(ext, 0), MultiPoly.variable(ext, arity)
+    # t^3 - 2 is irreducible and a, b lie in Q(x2)[t][x1], so conjugation
+    # carries the gcd at its real root to the two complex ones
+    roots = [sympy.sqrt(2), -sympy.sqrt(2)] if len(minpoly) == 3 else [sympy.cbrt(2)]
+    rng = random.Random(len(minpoly) * 10 + arity)
+    m = UniPoly(arity, ext, list(minpoly))
+
+    def linear_in_t():
+        c0, c1 = (MultiPoly.constant(ext, rng.randint(-3, 3)) for _ in range(2))
+        if arity == 2:
+            c0 = c0 + MultiPoly.variable(ext, 1).scale(rng.randint(-2, 2))
+        return c0 + c1 * t
+
+    for _ in range(3):
+        f = x + t + MultiPoly.constant(ext, rng.randint(-2, 2))
+        c, d, e = linear_in_t(), linear_in_t(), linear_in_t()
+        a = f * (x**4 + d * x + e)
+        b = f * (x**3 + c)
+        _check_d5_against_sympy(sympy, a, b, m, arity, roots)
+    assert any(g > 1 for g in gaps)
+
+
+@pytest.mark.parametrize("arity", [1, 2], ids=["over-Q", "over-K"])
+def test_d5_gcd_reads_the_lazard_element_where_the_scale_vanishes(arity):
+    # b = x^3 + b1*x + b0, and a chosen so that, with L = t^2 - 2 = m,
+    # prem(a, b) = L^2*x^2 + L*v*x + b1*L^2 + v^2: the chain runs 4, 3, 2, 0
+    # with a gap of 2 whose scale h = L^2 vanishes at both roots, where
+    # prem(a, b) is the constant v^2.
+    # The gcd there is 1, read off the rescaled element of degree 0; the
+    # defective remainder vanishes, and without the rescale the gcd would be b
+    sympy = pytest.importorskip("sympy")
+    ext = arity + 1
+    x, t = MultiPoly.variable(ext, 0), MultiPoly.variable(ext, arity)
+    y = MultiPoly.variable(ext, 1) if arity == 2 else MultiPoly.one(ext)
+    one = MultiPoly.one(ext)
+    big_l, b1, b0, a3, v = t * t - one.scale(2), t + y, t.scale(2) - one, t, t + one.scale(3)
+    b = x**3 + b1 * x + b0
+    a = x**4 + a3 * x**3 + (b1 + big_l * big_l) * x**2 + (big_l * v + b0 + a3 * b1) * x
+    a = a + b1 * big_l * big_l + v * v + a3 * b0
+    m = UniPoly(arity, ext, [F(-2), F(0), F(1)])
+    branches = _check_d5_against_sympy(sympy, a, b, m, arity, [sympy.sqrt(2), -sympy.sqrt(2)])
+    assert [len(v) - 1 for _, v in branches] == [0]
+
+
+@pytest.mark.parametrize("arity", [1, 2], ids=["over-Q", "over-K"])
+def test_d5_gcd_splits_where_a_leading_coefficient_vanishes_at_some_roots(arity):
+    # mod (t^2 - 2)(t^2 - 3), with d = c + t^2 - 3 and e = (t^2 - 3)*y:
+    # x^3 + c divides x^4 + d*x + e where t^2 = 3, so the gcd there is all of
+    # b, and f where t^2 = 2; the chain's leading coefficients of degree 1 and
+    # 2 vanish at the roots of t^2 - 3 only
+    sympy = pytest.importorskip("sympy")
+    ext = arity + 1
+    x, t = MultiPoly.variable(ext, 0), MultiPoly.variable(ext, arity)
+    y = MultiPoly.variable(ext, 1) if arity == 2 else MultiPoly.one(ext)
+    c, f, q = t + y, x + t + y, t * t - MultiPoly.constant(ext, 3)
+    a = f * (x**4 + (c + q) * x + q * y)
+    b = f * (x**3 + c)
+    m = UniPoly(arity, ext, [F(6), F(0), F(-5), F(0), F(1)])
+    roots = [sympy.sqrt(2), -sympy.sqrt(2), sympy.sqrt(3), -sympy.sqrt(3)]
+    branches = _check_d5_against_sympy(sympy, a, b, m, arity, roots)
+    degrees = [(mb.coeffs, len(v) - 1) for mb, v in branches]
+    assert degrees == [([F(-3), F(0), F(1)], 4), ([F(-2), F(0), F(1)], 1)]
 
 
 # -- independent oracle: sympy's RootSum ---------------------------------------------
