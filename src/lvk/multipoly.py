@@ -776,7 +776,7 @@ def _subresultant_prs(a: _UniView, b: _UniView, chain: list | None = None):
     A given ``chain`` list gets every nonzero remainder, the constant one
     too, as the regular subresultant of its degree, up to sign: a remainder
     s whose degree is gap > 1 below b's becomes Lazard's s * lc(s)^(gap-1) /
-    h^(gap-1), h the scale of b (Ducos 2000).
+    h^(gap-1), h the scale of b (Ducos 2000); the loop goes on with s.
     """
     g = h = MultiPoly.one(a.arity)
     sign = 1
@@ -792,9 +792,8 @@ def _subresultant_prs(a: _UniView, b: _UniView, chain: list | None = None):
         h = _next_scale(g, h, delta)
         if chain is not None:
             gap = a.degree() - b.degree()
-            if gap > 1:
-                b = b.mul_coeff(b.lc() ** (gap - 1)).div_coeff(h ** (gap - 1))
-            chain.append(b)
+            regular = b if gap <= 1 else b.mul_coeff(b.lc() ** (gap - 1)).div_coeff(h ** (gap - 1))
+            chain.append(regular)
             if b.degree() == 0:
                 return None
 

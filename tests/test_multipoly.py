@@ -397,6 +397,58 @@ def test_gcd_cofactors_through_the_prs(prs_calls):
     assert prs_calls
 
 
+# -- the subresultant chain -------------------------------------------------------
+
+
+def _sylvester_subresultant(sympy, a, b, da, db, j):
+    """The j-th subresultant of a, b (formal degrees da, db in x1) by its determinant."""
+    x = sympy.Symbol("x1")
+    rows = [sympy.Poly(a * x**i, x) for i in range(db - j)]
+    rows += [sympy.Poly(b * x**i, x) for i in range(da - j)]
+    size = da + db - 2 * j
+    powers = [da + db - j - 1 - col for col in range(size - 1)]
+
+    def minor(k):
+        return sympy.Matrix([[row.coeff_monomial(x**e) for e in [*powers, k]] for row in rows])
+
+    return sum(minor(k).det() * x**k for k in range(j + 1))
+
+
+def test_subresultant_chain_holds_the_regular_subresultants():
+    # B = u^2*x^3 + u*x^2 + b1*x + b0, u = x2 + x3, with b1 chosen so that
+    # prem(A, B) has degree 1: a defective step whose leading coefficient is
+    # not a multiple of lc(B), followed by further nonzero elements
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4242)
+    names = ["x", "y", "t"]
+    x, y, t = (MultiPoly.variable(3, i) for i in range(3))
+    u, one = t + y, MultiPoly.one(3)
+
+    def linear():
+        return P(f"{rng.randint(-3, 3)} + {rng.randint(-2, 2)}*y + {rng.randint(-3, 3)}*t", names)
+
+    for _ in range(2):
+        a3, a2, a1, a0, b0 = (linear() for _ in range(5))
+        big_a = x**4 + a3 * x**3 + a2 * x**2 + a1 * x + a0
+        big_b = u * u * x**3 + u * x**2 + (u * u * a2 - u * a3 + one) * x + b0
+        f = x + t + one
+        pairs = [(big_a, big_b, [1, 0]), (f * big_a, f * big_b, [2, 1])]
+        pairs.append((x * x * big_a + big_b, big_a, [3, 1, 0]))
+        for a, b, degrees in pairs:
+            ua, ub = multipoly._UniView.of(a, 0), multipoly._UniView.of(b, 0)
+            chain = [ua, ub]
+            multipoly._subresultant_prs(ua, ub, chain)
+            assert [s.degree() for s in chain[2:]] == degrees
+            degrees_ab = (ua.degree(), ub.degree())
+            # subresultants commute with evaluation of the coefficients' variables
+            for point in ({1: 2, 2: 5}, {1: -3, 2: 7}):
+                sa, sb = (to_sympy(sympy, p.eval_partial(point)) for p in (a, b))
+                for s in chain[2:]:
+                    got = to_sympy(sympy, s.to_poly().eval_partial(point))
+                    want = _sylvester_subresultant(sympy, sa, sb, *degrees_ab, s.degree())
+                    assert sympy.expand(got - want) == 0 or sympy.expand(got + want) == 0
+
+
 # -- the degree cap on results that can grow ------------------------------------
 
 

@@ -444,13 +444,12 @@ def test_d5_gcd_matches_sympy_on_defective_chains(monkeypatch, minpoly, arity):
     # a = f*(x^4 + d*x + e) and b = f*(x^3 + c), f = x + t + k: the chain of
     # a and b drops from degree 4 to 2 or less, through Lazard's step
     sympy = pytest.importorskip("sympy")
-    gaps = []
+    chains = []
     prs = lvk.residues._subresultant_prs
 
     def recording_prs(a, b, chain):
         prs(a, b, chain)
-        degrees = [s.degree() for s in chain]
-        gaps.extend(p - q for p, q in zip(degrees[1:], degrees[2:]))
+        chains.append([s.degree() for s in chain])
 
     monkeypatch.setattr(lvk.residues, "_subresultant_prs", recording_prs)
     ext = arity + 1
@@ -473,7 +472,18 @@ def test_d5_gcd_matches_sympy_on_defective_chains(monkeypatch, minpoly, arity):
         a = f * (x**4 + d * x + e)
         b = f * (x**3 + c)
         _check_d5_against_sympy(sympy, a, b, m, arity, roots)
-    assert any(g > 1 for g in gaps)
+    assert any(p - q > 1 for degrees in chains for p, q in zip(degrees[1:], degrees[2:]))
+    # lc(b) = u^2 with u = t + x2 (t + 1 over Q), and b's x-coefficient set
+    # so that the remainder of a by b drops two degrees: Lazard's step, whose
+    # leading coefficient is not a multiple of u^2, then one more element
+    u = t + (MultiPoly.variable(ext, 1) if arity == 2 else MultiPoly.one(ext))
+    a3, a2, a1, a0, b0 = (linear_in_t() for _ in range(5))
+    f = x + t + MultiPoly.constant(ext, rng.randint(-2, 2))
+    a = f * (x**4 + a3 * x**3 + a2 * x**2 + a1 * x + a0)
+    b = f * (u * u * x**3 + u * x**2 + (u * u * a2 - u * a3 + MultiPoly.one(ext)) * x + b0)
+    branches = _check_d5_against_sympy(sympy, a, b, m, arity, roots)
+    assert chains[-1] == [5, 4, 2, 1]
+    assert [len(v) - 1 for _, v in branches] == [1]
 
 
 @pytest.mark.parametrize("arity", [1, 2], ids=["over-Q", "over-K"])
