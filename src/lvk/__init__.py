@@ -23,7 +23,7 @@ from .pipeline import (
     theorem2_pipeline,
 )
 from .ratfunc import RatFunc
-from .residues import ResidueGroup, rothstein_trager, trace_of_algebraic
+from .residues import ResidueGroup, rothstein_trager
 from .unipoly import UniPoly, hermite_reduce, resultant, squarefree_yun
 from .vectorfield import PolyVectorField, parse_system
 
@@ -60,7 +60,6 @@ __all__ = [
     "synthesize",
     "theorem2_pipeline",
     "to_darboux",
-    "trace_of_algebraic",
     "try_exact_div",
     "verify_exponential_factor",
 ]

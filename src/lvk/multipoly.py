@@ -680,6 +680,32 @@ def gcd_cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, Mul
     return _gcd(a, b, True)
 
 
+def squarefree_in_var(p: MultiPoly, var: int) -> tuple[MultiPoly, list[tuple[MultiPoly, int]]]:
+    """(c, [(a_e, e), ...]) with p = c * prod a_e^e up to a constant factor.
+
+    c is the content of p in var, and a_e, for each multiplicity e that
+    occurs, is the product of the factors of p that involve var and divide
+    it exactly e times.  The a_e are squarefree and pairwise coprime.  This
+    is Yun's algorithm on the primitive part (Geddes, Czapor & Labahn,
+    *Algorithms for Computer Algebra*, 8.2) with every gcd taken with its
+    cofactors, so no step divides twice.
+    """
+    if not p.involves(var):
+        return p, []
+    content = _content(_UniView.of(p, var).coeffs)
+    if not content.is_constant():
+        p = exact_div(p, content)
+    _, w, z = _gcd(p, p.derivative(var), True)
+    parts = []
+    e = 1
+    while w.involves(var):
+        a, w, z = _gcd(w, z - w.derivative(var), True)
+        if a.involves(var):
+            parts.append((a, e))
+        e += 1
+    return content, parts
+
+
 def _gcd(a: MultiPoly, b: MultiPoly, cofactors: bool):
     """The one shortcut ladder behind gcd_multivar and gcd_cofactors."""
     a._check(b)

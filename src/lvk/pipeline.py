@@ -4,7 +4,10 @@ Theorem-1 direction: ratios of Jacobian multipliers are first integrals, with
 rank certification of their independence, and the 2D integrating-factor first
 integral.  Theorem-2 direction: from rational first integrals through the
 Gamma determinants, all read off one elimination of the integrals' gradient
-matrix, and h = P_last / Gamma to a Darboux Jacobian multiplier.
+matrix, and h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  Its
+factors are split by multiplicity variable by variable, as integrating
+-d log h would split them, but with squarefree decompositions and no
+integration; the multiplier identity certifies the result.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from operator import mul
 from .darboux import DarbouxFunction, is_jacobian_multiplier
 from .errors import VerificationError
 from .forms import OneForm, is_closed
-from .integrator import IntegrationResult, differentiate, integrate_closed, to_darboux
+from .integrator import IntegrationResult, differentiate, integrate_closed
 from .linalg import _back_pass, _eliminate, rank_with_witness
-from .multipoly import MultiPoly, exact_div, gcd_multivar
+from .multipoly import MultiPoly, _coeffs_in_var, exact_div, gcd_multivar, squarefree_in_var
 from .ratfunc import RatFunc
 from .vectorfield import PolyVectorField
 
@@ -183,10 +186,44 @@ def _strip_common_factor(X: PolyVectorField):
     return reduced, warning
 
 
+def _inverse_by_levels(h: RatFunc) -> DarbouxFunction:
+    """1/h as a Darboux function, factored as integrating -d log h factors it.
+
+    At each variable v in natural order, integrate_closed groups the factors
+    of G (first 1/h) that involve v by their residue, the signed
+    multiplicity e, into one argument a_e/lc_v(a_e), monic in v, and carries
+    G divided by the arguments' powers to the later variables.  Here a_e
+    comes from squarefree_in_var on num(G) and den(G), so no integration
+    runs.  The pairs (a_e, e) and (lc_v(a_e), -e) make the same Darboux
+    function as the argument's numerator and denominator, since a_e is
+    primitive in v and so coprime to lc_v(a_e).
+    """
+    n = h.arity
+    num, den = h.den, h.num
+    factors = []
+    for v in range(n):
+        carried = []
+        for p, sign in ((num, 1), (den, -1)):
+            content, parts = squarefree_in_var(p, v)
+            for a, e in parts:
+                lc = _coeffs_in_var(a, v)[a.degree_in(v)]
+                factors += [(a, sign * e), (lc, -sign * e)]
+                content = content * lc**e
+            carried.append(content)
+        g = RatFunc(*carried)
+        num, den = g.num, g.den
+    return DarbouxFunction(RatFunc.zero(n), factors=factors)
+
+
 def multiplier_from_rational_integrals(
     X: PolyVectorField, integrals, last_var: int | None = None
 ) -> MultiplierDerivation:
-    """Lemma-style construction: Gamma, h = P_last/Gamma, A = d log h, J = exp(-int A)."""
+    """Lemma-style construction: Gamma, h = P_last/Gamma, A = d log h, J = 1/h.
+
+    A and u = -A are reported with the closedness and pairing identities of
+    A, but u is not integrated: J = exp(int u) is 1/h, built by
+    ``_inverse_by_levels`` and certified by ``multiplier-residual``.
+    """
     names = list(X.var_names)
     X, warning = _strip_common_factor(X)
     warnings = [warning] if warning else []
@@ -230,7 +267,7 @@ def multiplier_from_rational_integrals(
     if not pairing.is_zero():
         raise VerificationError("<A, P> = div P failed")
     u_form = -a_form
-    result = to_darboux(integrate_closed(u_form, check=False))
+    result = _inverse_by_levels(h)
     final = is_jacobian_multiplier(X, result)
     identities.append(("multiplier-residual", final.residual))
     if not final.ok:

@@ -79,14 +79,6 @@ def power_sums(m: list[Fraction], count: int) -> list[Fraction]:
     return sums
 
 
-def trace_of_algebraic(p: list[Fraction], m: list[Fraction]) -> Fraction:
-    """Exact sum of p(t) over all roots of squarefree monic m."""
-    m = UniPoly(0, 1, m).monic()
-    p = UniPoly(0, 1, p) % m
-    sums = power_sums(m.coeffs, m.degree())
-    return sum((c * sums[i] for i, c in enumerate(p.coeffs)), Fraction(0))
-
-
 # -- arithmetic modulo m(t) ------------------------------------------------------
 #
 # Here a polynomial is a MultiPoly over Q in the level's variables, t (the

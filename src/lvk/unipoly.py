@@ -156,9 +156,6 @@ class UniPoly:
             return self.coeffs[i]
         return self.zero
 
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.lc() == self.one()
-
     # -- arithmetic ----------------------------------------------------------
 
     def common(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
@@ -336,15 +333,6 @@ class SquarefreeDecomposition:
 
     parts: list[tuple[UniPoly, int]]
     unit: Fraction | RatFunc
-
-    def multiply_back(self) -> UniPoly:
-        if not self.parts:
-            raise ValueError("empty decomposition has no intrinsic variable")
-        acc = self.parts[0][0]._new([self.unit])
-        for f, m in self.parts:
-            for _ in range(m):
-                acc = acc * f
-        return acc
 
 
 def squarefree_yun(p: UniPoly) -> SquarefreeDecomposition:

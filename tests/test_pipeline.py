@@ -4,13 +4,14 @@ import pytest
 
 from lvk.darboux import multiplier_residual
 from lvk.errors import VerificationError
-from lvk.forms import is_closed
-from lvk.integrator import differentiate
+from lvk.forms import OneForm, is_closed
+from lvk.integrator import differentiate, integrate_closed, to_darboux
 from lvk.linalg import determinant
 from lvk.multipoly import MultiPoly, exact_div, gcd_multivar
 from lvk.parsing import parse_darboux, parse_ratfunc
 from lvk.pipeline import (
     ClosedFormUnavailable,
+    _inverse_by_levels,
     _strip_common_factor,
     first_integral_2d,
     gamma_determinants,
@@ -192,7 +193,79 @@ def test_theorem2_pipeline_on_planted_systems(n):
     assert last_zero >= 2
 
 
+@pytest.mark.parametrize(
+    "seed, n, draw, render",
+    [
+        (
+            904,
+            4,
+            16,
+            "(x3 + 8)^-2 * (x1^2 - 8/3*x1*x2 - 2*x1 + 16/3*x2)^-2 * (x1^2*x3^2 "
+            "+ 1/3*x1*x3^3 + 32/3*x1^2*x3 + 4/3*x1*x3^2 - 2/3*x3^3 - 2/9*x1^2 "
+            "- 64/3*x1*x3 - 21/4*x3^2 + 8/9*x1 + 1/18)",
+        ),
+        (905, 5, 28, None),
+    ],
+    ids=["904", "905"],
+)
+def test_theorem2_pipeline_on_former_outliers(seed, n, draw, render):
+    # uncapped draws whose multiplier, built by integrating -d log h, took
+    # seconds (904) or minutes (905); the 904 render is that construction's
+    rng = random.Random(seed)
+    for _ in range(draw):
+        X, H = _planted_system(rng, n)
+    report = theorem2_pipeline(X, H)
+    reduced, _ = _strip_common_factor(X)
+    assert multiplier_residual(reduced, report.multiplier).is_zero()
+    if render is not None:
+        assert report.multiplier.render(list(X.var_names)) == render
+
+
 # -- multiplier construction ------------------------------------------------------
+
+
+def _by_integration(h):
+    """The multiplier 1/h as integrating -d log h makes it: the oracle."""
+    u = OneForm([-h.log_derivative(i) for i in range(h.arity)])
+    return to_darboux(integrate_closed(u, check=False))
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("n", [3, 4])
+def test_inverse_by_levels_matches_integration_on_planted_systems(seed, n):
+    rng = random.Random(10 * seed + n)
+    names = [f"x{i + 1}" for i in range(n)]
+    for _ in range(12):
+        X, H = _planted_system(rng, n)
+        d = multiplier_from_rational_integrals(X, H)
+        expected = _by_integration(d.h)
+        assert d.result.render(names) == expected.render(names)
+        assert d.result.scale == expected.scale
+
+
+@pytest.mark.parametrize(
+    "multiplier, render",
+    [
+        # x + 1 and x + y share the exponent -1 at the x level: one argument
+        ("1/((x + 1)*(x + y)*(x - z)^2)", "(x - z)^-2 * (x^2 + x*y + x + y)^-1"),
+        # lc_x(x*y + 1) = y goes on to the y level and joins y + 1 there
+        ("1/((x*y + 1)*(y + 1))", "y * (x*y + 1)^-1 * (y^2 + y)^-1"),
+        # the carried y^2 and z cancel against factors found at later levels
+        (
+            "(x*y + 1)^2*(y*z - 1)/(3*(x*z + y)*(z + 2))",
+            "(z + 2)^-1 * (x*y + 1)^2 * (x*z + y)^-1 * (y*z - 1)",
+        ),
+        # a constant lc_x that is not the graded-lex one sets the scale
+        ("(y + 2*z^2)/(3*x*y + z^2)", "2 * (x*y + 1/3*z^2)^-1 * (z^2 + 1/2*y)"),
+    ],
+)
+def test_inverse_by_levels_matches_integration_by_hand(multiplier, render):
+    h = R3(multiplier).inverse()
+    got, expected = _inverse_by_levels(h), _by_integration(h)
+    assert got.render(N3) == expected.render(N3) == render
+    assert got.scale == expected.scale
+
+
 
 
 def test_multiplier_derivation_golden():

@@ -16,7 +16,6 @@ from lvk.residues import (
     power_sums,
     qpoly_render,
     rothstein_trager,
-    trace_of_algebraic,
 )
 from lvk.unipoly import UniPoly, gcd_uni, ratfunc_as_unipair, squarefree_yun
 
@@ -42,13 +41,6 @@ def test_power_sums_of_known_roots():
     # roots 1 and 2: m = (t-1)(t-2) = t^2 - 3t + 2
     sums = power_sums([F(2), F(-3), F(1)], 4)
     assert sums == [F(2), F(3), F(5), F(9)]
-
-
-def test_trace_reduces_argument_first():
-    # sum of t^2 over roots of t^2 - 1/8: 1/8 + 1/8 = 1/4
-    assert trace_of_algebraic([F(0), F(0), F(1)], [F(-1, 8), F(0), F(1)]) == F(1, 4)
-    # sum of t over the same roots is 0
-    assert trace_of_algebraic([F(0), F(1)], [F(-1, 8), F(0), F(1)]) == 0
 
 
 def test_rational_squarefree_factors_match_sympy():
