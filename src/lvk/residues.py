@@ -5,20 +5,22 @@ without ever materializing the algebraic numbers t.  The minimal polynomial m
 always has rational coefficients (constancy of residues is the computational
 shadow of closedness); arguments may involve the x variables and powers of t.
 
-A single residue needs no resultant: when num = c*den' for a constant c, the
-logarithmic part is c*log(den).  Otherwise a rational residue c gets its
-argument from one monic gcd at t = c, over the level's coefficient field: Q
-when the level involves only its main variable, else the field K of the
-other variables.  Only a factor of m without rational roots goes to
-``d5_gcd``, which reads the gcd at each root of m off one subresultant chain
-and splits m where that differs between roots.  Arithmetic modulo m is one
-adjugate: a * adj(a) = Norm(a) mod m with the norm free of t, so the monic
-gcd and the trace of t * d(arg)/arg over the roots of m (Newton power sums)
-each divide once, by a norm.
+A single residue needs no elimination: when num = c*den' for a constant c,
+the logarithmic part is c*log(den).  Otherwise one subresultant chain of den
+and num - t*den' in x, over Q[level variables, t], ends at R(t), the
+resultant up to a factor free of t.  A rational root c of R gets its argument
+from one monic gcd at t = c, over the level's coefficient field: Q when the
+level involves only its main variable, else the field K of the other
+variables.  Only a factor m of R without rational roots goes to ``d5_gcd``,
+which reads the gcd at each root of m off the same chain and splits m where
+that differs between roots.  Arithmetic modulo m is one adjugate:
+a * adj(a) = Norm(a) mod m with the norm free of t, so the monic gcd and the
+trace of t * d(arg)/arg over the roots of m (Newton power sums) each divide
+once, by a norm.
 
 Every polynomial in t is a ``UniPoly`` in variable ``arity`` of ``arity + 1``,
-the slot the resultant gives t: the factors of R(t) over Q, and the elements
-of F[t]/(m) over the level's field F, with K's elements as RatFuncs of
+the slot the chain gives t: the factors of R(t) over Q, and the elements of
+F[t]/(m) over the level's field F, with K's elements as RatFuncs of
 ``arity + 1`` that do not involve t.
 """
 
@@ -29,9 +31,16 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NonConstantResidue, ZeroDivisionInField
-from .multipoly import MultiPoly, _coeffs_in_var, _subresultant_prs, _UniView, resultant_in_var
+from .multipoly import (
+    MultiPoly,
+    _coeffs_in_var,
+    _subresultant_prs,
+    _UniView,
+    gcd_cofactors,
+    resultant_in_var,
+)
 from .ratfunc import RatFunc
-from .unipoly import UniPoly, coeff_inverse, gcd_uni, resultant, squarefree_yun
+from .unipoly import UniPoly, coeff_inverse, gcd_uni, squarefree_yun
 
 
 def qpoly_render(p: list[Fraction], symbol: str = "t") -> str:
@@ -81,9 +90,10 @@ def power_sums(m: list[Fraction], count: int) -> list[Fraction]:
 
 # -- arithmetic modulo m(t) ------------------------------------------------------
 #
-# Here a polynomial is a MultiPoly over Q in the level's variables, t (the
-# variable ``t``) and one spare variable, the last: x in d5_gcd, u in the
-# adjugate.  m is a list of rational coefficients, monic.
+# Here a polynomial is a MultiPoly over Q in the level's variables and t (the
+# variable ``t``); m is a list of rational coefficients, monic.  The adjugate
+# eliminates one more variable u that its input is free of: x in d5_gcd, a
+# spare last variable in the group log derivative.
 
 
 def _mod(p: MultiPoly, m: list[Fraction], t: int) -> MultiPoly:
@@ -96,15 +106,14 @@ def _drop(p: MultiPoly, arity: int) -> MultiPoly:
     return MultiPoly._raw(arity, {e[:arity]: c for e, c in p.nums.items()}, p.den)
 
 
-def _adjugate(a: MultiPoly, m: list[Fraction], t: int) -> tuple[MultiPoly, MultiPoly]:
+def _adjugate(a: MultiPoly, m: list[Fraction], t: int, u: int) -> tuple[MultiPoly, MultiPoly]:
     """(adj, norm) with a * adj = norm mod m and norm free of t.
 
-    a is reduced mod m and free of the spare variable u.  adj = Res_u((m(u) -
-    m(t))/(u - t), a(u)) mod m: at a root of m the quotient is monic with the
-    other roots, so adj there is the product of a over them.
+    a is reduced mod m and free of u.  adj = Res_u((m(u) - m(t))/(u - t),
+    a(u)) mod m: at a root of m the quotient is monic with the other roots,
+    so adj there is the product of a over them.
     """
     n = a.arity
-    u = n - 1
     quotient = {}
     for k, c in enumerate(m):
         for i in range(k):  # (u^k - t^k)/(u - t) = sum of u^i * t^(k-1-i)
@@ -117,42 +126,42 @@ def _adjugate(a: MultiPoly, m: list[Fraction], t: int) -> tuple[MultiPoly, Multi
     return adj, _mod(a * adj, m, t)
 
 
-def d5_gcd(
-    a: list[UniPoly], b: list[UniPoly], m: UniPoly
-) -> list[tuple[UniPoly, list[UniPoly]]]:
-    """Monic gcd of a, b in (F[t]/m)[x], splitting m where it differs between roots.
+def _chain(a: MultiPoly, b: MultiPoly, x: int) -> list[_UniView]:
+    """The subresultant chain of a and b in x, the one of higher degree first.
 
-    Returns a list of (m_branch, gcd) pairs covering all conjugate branches.
-    a and b, cleared of denominators, run one subresultant chain in x over
-    Q[level variables, t].  At a root of m where lc(a) does not vanish, the
-    gcd is the chain element of least degree whose leading coefficient does
-    not vanish there: the regular gcd of Moreno Maza and Rioboo (1995).
+    After a and b come their nonzero remainders, each the regular
+    subresultant of its degree up to sign.  The last element is free of x
+    exactly when a and b have no common factor in x; it is then their
+    resultant up to sign, or b itself when b is free of x.
     """
-    n = m.arity + 1
-    x = n - 1  # the spare variable
-    pa, pb = (
-        _UniView.of(UniPoly(x, n, [c.to_ratfunc().extend_arity(n) for c in p]).to_ratfunc().num, x)
-        for p in (a, b)
-    )
+    pa, pb = _UniView.of(a, x), _UniView.of(b, x)
     if pa.degree() < pb.degree():
         pa, pb = pb, pa
     chain = [pa, pb]
     if pb.degree() > 0:
         _subresultant_prs(pa, pb, chain)
-    return _regular_gcd(chain, m, a[-1].over_q)
+    return chain
 
 
-def _regular_gcd(
-    chain: list[_UniView], m: UniPoly, over_q: bool
-) -> list[tuple[UniPoly, list[UniPoly]]]:
-    t, ext = m.main_var, m.arity
+def d5_gcd(chain: list[_UniView], m: UniPoly) -> list[tuple[UniPoly, list[UniPoly]]]:
+    """Monic gcd of a, b in (F[t]/m)[x], splitting m where it differs between roots.
+
+    chain is ``_chain(a, b, x)`` for polynomials a, b over Q in x, the
+    level's other variables and t, the variable of m; F is Q when they
+    involve no other variable, else K.  Returns (m_branch, gcd) pairs
+    covering all conjugate branches, the gcd as its x-coefficients, each a
+    UniPoly in t over F.  At a root of m where lc(a) does not vanish, the gcd
+    is the chain element of least degree whose leading coefficient does not
+    vanish there: the regular gcd of Moreno Maza and Rioboo (1995).
+    """
+    t = m.main_var
     for s in reversed(chain):  # least degree first
         if s.is_zero() or (lc := _mod(s.lc(), m.coeffs, t)).is_zero():
             continue  # vanishes at every root of m
-        adj, norm = _adjugate(lc, m.coeffs, t)
+        adj, norm = _adjugate(lc, m.coeffs, t, s.var)
         if norm.is_zero():
             # lc vanishes at some roots of m only: split m there
-            g = gcd_uni(UniPoly.of_poly(_drop(lc, ext), t), m)
+            g = gcd_uni(UniPoly.of_poly(lc, t), m)
             if not g.over_q:
                 for c in g.coeffs:
                     if not c.is_constant():
@@ -160,12 +169,15 @@ def _regular_gcd(
                             "a divisor of the residue minimal polynomial has non-constant "
                             f"coefficient {c.render()}"
                         )
-                g = UniPoly(t, ext, [c.constant_value() for c in g.coeffs])
-            return _regular_gcd(chain, g, over_q) + _regular_gcd(chain, m.divmod(g)[0], over_q)
+                g = UniPoly(t, m.arity, [c.constant_value() for c in g.coeffs])
+            return d5_gcd(chain, g) + d5_gcd(chain, m.divmod(g)[0])
         # monic: multiply by adj mod m, then divide once by the t-free norm
-        norm = _drop(norm, ext)
-        inv = coeff_inverse(norm.constant_value()) if over_q else RatFunc(MultiPoly.one(ext), norm)
-        v = [UniPoly.of_poly(_drop(_mod(c * adj, m.coeffs, t), ext), t) for c in s.coeffs]
+        over_q = all(sum(e) == e[t] for p in chain[:2] for c in p.coeffs for e in c.nums)
+        if over_q:
+            inv = coeff_inverse(norm.constant_value())
+        else:
+            inv = RatFunc(MultiPoly.one(m.arity), norm)
+        v = [UniPoly.of_poly(_mod(c * adj, m.coeffs, t), t) for c in s.coeffs]
         return [(m, [c.scale(inv) for c in v])]
     raise ZeroDivisionInField("gcd of zero polynomials mod m")
 
@@ -244,7 +256,7 @@ def _group_log_derivative(m: list[Fraction], arg: list[RatFunc], var: int) -> Ra
     m = UniPoly(0, 1, m).monic().coeffs
     f = UniPoly(t, arity + 1, [c.extend_arity(arity + 1) for c in arg]).to_ratfunc()
     a = f.num.extend_arity(n)
-    adj, norm = _adjugate(a, m, t)
+    adj, norm = _adjugate(a, m, t, n - 1)
     if norm.is_zero():
         raise ZeroDivisionInField("group argument vanishes at a root of its minimal polynomial")
     sums = power_sums(m, len(m) - 1)
@@ -309,12 +321,12 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
 
     With den monic, num = c*den' for a constant c is answered first, as the
     one group c*log(den): it covers every degree-1 den with a constant
-    residue.  Every other input takes the resultant R(t) = res(den,
-    num - t*den'), its squarefree factors by ``squarefree_yun`` over Q, one
-    gcd per rational residue and ``d5_gcd`` for the irrational rest.  The
-    shortcut and the rational residues run over the level's own field, and
-    ``d5_gcd`` over Q[level variables, t]; the resultant works over K, so a
-    level over Q lifts its coefficients to constant RatFuncs for it.
+    residue.  Every other input runs one subresultant chain of den and
+    num - t*den' in x, cleared of denominators, over Q[level variables, t].
+    Its last element is R(t) = res(den, num - t*den') up to a factor free of
+    t; then come the squarefree factors of R by ``squarefree_yun`` over Q,
+    one gcd per rational residue over the level's own field, and
+    ``d5_gcd`` on the same chain for the irrational rest.
     """
     if den.is_zero():
         raise ZeroDivisionInField("zero denominator")
@@ -334,14 +346,16 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
             c = c.constant_value() if c.is_constant() else None
         if c is not None and num == dden.scale(c):
             return [ResidueGroup(minpoly=(-c, Fraction(1)), arg=(den.to_ratfunc(),))]
-    # resultant in a fresh residue symbol appended as variable index `arity`;
-    # a level over Q lifts its coefficients to constants of that arity
-    ext = arity + 1
-    t_rf = RatFunc(MultiPoly.variable(ext, arity))
-    q = num.lift(ext) - dden.lift(ext).scale(t_rf)
-    res = resultant(den.lift(ext), q)
-    res_t = UniPoly.of_poly(res.num, arity)  # univariate view in t
-    if res_t.degree() <= 0:
+    # one subresultant chain of D and N - t*D' in x, cleared of denominators,
+    # with t appended as variable `arity`: its last element is R(t) =
+    # res_x(D, N - t*D') up to a factor free of t, or has positive degree in
+    # x when R = 0
+    x, t, ext = den.main_var, arity, arity + 1
+    fn, fdd = num.to_ratfunc(), dden.to_ratfunc()
+    _, cn, cdd = gcd_cofactors(fn.den, fdd.den)  # their lcm is fn.den * cdd = fdd.den * cn
+    n_t, dd_t = (fn.num * cdd).extend_arity(ext), (fdd.num * cn).extend_arity(ext)
+    chain = _chain(den.to_ratfunc().num.extend_arity(ext), n_t - MultiPoly.variable(ext, t) * dd_t, x)
+    if chain[-1].degree() > 0 or (res_t := UniPoly.of_poly(chain[-1].lc(), t)).degree() <= 0:
         raise NonConstantResidue("resultant degenerates; preconditions violated")
     if not res_t.over_q:
         lead = res_t.lc()
@@ -366,15 +380,12 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
             continue
         # the irrational rest: gcd(den, num - t*den') mod m_j, splitting m_j
         # where the gcd differs between its roots
-        den_t, num_t, dden_t = (p if p.over_q else p.lift(ext) for p in (den, num, dden))
-        a = [UniPoly(arity, ext, [c]) for c in den_t.coeffs]
-        b = [UniPoly(arity, ext, [num_t.coeff(i), -dden_t.coeff(i)]) for i in range(den.degree())]
-        for m_branch, v in d5_gcd(a, b, m_j):
+        for m_branch, v in d5_gcd(chain, m_j):
             if len(v) < 2:
                 continue  # trivial gcd: no residue from this branch
             # the coefficient of t^k in the argument is a polynomial in x
             arg = (
-                UniPoly(den.main_var, ext, [e.coeff(k) for e in v]).to_ratfunc()
+                UniPoly(x, ext, [e.coeff(k) for e in v]).to_ratfunc()
                 for k in range(m_branch.degree())
             )
             groups.append(

@@ -116,19 +116,13 @@ class UniPoly:
         coeffs = [RatFunc.of_poly(by_deg.get(i, zero)) for i in range(max(by_deg) + 1)]
         return UniPoly._raw(main_var, p.arity, coeffs, RatFunc.zero(p.arity))
 
-    def lift(self, arity: int | None = None) -> "UniPoly":
-        """This polynomial over K of the given arity, its own by default.
-
-        Q lifts as constant RatFuncs; a larger arity appends variables.
-        """
-        arity = self.arity if arity is None else arity
-        if self.over_q:
-            coeffs = [RatFunc.constant(arity, c) for c in self.coeffs]
-        elif arity == self.arity:
+    def lift(self) -> "UniPoly":
+        """This polynomial over K: Q lifts as constant RatFuncs."""
+        if not self.over_q:
             return self
-        else:
-            coeffs = [c.extend_arity(arity) for c in self.coeffs]
-        return UniPoly._raw(self.main_var, arity, coeffs, RatFunc.zero(arity))
+        ar = self.arity
+        coeffs = [RatFunc.constant(ar, c) for c in self.coeffs]
+        return UniPoly._raw(self.main_var, ar, coeffs, RatFunc.zero(ar))
 
     # -- queries -----------------------------------------------------------
 
@@ -372,6 +366,10 @@ def resultant(p: UniPoly, q: UniPoly) -> RatFunc:
     writes them (Lp*p)/Lp, and the fraction-free subresultant PRS of
     multipoly does the elimination:
     Res(p, q) = Res(Lp*p, Lq*q) / (Lp^deg q * Lq^deg p).
+
+    No lvk code calls it: ``rothstein_trager`` reads R(t) off its own
+    subresultant chain.  It stays a public export, and ``bench/spans.py``
+    traces it by name.
     """
     if p.is_zero() or q.is_zero():
         raise ZeroDivisionInField("resultant of zero polynomial")

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import lvk.multipoly
 import lvk.residues
 from conftest import random_poly
 from lvk.errors import NonConstantResidue, ZeroDivisionInField
 from lvk.integrator import IntegrationResult, differentiate, integrate_closed
-from lvk.multipoly import MultiPoly, _coeffs_in_var
+from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
 from lvk.residues import (
@@ -105,10 +106,11 @@ def test_group_argument_vanishing_at_a_root_is_a_zero_division():
 # -- Rothstein-Trager ---------------------------------------------------------------
 
 
-def _count_resultants(monkeypatch):
+def _count_chains(monkeypatch):
+    """One entry per subresultant chain of D and N - t*D' that rothstein_trager builds."""
     calls = []
-    resultant = lvk.residues.resultant
-    monkeypatch.setattr(lvk.residues, "resultant", lambda p, q: calls.append(1) or resultant(p, q))
+    chain = lvk.residues._chain
+    monkeypatch.setattr(lvk.residues, "_chain", lambda a, b, x: calls.append(1) or chain(a, b, x))
     return calls
 
 
@@ -122,9 +124,10 @@ def test_rt_simple_log():
 
 
 def test_rt_two_rational_residues(monkeypatch):
-    # (3x - 1)/(x^2 - x) = 1/x + 2/(x - 1): num is no multiple of den', so R(t) is built
+    # (3x - 1)/(x^2 - x) = 1/x + 2/(x - 1): num is no multiple of den', so the
+    # chain that ends at R(t) is built
     num, den = _unipair("3*x - 1", "x^2 - x", ["x"])
-    calls = _count_resultants(monkeypatch)
+    calls = _count_chains(monkeypatch)
     groups = rothstein_trager(num, den)
     assert calls == [1]
     got = sorted(
@@ -163,6 +166,67 @@ def test_rt_rejects_non_constant_residue():
         rothstein_trager(num, den)
 
 
+@pytest.mark.parametrize("expr_num, expr_den", [("1", "x^2"), ("x", "x^3 - x^2")])
+def test_rt_rejects_a_degenerate_resultant(expr_num, expr_den):
+    # den not squarefree: R(t) = res(x^2, 1 - 2*t*x) = 1 is free of t, and
+    # x/(x^3 - x^2) shares the root 0 with its den, so R(t) is 0 and the
+    # chain stops at an element of positive degree in x
+    num, den = _unipair(expr_num, expr_den, ["x"])
+    message = "^resultant degenerates; preconditions violated$"
+    with pytest.raises(NonConstantResidue, match=message):
+        rothstein_trager(num, den)
+
+
+def _count_eliminations(monkeypatch):
+    """One entry per PRS run that eliminates x between D and N - t*D'.
+
+    Such a run starts from the degrees (deg D, deg D - 1); the resultants
+    the adjugate takes in its own variable are not recorded.
+    """
+    runs, adjugating = [], []
+    prs, adjugate = lvk.multipoly._subresultant_prs, lvk.residues._adjugate
+
+    def recording_prs(a, b, chain=None):
+        if not adjugating:
+            runs.append((a.degree(), b.degree()))
+        return prs(a, b, chain)
+
+    def quiet_adjugate(*args):
+        adjugating.append(1)
+        try:
+            return adjugate(*args)
+        finally:
+            adjugating.pop()
+
+    for module in (lvk.multipoly, lvk.residues):
+        monkeypatch.setattr(module, "_subresultant_prs", recording_prs)
+    monkeypatch.setattr(lvk.residues, "_adjugate", quiet_adjugate)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "expr_num, expr_den, eliminations",
+    [
+        ("1", "x^2 - 2", 1),
+        ("1", "(x + y)^3 - 2", 1),
+        ("3*(x + y)^2", "(x + y)^3 - 2", 0),
+    ],
+    ids=["quadratic-over-Q", "cubic-over-K", "shortcut"],
+)
+def test_rt_runs_one_elimination_per_level(monkeypatch, expr_num, expr_den, eliminations):
+    # R(t) and the regular gcd of an irrational factor read one chain; the
+    # c*D'/D shortcut eliminates nothing
+    num, den = _unipair(expr_num, expr_den, ["x", "y"])
+    runs = _count_eliminations(monkeypatch)
+    groups = rothstein_trager(num, den)
+    assert runs.count((den.degree(), den.degree() - 1)) == eliminations
+    assert max(g.degree for g in groups) == (1 if eliminations == 0 else den.degree())
+    total = RatFunc.zero(2)
+    for g in groups:
+        total = total + g.log_derivative(0)
+    assert total == num.to_ratfunc() / den.to_ratfunc()
+
+
 def _x_polynomial(rng, arity, degree):
     """A polynomial of degree exactly `degree` in x1 whose leading coefficient
     may involve the other variables."""
@@ -188,7 +252,7 @@ def test_rt_single_residue_is_read_off_without_a_resultant(monkeypatch, seed, ar
             break
     c = F(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 3]))
     num = den.derivative().scale(RatFunc.constant(arity, c))
-    calls = _count_resultants(monkeypatch)
+    calls = _count_chains(monkeypatch)
     groups = rothstein_trager(num, den)
     assert groups == [ResidueGroup(minpoly=(-c, F(1)), arg=(den.monic().to_ratfunc(),))]
     assert calls == []
@@ -261,7 +325,7 @@ def test_rt_rational_roots_take_one_gcd_each(monkeypatch, seed, quadratic):
     d5_calls = []
     d5_gcd = lvk.residues.d5_gcd
     monkeypatch.setattr(
-        lvk.residues, "d5_gcd", lambda *a: d5_calls.append(a[2].coeffs) or d5_gcd(*a)
+        lvk.residues, "d5_gcd", lambda *a: d5_calls.append(a[1].coeffs) or d5_gcd(*a)
     )
     groups = rothstein_trager(num, den)
     rational = [g for g in groups if g.degree == 1]
@@ -279,17 +343,20 @@ def test_rt_rational_roots_take_one_gcd_each(monkeypatch, seed, quadratic):
 
 
 def test_irrational_level_over_q_reaches_d5_over_q(monkeypatch):
-    # 1/(x^2 - 2) is a level over Q: D5 gets polynomials in t over Q, in the
-    # residue symbol's slot (variable 1 of 2), and no RatFunc
+    # 1/(x^2 - 2) is a level over Q: D5's chain involves only x and t, and its
+    # gcd comes back as polynomials in t over Q, in the residue symbol's slot
+    # (variable 1 of 2), with no RatFunc
     num, den = _unipair("1", "x^2 - 2", ["x"])
     calls = []
     d5_gcd = lvk.residues.d5_gcd
-    monkeypatch.setattr(lvk.residues, "d5_gcd", lambda *a: calls.append(a) or d5_gcd(*a))
+    monkeypatch.setattr(lvk.residues, "d5_gcd", lambda *a: calls.append((a, d5_gcd(*a))) or calls[-1][1])
     (g,) = rothstein_trager(num, den)
     assert g.render(["x"]) == "sum[t: 8*t^2 - 1 = 0] t*log(x + (-4)*t)"
-    ((a, b, m),) = calls
-    assert m.coeffs == [F(-1, 8), F(0), F(1)]
-    for e in [*a, *b, m]:
+    (((chain, m), branches),) = calls
+    assert all(c.arity == 2 and not c.involves(0) for s in chain for c in s.coeffs)
+    ((m_branch, v),) = branches
+    assert m_branch.coeffs == m.coeffs == [F(-1, 8), F(0), F(1)]
+    for e in [*v, m]:
         assert isinstance(e, UniPoly) and e.over_q
         assert (e.main_var, e.arity) == (1, 2)
 
@@ -301,15 +368,18 @@ def test_d5_splits_the_modulus_at_a_zero_divisor(arity):
     # where t^2 = 3 and 1 where t^2 = 2; over K, c is the other variable
     ext = arity + 1
     k = F if arity == 1 else (lambda v: RatFunc.constant(ext, v))
-    c = k(1) if arity == 1 else RatFunc(MultiPoly.variable(ext, 1))
+    x, t = MultiPoly.variable(ext, 0), MultiPoly.variable(ext, arity)
+    c = MultiPoly.one(ext) if arity == 1 else MultiPoly.variable(ext, 1)
 
     def T(*coeffs):
         return UniPoly(arity, ext, list(coeffs))
 
     m = T(*map(F, (6, 0, -5, 0, 1)))
-    branches = lvk.residues.d5_gcd([T(c), T(k(-2), k(0), k(1))], [T(c), T(k(1))], m)
+    a = (t * t - MultiPoly.constant(ext, 2)) * x + c
+    branches = lvk.residues.d5_gcd(lvk.residues._chain(a, x + c, 0), m)
+    c_in_f = k(1) if arity == 1 else RatFunc(c)
     assert [(mb.coeffs, v) for mb, v in branches] == [
-        ([F(-3), F(0), F(1)], [T(c), T(k(1))]),
+        ([F(-3), F(0), F(1)], [T(c_in_f), T(k(1))]),
         ([F(-2), F(0), F(1)], [T(k(1))]),
     ]
 
@@ -350,7 +420,7 @@ def test_planted_irrational_groups_sum_back(monkeypatch, arity, xdeg):
     monkeypatch.setattr(lvk.residues, "squarefree_yun", recording_yun)
     rng = random.Random(100 * arity + xdeg)
     # each minimal polynomial in turn; a cubic over K at x-degree 3 takes
-    # seconds a draw, as R(t) and the chain run the same PRS twice
+    # seconds a draw, almost all of it in its one subresultant chain
     minpolys = QUADRATIC_MINPOLYS + (CUBIC_MINPOLYS if arity == 1 or xdeg == 2 else [])
     done = 0
     while done < max(3, len(minpolys)):
@@ -387,22 +457,13 @@ def test_quartic_group_round_trips():
 # -- independent oracle for d5_gcd: sympy's gcd over Q(alpha) -------------------------
 
 
-def _d5_input(p, arity):
-    """p, a MultiPoly in x1, the other level variables and t (the last), as the
-    list of its x1-coefficients, polynomials in t over the level's field."""
-    by_deg = _coeffs_in_var(p, 0)
-    zero = MultiPoly.zero(arity + 1)
-    coeffs = [UniPoly.of_poly(by_deg.get(i, zero), arity) for i in range(max(by_deg) + 1)]
-    return coeffs if arity == 1 else [c.lift() for c in coeffs]
-
-
 def _check_d5_against_sympy(sympy, a, b, m, arity, roots):
     """d5_gcd(a, b, m) is sympy's gcd over Q(alpha), made monic in x1, at each
     of the given roots alpha of m; each root lies on exactly one branch."""
     symbols = sympy.symbols("x y")[:arity]
     t = sympy.Symbol("t")
     at = {s: _sympy_poly(sympy, p, [*symbols, t]) for s, p in (("a", a), ("b", b))}
-    branches = lvk.residues.d5_gcd(_d5_input(a, arity), _d5_input(b, arity), m)
+    branches = lvk.residues.d5_gcd(lvk.residues._chain(a, b, 0), m)
     covered = []
     for m_branch, v in branches:
         assert v[-1] == UniPoly(arity, arity + 1, [F(1)])

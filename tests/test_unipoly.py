@@ -229,7 +229,8 @@ def test_resultant_edge_cases_match_sylvester(p, q):
 
 
 def test_resultant_in_rothstein_trager_shape():
-    # Res_x(D, N - t*D') with t appended as an extra variable, as rothstein_trager builds it
+    # Res_x(D, N - t*D') with t appended as an extra variable: the R(t) whose
+    # chain rothstein_trager builds
     names = ["x", "y"]
     den = U("x^3 + y*x + 1").monic()
     num = U("x^2 - y").scale(parse_ratfunc("1/(y + 2)", names))
@@ -476,15 +477,15 @@ def _log_parts(rng):
 def test_rothstein_trager_agrees_over_q_and_k(monkeypatch, arity, main_var, seed):
     rng = random.Random(90 + seed)
     calls = []
-    resultant = lvk.residues.resultant
-    monkeypatch.setattr(lvk.residues, "resultant", lambda p, q: calls.append(1) or resultant(p, q))
+    chain = lvk.residues._chain
+    monkeypatch.setattr(lvk.residues, "_chain", lambda a, b, x: calls.append(1) or chain(a, b, x))
     for name, num, den in _log_parts(rng):
         (qn, kn), (qd, kd) = _qk(num, arity, main_var), _qk(den, arity, main_var)
         del calls[:]
         groups = rothstein_trager(qn, qd)
         q_calls = len(calls)
         assert groups == rothstein_trager(kn, kd), name
-        # the shortcut needs no resultant; the other levels over Q lift into the resultant
+        # the shortcut builds no chain; every other level builds one, over Q or K
         assert q_calls == len(calls) - q_calls == (0 if name == "single" else 1), name
         total = RatFunc.zero(arity)
         for g in groups:
