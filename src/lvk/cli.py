@@ -262,16 +262,9 @@ def cmd_synthesize(args) -> tuple[dict, int]:
             [],
         )
         return report, EXIT_VERIFY
-    certs = []
-    rendered = []
-    for i, D in enumerate(solutions):
-        rendered.append(D.render(names))
-        check = (
-            is_jacobian_multiplier(X, D)
-            if args.target == "multiplier"
-            else is_first_integral(X, D)
-        )
-        certs.append(_certificate(f"solution[{i}]", check.residual, names))
+    # synthesize raises unless every solution's residual is zero
+    rendered = [D.render(names) for D in solutions]
+    certs = [_certificate(f"solution[{i}]", None, names) for i in range(len(solutions))]
     result = {
         "target": args.target,
         "dimension": len(solutions),
@@ -361,11 +354,11 @@ def _pipeline_theorem1(args, X, name) -> tuple[dict, int]:
     if not multipliers:
         raise ParseError("theorem1 mode needs --multiplier (one per multiplier)")
     ratios = ratio_first_integrals(X, multipliers)
-    certs = []
-    for i, form in enumerate(ratios.forms):
-        certs.append(
-            _certificate(f"ratio-derivative[{i}]", X.lie_derivative_log(form), names)
-        )
+    # ratio_first_integrals raises unless every form's residual is zero
+    certs = [
+        _certificate(f"ratio-derivative[{i}]", None, names)
+        for i in range(len(ratios.forms))
+    ]
     payload = {
         "mode": "theorem1",
         "ratioForms": [

@@ -2,7 +2,8 @@
 
 One forward elimination, ``_eliminate``, only assumes field operations, so it
 serves Fraction matrices (synthesis) and RatFunc matrices (rank, determinants,
-Gamma); ``rref`` and the theorem-2 pipeline finish it with ``_back_pass``.
+Gamma); ``solve_linear`` and the theorem-2 pipeline finish it with
+``_back_pass``.
 """
 
 from __future__ import annotations
@@ -94,43 +95,26 @@ def _back_pass(m: list[list], pivots: Sequence[int]) -> None:
                 target[c] = zero
 
 
-def rref(matrix: Sequence[Sequence], rhs: Sequence | None = None):
-    """Reduced row echelon form over a field.
-
-    Returns (reduced rows, reduced rhs, pivot column list). Inputs are not
-    mutated.  The rhs is eliminated as an extra column; a pivot there only
-    marks an inconsistent system and is not reported.
-    """
-    if rhs is None:
-        m, pivots, _, _ = _eliminate(matrix)
-        _back_pass(m, pivots)
-        return m, None, pivots
-    if len(rhs) != len(matrix):
-        raise DimensionMismatch("rhs length mismatch")
-    ncols = len(matrix[0]) if matrix else 0
-    m, pivots, _, _ = _eliminate([[*row, b] for row, b in zip(matrix, rhs)])
-    pivots = [c for c in pivots if c < ncols]
-    _back_pass(m, pivots)
-    return [row[:ncols] for row in m], [row[ncols] for row in m], pivots
-
-
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence[Fraction]) -> LinearSolution | None:
-    """Exact solution set of rows x = rhs, or None when inconsistent."""
+    """Exact solution set of rows x = rhs, or None when inconsistent.
+
+    The rhs is eliminated as an extra column; a pivot there marks an
+    inconsistent system.  Inputs are not mutated.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if any(len(row) != ncols for row in rows):
         raise DimensionMismatch("ragged rows")
     if len(rhs) != nrows:
         raise DimensionMismatch(f"rhs has {len(rhs)} entries, matrix has {nrows} rows")
-    m, b, pivots = rref(rows, [Fraction(x) for x in rhs])
-    rank = len(pivots)
+    m, pivots, _, _ = _eliminate([[*row, Fraction(b)] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    _back_pass(m, pivots)
     zero = Fraction(0)
-    for i in range(rank, nrows):
-        if b[i] != 0:
-            return None
     particular = [zero] * ncols
     for r, c in enumerate(pivots):
-        particular[c] = b[r]
+        particular[c] = m[r][ncols]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

@@ -221,6 +221,9 @@ class ResidueGroup:
 
         Raises ZeroDivisionInField when arg vanishes at a root of minpoly.
         """
+        c = self.residue_value()
+        if c is not None:
+            return self.arg_at_rational(c).log_derivative(var).scale(c)
         return _group_log_derivative(list(self.minpoly), list(self.arg), var)
 
     def render(self, names: list[str] | None = None) -> str:
@@ -243,13 +246,8 @@ class ResidueGroup:
 
 
 def _group_log_derivative(m: list[Fraction], arg: list[RatFunc], var: int) -> RatFunc:
+    """``ResidueGroup.log_derivative`` for a group of degree 2 or more."""
     arity = arg[0].arity
-    if len(m) == 2:
-        c = -m[0] / m[1]
-        val = RatFunc.zero(arity)
-        for k in reversed(range(len(arg))):
-            val = val.scale(c) + arg[k]
-        return val.log_derivative(var).scale(c)
     # arg = A/L with L free of t: sum_t t*dA/A is Tr(t * dA * adj(A)) / Norm(A),
     # and sum_t t*dL/L is p_1 * dL/L
     t, n = arity, arity + 2

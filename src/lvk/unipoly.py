@@ -20,7 +20,10 @@ lifts the Q operand into K (``lift``), so Q-levels cost ``Fraction``
 arithmetic and K-levels cost what they did.
 
 This is the machinery behind Hermite reduction and the Rothstein-Trager
-logarithmic part.
+logarithmic part.  Euclid runs in ``gcd_uni``, and with the first operand's
+cofactor in ``extended_gcd_uni``, the half-extended Euclid of each Hermite
+pass.  Yun's squarefree decomposition has no loop here: ``squarefree_yun``
+runs ``multipoly.squarefree_in_var`` on the cleared numerator.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .multipoly import (
     exact_div,
     gcd_cofactors,
     resultant_in_var,
+    squarefree_in_var,
 )
 from .ratfunc import RatFunc
 
@@ -298,8 +302,12 @@ def gcd_uni(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def half_extended_gcd_uni(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """(g, s) with s*a = g mod b, g monic: the Euclidean algorithm carrying a's cofactor."""
+def extended_gcd_uni(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(g, s) with s*a = g mod b, g monic: the half-extended Euclidean algorithm.
+
+    Only a's cofactor is carried (Bronstein, *Symbolic Integration I*, 1.3);
+    b's, when wanted, is (g - s*a)/b exactly.
+    """
     a, b = a.common(b)
     r0, r1 = a, b
     s0, s1 = a._new([a.one()]), a._new([])
@@ -313,14 +321,6 @@ def half_extended_gcd_uni(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return r0.scale(inv), s0.scale(inv)
 
 
-def extended_gcd_uni(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """(g, s, t) with s*a + t*b = g, g monic; t = (g - s*a)/b exactly (Bronstein, 1.3)."""
-    g, s = half_extended_gcd_uni(a, b)
-    if b.is_zero():
-        return g, s, g._new([])
-    return g, s, (g - s * a).divmod(b)[0]
-
-
 @dataclass
 class SquarefreeDecomposition:
     """input = unit * prod(factor ** multiplicity), factors monic squarefree."""
@@ -330,30 +330,19 @@ class SquarefreeDecomposition:
 
 
 def squarefree_yun(p: UniPoly) -> SquarefreeDecomposition:
-    """Yun's squarefree decomposition in characteristic zero."""
+    """Yun's squarefree decomposition in characteristic zero.
+
+    p is cleared of coefficient denominators and split by
+    ``multipoly.squarefree_in_var`` in the main variable; the content it
+    splits off is free of that variable, a unit of the coefficient field,
+    and folds into ``unit = lc(p)``.  Each part is made monic in p's field.
+    """
     if p.is_zero():
         raise ZeroDivisionInField("squarefree decomposition of zero")
-    unit = p.lc()
-    p = p.monic()
-    if p.degree() == 0:
-        return SquarefreeDecomposition(parts=[], unit=unit)
-    dp = p.derivative()
-    g = gcd_uni(p, dp)
-    parts: list[tuple[UniPoly, int]] = []
-    if g.degree() == 0:
-        return SquarefreeDecomposition(parts=[(p, 1)], unit=unit)
-    w = p.divmod(g)[0]
-    y = dp.divmod(g)[0]
-    z = y - w.derivative()
-    i = 1
-    while not w.is_zero() and w.degree() > 0:
-        f = gcd_uni(w, z)
-        if f.degree() > 0:
-            parts.append((f, i))
-        w = w.divmod(f)[0]
-        z = z.divmod(f)[0] - w.derivative()
-        i += 1
-    return SquarefreeDecomposition(parts=parts, unit=unit)
+    v = p.main_var
+    _, split = squarefree_in_var(p.to_ratfunc().num, v)
+    parts = [(UniPoly.of_poly(a, v).common(p)[0].monic(), e) for a, e in split]
+    return SquarefreeDecomposition(parts=parts, unit=p.lc())
 
 
 def resultant(p: UniPoly, q: UniPoly) -> RatFunc:
@@ -393,9 +382,11 @@ def hermite_reduce(num: UniPoly, den: UniPoly) -> tuple[RatFunc, UniPoly, UniPol
     Mack's linear version of Hermite reduction (Bronstein, *Symbolic
     Integration I*, 2.2), with no squarefree factorization and no partial
     fractions.  With D- = gcd(D, D') and D* = D/D-, the fraction is
-    A/(D* D-).  Each pass takes D-2 = gcd(D-, D-') and D-* = D-/D-2, solves
-    B (-D* D-'/D-) + C D-* = A with deg B < deg D-*, and rewrites
-    A/(D* D-) = (B/D-)' + (C - B' D*/D-*)/(D* D-2).  It stops when D- is
+    A/(D* D-).  Each pass takes D-2 = gcd(D-, D-') and D-* = D-/D-2, and
+    solves B U + C D-* = A with U = -D* D-'/D- and deg B < deg D-* by one
+    half-extended Euclid: S U = 1 mod D-*, B = S A mod D-*, and
+    C = (A - B U)/D-* exactly.  It rewrites
+    A/(D* D-) = (B/D-)' + (C - B' D*/D-*)/(D* D-2), and stops when D- is
     constant, leaving A/D*.
     """
     if den.is_zero():
@@ -418,12 +409,13 @@ def hermite_reduce(num: UniPoly, den: UniPoly) -> tuple[RatFunc, UniPoly, UniPol
         d_minus_star = d_minus.divmod(d_minus2)[0]
         e = d_star.divmod(d_minus_star)[0]
         u = -(e * dd_minus.divmod(d_minus2)[0])
-        g, s, t = extended_gcd_uni(u, d_minus_star)
+        g, s = extended_gcd_uni(u, d_minus_star)
         if g.degree() != 0:
             raise HermiteError("gcd(-D* D-'/D-, D-*) is not constant")
-        # s*u + t*d_minus_star = 1, so a = b*u + (t*a + q*u)*d_minus_star
-        q, b = (s * a).divmod(d_minus_star)
-        a = t * a + q * u - b.derivative() * e
+        # s*u = 1 mod d_minus_star, so b = s*a mod d_minus_star gives b*u = a
+        # mod d_minus_star, and (a - b*u)/d_minus_star is exact
+        b = (s * a) % d_minus_star
+        a = (a - b * u).divmod(d_minus_star)[0] - b.derivative() * e
         if not b.is_zero():
             rat_part = rat_part + b.to_ratfunc() / d_minus.to_ratfunc()
         d_minus = d_minus2

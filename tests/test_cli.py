@@ -278,6 +278,27 @@ def test_verify_darboux_poly_takes_one_lie_derivative(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_synthesize_checks_each_multiplier_once(capsys, monkeypatch):
+    # synthesize certifies every solution; the report does not check it again
+    import lvk.cli
+    import lvk.darboux
+
+    calls = []
+    check = lvk.darboux.is_jacobian_multiplier
+
+    def counted(X, D):
+        calls.append(D)
+        return check(X, D)
+
+    for module in (lvk.darboux, lvk.cli):
+        if getattr(module, "is_jacobian_multiplier", None) is check:
+            monkeypatch.setattr(module, "is_jacobian_multiplier", counted)
+    argv = ["synthesize", "--poly", "x", "--poly", "y", "--target", "multiplier"]
+    argv += ["--system", str(CATALOG / "lotka2.system"), "--json"]
+    got = run(capsys, *argv)
+    assert got == (0, (CATALOG / "lotka2.golden.json").read_text(), "")
+    assert len(calls) == len(json.loads(got[1])["result"]["solutions"]) == 1
+
 def test_json_and_human_agree(capsys, lotka):
     argv = ["verify", "--system", lotka, "--multiplier", "1/(x*y)"]
     code_h, human, _ = run(capsys, *argv)

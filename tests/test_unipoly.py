@@ -8,6 +8,7 @@ from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
 import lvk.residues
+import lvk.unipoly
 from lvk.residues import rothstein_trager
 from lvk.unipoly import (
     UniPoly,
@@ -78,11 +79,19 @@ def test_gcd_uni_monic():
 
 
 def test_extended_gcd_bezout():
-    a = U("x^2 + y")
-    b = U("x + 1")
-    g, s, t = extended_gcd_uni(a, b)
-    assert s * a + t * b == g
-    assert g.lc() == g.one()
+    # (g, s) with s*a = g mod b and g monic, over K and over Q
+    pairs = [
+        (U("x^2 + y"), U("x + 1")),
+        (U("x^3 + y*x^2 - x - y"), U("y*x^2 - y")),  # gcd x^2 - 1 over K
+        (U("x^2 - 2"), U("x^3 + x + 1")),
+        (U("x^3 - x"), U("2*x^2 + 2*x")),  # gcd x^2 + x over Q
+    ]
+    for a, b in pairs:
+        g, s = extended_gcd_uni(a, b)
+        assert g.over_q == s.over_q == (a.over_q and b.over_q)
+        assert ((s * a - g) % b).is_zero()
+        assert g.lc() == g.one()
+        assert g == gcd_uni(a, b)
 
 
 def _multiply_back(d, like):
@@ -373,6 +382,35 @@ def test_to_ratfunc_matches_horner():
         # both sides are normalized, so a result not in lowest terms would differ
         assert p.to_ratfunc() == horner(p), p
 
+
+
+def test_hermite_three_passes_over_k(monkeypatch):
+    # (x*y + 1)^4 * (x - y)^2 * (x + 2): D- = (x*y + 1)^3 * (x - y), so the
+    # passes run on D- of x-degree 4, 2 and 1, one half-extended Euclid each
+    names = ["x", "y"]
+    den_poly = parse_poly("(x*y + 1)^4 * (x - y)^2 * (x + 2)", names)
+    den = UniPoly.of_poly(den_poly, 0)
+    assert not den.over_q
+    euclids = []
+    euclid = lvk.unipoly.extended_gcd_uni
+    monkeypatch.setattr(
+        lvk.unipoly, "extended_gcd_uni", lambda a, b: euclids.append(b) or euclid(a, b)
+    )
+    rng = random.Random(404)
+    checked = 0
+    while checked < 3:
+        num_poly = random_poly(rng, 2, max_deg=4, max_terms=4)
+        num = UniPoly.of_poly(num_poly, 0)
+        if num.is_zero() or num.degree() >= den.degree() or gcd_uni(num, den).degree() > 0:
+            continue
+        euclids.clear()
+        rat, rnum, rden = hermite_reduce(num, den)
+        assert len(euclids) == 3
+        back = rat.derivative(0) + rnum.to_ratfunc() / rden.to_ratfunc()
+        assert back == RatFunc(num_poly, den_poly)
+        assert gcd_uni(rden, rden.derivative()).degree() == 0
+        assert rnum.degree() < rden.degree()
+        checked += 1
 
 # -- one implementation over Q and over K ----------------------------------------------
 
