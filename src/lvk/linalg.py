@@ -1,9 +1,11 @@
-"""Exact dense linear algebra over the rationals and over rational-function fields.
+"""Exact dense linear algebra over the rationals, rational functions and polynomials.
 
 One forward elimination, ``_eliminate``, only assumes field operations, so it
-serves Fraction matrices (synthesis) and RatFunc matrices (rank, determinants,
-Gamma); ``solve_linear`` and the theorem-2 pipeline finish it with
-``_back_pass``.
+serves Fraction matrices (synthesis) and RatFunc matrices (rank,
+determinants); ``solve_linear`` finishes it with ``_back_pass``.  Matrices of
+polynomials whose minors are wanted (theorem 2's Gamma) take
+``_fraction_free``, Bareiss's elimination, which stays in the polynomial ring
+and divides only exactly, so no step runs a gcd.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import LvkError
+from .multipoly import MultiPoly, exact_div
 
 
 class DimensionMismatch(LvkError):
@@ -93,6 +96,62 @@ def _back_pass(m: list[list], pivots: Sequence[int]) -> None:
                 for j in nonzero:
                     target[j] = target[j] - f * row[j]
                 target[c] = zero
+
+
+def _fraction_free(rows: Sequence[Sequence[MultiPoly]]):
+    """Fraction-free Gauss–Jordan elimination of polynomial rows: (rows, pivot columns, sign).
+
+    Pivots are chosen as in ``_eliminate``: a column's first nonzero entry at
+    or below the current row, swapped up; ``sign`` is the sign of the row
+    permutation.  At pivot p each other row t becomes (p*t - t[c]*row) / q,
+    with q the previous pivot (Bareiss, *Math. Comp.* 22, 1968).  By
+    Sylvester's identity every entry is then a minor of the row-permuted
+    input, so the division is exact.  At the end every pivot row holds the
+    last pivot p in its own pivot column and 0 in the others; p is the minor
+    on the pivot columns, and row r's entry in a column without a pivot is
+    that minor with pivot column r replaced by this column.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    sign = 1
+    ncols = len(m[0])
+    zero = MultiPoly.zero(m[0][0].arity)
+    previous = None
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        row = m[r]
+        p = row[c]
+        # columns with a pivot hold only pivots, equal to the previous one
+        rest = [j for j in range(ncols) if j != c and j not in pivots]
+        nonzero = {j for j in rest if not row[j].is_zero()}
+        for i, target in enumerate(m):
+            if i == r:
+                continue
+            f = target[c]
+            subtract = () if f.is_zero() else nonzero
+            for j in rest:
+                t = target[j]
+                if j in subtract:
+                    t = p * t - f * row[j]
+                elif t.is_zero():
+                    continue
+                else:
+                    t = p * t
+                target[j] = t if previous is None or t.is_zero() else exact_div(t, previous)
+            if i < r:
+                target[pivots[i]] = p
+            target[c] = zero
+        pivots.append(c)
+        previous = p
+        if len(pivots) == len(m):
+            break
+    return m, pivots, sign
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence[Fraction]) -> LinearSolution | None:

@@ -3,24 +3,25 @@
 Theorem-1 direction: ratios of Jacobian multipliers are first integrals, with
 rank certification of their independence, and the 2D integrating-factor first
 integral.  Theorem-2 direction: from rational first integrals through the
-Gamma determinants, all read off one elimination of the integrals' gradient
-matrix, and h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  Its
-factors are split by multiplicity variable by variable, as integrating
--d log h would split them, but with squarefree decompositions and no
-integration; the multiplier identity certifies the result.
+Gamma determinants, all read off one fraction-free elimination of the
+integrals' gradient matrix with its rows cleared to polynomials, and
+h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  The Cramer and
+determinant-cancellation identities are polynomial identities on the
+minors' numerators over their shared denominator.  The factors of 1/h are
+split by multiplicity variable by variable, as integrating -d log h would
+split them, but with squarefree decompositions and no integration; the
+multiplier identity certifies the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import mul
 
 from .darboux import DarbouxFunction, is_jacobian_multiplier
 from .errors import VerificationError
 from .forms import OneForm, is_closed
 from .integrator import IntegrationResult, differentiate, integrate_closed
-from .linalg import _back_pass, _eliminate, rank_with_witness
+from .linalg import _fraction_free, rank_with_witness
 from .multipoly import MultiPoly, _coeffs_in_var, exact_div, gcd_multivar, squarefree_in_var
 from .ratfunc import RatFunc
 from .vectorfield import PolyVectorField
@@ -106,10 +107,8 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
     )
 
 
-def gamma_determinants(
-    X: PolyVectorField, integrals, last_var: int | None = None
-) -> tuple[RatFunc, list[RatFunc], list[int], int]:
-    """(Gamma, Gamma_i list, column variables, last variable index).
+def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
+    """(g, [g_i], L, column variables, last variable index): Gamma = g/L^2, Gamma_i = g_i/L^2.
 
     M is the (n-1) x n gradient matrix of the integrals, each first checked
     to satisfy X(H) = 0 through the polynomial Lie derivatives of its
@@ -117,12 +116,14 @@ def gamma_determinants(
     minor of M without the last variable lv's column; Gamma_i replaces
     column i in it by lv's.
 
-    One forward elimination of M gives all of them.  Its columns are in
-    natural order, or with last_var's column moved last; lv's column is the
-    one without a pivot, so without last_var lv is the largest v whose
-    complementary minor is nonzero.  Gamma is the signed product of the
-    pivots.  By Cramer's rule Gamma_i = Gamma * y_i, where M_cols y = M_lv;
-    the back pass reads y off the same echelon form.
+    Row k of M, for H_k = N_k/D_k, is cleared to D_k dN_k - N_k dD_k, so
+    every minor of M is a minor of the cleared rows over L^2, L = prod D_k.
+    One fraction-free elimination (``_fraction_free``) of the cleared rows
+    gives all of them.  Its columns are in natural order, or with
+    last_var's column moved last; lv's column is the one without a pivot, so
+    without last_var lv is the largest v whose complementary minor is
+    nonzero.  g is the last pivot, and g_i is pivot row i's entry in lv's
+    column, both signed by the row permutation.
     """
     n = X.arity
     names = list(X.var_names)
@@ -131,7 +132,7 @@ def gamma_determinants(
         raise VerificationError("Gamma needs a system of at least two variables")
     if len(integrals) != n - 1:
         raise VerificationError(f"need {n - 1} first integrals, got {len(integrals)}")
-    grads = []
+    rows, den = [], MultiPoly.one(n)
     for H in integrals:
         residual = X.lie_derivative_ratfunc(H)
         if not residual.is_zero():
@@ -139,12 +140,14 @@ def gamma_determinants(
                 f"{H.render(names)} is not a first integral "
                 f"(residual {residual.render(names)})"
             )
-        grads.append([H.derivative(i) for i in range(n)])
+        N, D = H.num, H.den
+        rows.append([D * N.derivative(i) - N * D.derivative(i) for i in range(n)])
+        den = den * D
     order = list(range(n))
     if last_var is not None:
         order.remove(last_var)
         order.append(last_var)
-    m, pivots, _, sign = _eliminate([[g[c] for c in order] for g in grads])
+    m, pivots, sign = _fraction_free([[row[c] for c in order] for row in rows])
     if len(pivots) < n - 1:
         raise VerificationError(
             "Gamma vanishes identically for every choice of the last variable; "
@@ -156,12 +159,31 @@ def gamma_determinants(
         raise VerificationError(
             f"Gamma vanishes identically with {names[last_var]} as the last variable"
         )
-    gamma = reduce(mul, (m[r][c] for r, c in enumerate(pivots)))
+    minors = [m[-1][pivots[-1]]] + [row[free] for row in m]
     if sign < 0:
-        gamma = -gamma
-    _back_pass(m, pivots)
-    gammas = [gamma * m[r][free] for r in range(n - 1)]
-    return gamma, gammas, [i for i in range(n) if i != lv], lv
+        minors = [-g for g in minors]
+    return minors[0], minors[1:], den, [i for i in range(n) if i != lv], lv
+
+
+def _over_square(g: MultiPoly, gs: list[MultiPoly], den: MultiPoly):
+    """Gamma and the Gamma_i from their numerators over den^2, each normalized once."""
+    q = den * den
+    return RatFunc(g, q), [RatFunc(gi, q) for gi in gs]
+
+
+def gamma_determinants(
+    X: PolyVectorField, integrals, last_var: int | None = None
+) -> tuple[RatFunc, list[RatFunc], list[int], int]:
+    """(Gamma, Gamma_i list, column variables, last variable index).
+
+    The minors come from ``_gamma_minors``: Gamma is the gradient minor
+    without the last variable's column, Gamma_i replaces column i in it by
+    the last variable's, and without last_var the last variable is the
+    largest v whose complementary minor is nonzero.
+    """
+    g, gs, den, cols, lv = _gamma_minors(X, integrals, last_var)
+    gamma, gammas = _over_square(g, gs, den)
+    return gamma, gammas, cols, lv
 
 
 def _strip_common_factor(X: PolyVectorField):
@@ -215,6 +237,11 @@ def _inverse_by_levels(h: RatFunc) -> DarbouxFunction:
     return DarbouxFunction(RatFunc.zero(n), factors=factors)
 
 
+def _residual(numerator: MultiPoly, den: MultiPoly, power: int) -> RatFunc:
+    """numerator/den^power, built and normalized only when the identity fails."""
+    return RatFunc.zero(den.arity) if numerator.is_zero() else RatFunc(numerator, den**power)
+
+
 def multiplier_from_rational_integrals(
     X: PolyVectorField, integrals, last_var: int | None = None
 ) -> MultiplierDerivation:
@@ -230,25 +257,32 @@ def multiplier_from_rational_integrals(
     n = X.arity
     # No zero-component check on P[lv] is needed: M P = 0 and Gamma != 0 give
     # P = 0 whenever P[lv] = 0, and _strip_common_factor already rejects P = 0.
-    gamma, gammas, cols, lv = gamma_determinants(X, integrals, last_var=last_var)
+    g, gs, den, cols, lv = _gamma_minors(X, integrals, last_var)
+    gamma, gammas = _over_square(g, gs, den)
     identities = []
-    P = [RatFunc(c) for c in X.components]
-    # Cramer identities: Gamma * P_i = -Gamma_i * P_last
+    comps = X.components
+    # Cramer identities: Gamma * P_i = -Gamma_i * P_last, i.e. over den^2
+    # g * P_i + g_i * P_last = 0
     for pos, i in enumerate(cols):
-        residual = gamma * P[i] + gammas[pos] * P[lv]
-        identities.append((f"cramer[{names[i]}]", residual))
+        residual = g * comps[i] + gs[pos] * comps[lv]
+        identities.append((f"cramer[{names[i]}]", _residual(residual, den, 2)))
         if not residual.is_zero():
             raise VerificationError(
                 f"Cramer identity failed for {names[i]}: the integrals are not "
                 "functionally independent or the variable order is degenerate"
             )
-    # determinant cancellation: d_last Gamma - sum_i d_i Gamma_i = 0
-    det_identity = gamma.derivative(lv)
+    # determinant cancellation: d_last Gamma - sum_i d_i Gamma_i = 0; with
+    # Gamma = g/L^2, d(g/L^2) = (L dg - 2 g dL) / L^3, so over L^3 it reads
+    # L (d_last g - sum_i d_i g_i) - 2 (g d_last L - sum_i g_i d_i L) = 0
+    dg, gdl = g.derivative(lv), g * den.derivative(lv)
     for pos, i in enumerate(cols):
-        det_identity = det_identity - gammas[pos].derivative(i)
-    identities.append(("determinant-cancellation", det_identity))
+        dg = dg - gs[pos].derivative(i)
+        gdl = gdl - gs[pos] * den.derivative(i)
+    det_identity = den * dg - gdl.scale(2)
+    identities.append(("determinant-cancellation", _residual(det_identity, den, 3)))
     if not det_identity.is_zero():
         raise VerificationError("determinant cancellation identity failed")
+    P = [RatFunc(c) for c in comps]
     h = P[lv] / gamma
     a_form = OneForm([h.log_derivative(i) for i in range(n)])
     closed = is_closed(a_form)

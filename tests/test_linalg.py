@@ -7,11 +7,15 @@ from lvk.linalg import (
     DimensionMismatch,
     _back_pass,
     _eliminate,
+    _fraction_free,
     determinant,
     rank_with_witness,
     solve_linear,
 )
+from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_ratfunc
+
+from conftest import random_poly
 
 F = Fraction
 
@@ -215,3 +219,82 @@ def test_ratfunc_determinant_matches_sympy():
         locals=dict(zip(names, symbols)),
     )
     assert sympy.cancel(ours_sympy - oracle) == 0
+
+
+# -- fraction-free elimination of polynomial matrices against sympy -----------------
+
+
+POLY_NAMES = ["x", "y", "z"]
+
+
+def _poly_matrix(rng, nrows, ncols):
+    return [[random_poly(rng, 3, max_deg=2, max_terms=3) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _fraction_free_cases():
+    """Seeded (n-1) x n polynomial matrices, n = 2..5, with the shapes that steer the pivots."""
+    rng = random.Random(30)
+    cases = []
+    for n in range(2, 6):
+        cases.append(pytest.param("generic", _poly_matrix(rng, n - 1, n), id=f"n{n}-generic"))
+        if n == 2:
+            continue
+        rows = _poly_matrix(rng, n - 1, n)
+        rows[0][0] = MultiPoly.zero(3)  # the first pivot is found below row 0
+        cases.append(pytest.param("row-swap", rows, id=f"n{n}-row-swap"))
+        rows = _poly_matrix(rng, n - 1, n)
+        q = random_poly(rng, 3, max_deg=1, max_terms=2, nonzero=True)
+        for row in rows:
+            row[1] = q * row[0]  # column 1 gets no pivot, the last column does
+        cases.append(pytest.param("middle-free", rows, id=f"n{n}-middle-free"))
+        left = _poly_matrix(rng, n - 1, n - 2)
+        right = _poly_matrix(rng, n - 2, n)
+        product = [
+            [sum((a[k] * right[k][j] for k in range(n - 2)), MultiPoly.zero(3)) for j in range(n)]
+            for a in left
+        ]
+        cases.append(pytest.param("rank-deficient", product, id=f"n{n}-rank-deficient"))
+    return cases
+
+
+@pytest.mark.parametrize("shape, rows", _fraction_free_cases())
+def test_fraction_free_matches_sympy_minors(shape, rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    symbols = dict(zip(POLY_NAMES, sympy.symbols(POLY_NAMES)))
+
+    def to_sympy(p):
+        return sympy.sympify(p.render(POLY_NAMES).replace("^", "**"), locals=symbols)
+
+    nrows, ncols = len(rows), len(rows[0])
+    oracle = sympy.Matrix([[to_sympy(e) for e in row] for row in rows])
+
+    def minor(cols):
+        sub = DomainMatrix.from_Matrix(oracle[:, cols])
+        return sub.domain.to_sympy(sub.det())
+
+    _, expected_pivots = DomainMatrix.from_Matrix(oracle).to_field().rref()
+    reduced, pivots, sign = _fraction_free(rows)
+    assert pivots == list(expected_pivots)
+    if shape == "rank-deficient":
+        assert len(pivots) < nrows
+        for k in range(ncols):
+            assert minor([c for c in range(ncols) if c != k]) == 0
+        return
+    assert len(pivots) == nrows
+    free = next(c for c in range(ncols) if c not in pivots)
+    if shape == "middle-free":
+        assert free == 1
+    if shape == "row-swap":
+        assert rows[0][0].is_zero() and pivots[0] == 0  # column 0's pivot came from below
+    # the last pivot is the minor on the pivot columns; row r's entry in the
+    # free column is that minor with pivot column r replaced by the free one
+    last = reduced[-1][pivots[-1]]
+    assert sympy.expand(sign * to_sympy(last) - minor(pivots)) == 0
+    for r, row in enumerate(reduced):
+        for j in pivots:
+            assert row[j] == (last if j == pivots[r] else MultiPoly.zero(3))
+        replaced = list(pivots)
+        replaced[r] = free
+        assert sympy.expand(sign * to_sympy(row[free]) - minor(replaced)) == 0

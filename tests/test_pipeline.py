@@ -1,12 +1,13 @@
 import random
+import sys
 
 import pytest
 
+from lvk import linalg
 from lvk.darboux import multiplier_residual
 from lvk.errors import VerificationError
 from lvk.forms import OneForm, is_closed
 from lvk.integrator import differentiate, integrate_closed, to_darboux
-from lvk.linalg import determinant
 from lvk.multipoly import MultiPoly, exact_div, gcd_multivar
 from lvk.parsing import parse_darboux, parse_ratfunc
 from lvk.pipeline import (
@@ -93,17 +94,26 @@ def _poly_det(rows):
     return total
 
 
-def _field_from_integrals(integrals, n):
-    """Component j is (-1)^j times the gradient minor without column j, cleared.
+def _cleared_gradients(integrals, n):
+    """Polynomial rows and their common denominator: the gradient matrix is rows / den.
 
     Row k of the gradient of H_k = N_k/D_k is (D_k dN_k - N_k dD_k)/D_k^2, so
-    every minor is a polynomial minor over the common denominator prod D_k^2;
-    clearing it leaves the polynomial minors divided by their gcd with it.
+    every minor is a polynomial minor over the common denominator prod D_k^2.
     """
     rows, den = [], MultiPoly.one(n)
     for h in integrals:
         rows.append([h.den * h.num.derivative(i) - h.num * h.den.derivative(i) for i in range(n)])
         den = den * h.den * h.den
+    return rows, den
+
+
+def _field_from_integrals(integrals, n):
+    """Component j is (-1)^j times the gradient minor without column j, cleared.
+
+    Clearing the minors over prod D_k^2 leaves the polynomial minors divided
+    by their gcd with it.
+    """
+    rows, den = _cleared_gradients(integrals, n)
     minors = [_poly_det([r[:j] + r[j + 1:] for r in rows]) for j in range(n)]
     if all(m.is_zero() for m in minors):
         return None
@@ -143,8 +153,10 @@ def _planted_system(rng, n, variant="generic", degree_cap=None):
             return X, integrals
 
 
-def _minor(grads, cols):
-    return determinant([[g[c] for c in cols] for g in grads])
+def _minor(integrals, cols):
+    """The gradient minor on cols, by cofactor expansion of the cleared rows."""
+    rows, den = _cleared_gradients(integrals, integrals[0].arity)
+    return RatFunc(_poly_det([[row[c] for c in cols] for row in rows]), den)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -155,8 +167,7 @@ def test_gamma_one_elimination_matches_every_minor(n):
         variant = ("generic", "no-x1", "last")[k % 3]
         X, H = _planted_system(rng, n, variant, degree_cap=4)
         last_zero += X.components[-1].is_zero()
-        grads = [[h.derivative(i) for i in range(n)] for h in H]
-        complementary = [_minor(grads, [c for c in range(n) if c != v]) for v in range(n)]
+        complementary = [_minor(H, [c for c in range(n) if c != v]) for v in range(n)]
         admissible = [v for v in range(n) if not complementary[v].is_zero()]
         gamma, gammas, cols, lv = gamma_determinants(X, H)
         assert lv == max(admissible)
@@ -165,7 +176,7 @@ def test_gamma_one_elimination_matches_every_minor(n):
         for pos in range(n - 1):
             replaced = list(cols)
             replaced[pos] = lv
-            assert gammas[pos] == _minor(grads, replaced)
+            assert gammas[pos] == _minor(H, replaced)
         for v in range(n):
             if v in admissible:
                 g, gs, cs, chosen = gamma_determinants(X, H, last_var=v)
@@ -194,31 +205,57 @@ def test_theorem2_pipeline_on_planted_systems(n):
 
 
 @pytest.mark.parametrize(
-    "seed, n, draw, render",
+    "seed, n, draw, variants, render",
     [
         (
             904,
             4,
             16,
+            ("generic",),
             "(x3 + 8)^-2 * (x1^2 - 8/3*x1*x2 - 2*x1 + 16/3*x2)^-2 * (x1^2*x3^2 "
             "+ 1/3*x1*x3^3 + 32/3*x1^2*x3 + 4/3*x1*x3^2 - 2/3*x3^3 - 2/9*x1^2 "
             "- 64/3*x1*x3 - 21/4*x3^2 + 8/9*x1 + 1/18)",
         ),
-        (905, 5, 28, None),
+        (905, 5, 28, ("generic",), None),
+        (605, 5, 4, ("generic", "no-x1", "last"), "(x2 - 2*x4)^-2 * (x3 + 8*x4)^-2 * x4^-1"),
     ],
-    ids=["904", "905"],
+    ids=["904", "905", "605"],
 )
-def test_theorem2_pipeline_on_former_outliers(seed, n, draw, render):
+def test_theorem2_pipeline_on_former_outliers(seed, n, draw, variants, render):
     # uncapped draws whose multiplier, built by integrating -d log h, took
-    # seconds (904) or minutes (905); the 904 render is that construction's
+    # seconds (904) or minutes (905), and whose Gamma, by elimination over
+    # RatFunc, took 0.29 s (605, drawn with the variants of
+    # test_gamma_one_elimination_matches_every_minor); each render is that
+    # construction's
     rng = random.Random(seed)
-    for _ in range(draw):
-        X, H = _planted_system(rng, n)
+    for k in range(draw):
+        X, H = _planted_system(rng, n, variants[k % len(variants)])
     report = theorem2_pipeline(X, H)
+    for name, residual in report.derivation.identities:
+        assert residual.is_zero(), name
     reduced, _ = _strip_common_factor(X)
     assert multiplier_residual(reduced, report.multiplier).is_zero()
     if render is not None:
         assert report.multiplier.render(list(X.var_names)) == render
+
+
+def test_multiplier_runs_no_field_elimination(monkeypatch):
+    # Gamma and the Gamma_i come from one fraction-free elimination; the
+    # elimination over fields is left to solve_linear and rank_with_witness
+    def refuse(rows):
+        raise AssertionError("field elimination in the theorem-2 construction")
+
+    # at every lvk module that binds it, so an import by name is caught too
+    original = linalg._eliminate
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "lvk"]:
+        if getattr(module, "_eliminate", None) is original:
+            monkeypatch.setattr(module, "_eliminate", refuse)
+    d = multiplier_from_rational_integrals(LINEAR3, [R3("x/y"), R3("x/z")])
+    assert d.result.render(N3) == "x * y^-2 * z^-2"
+    rng = random.Random(703)
+    X, H = _planted_system(rng, 3, degree_cap=2)
+    d = multiplier_from_rational_integrals(X, H)
+    assert all(r.is_zero() for _, r in d.identities)
 
 
 # -- multiplier construction ------------------------------------------------------
