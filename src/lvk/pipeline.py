@@ -147,7 +147,7 @@ def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
     if last_var is not None:
         order.remove(last_var)
         order.append(last_var)
-    m, pivots, sign = _fraction_free([[row[c] for c in order] for row in rows])
+    m, pivots, _, sign = _fraction_free([[row[c] for c in order] for row in rows])
     if len(pivots) < n - 1:
         raise VerificationError(
             "Gamma vanishes identically for every choice of the last variable; "

@@ -221,6 +221,29 @@ def test_pipeline_dependent_multipliers_exit_3(capsys, tmp_path):
     assert rep["result"]["dependent"] is True
 
 
+@pytest.mark.parametrize(
+    "multipliers, code, rank, witness_rows, witness_cols",
+    [
+        # column 1's pivot is found in the second ratio form
+        (["1/(x*y*z*w)", "1/(x*y^2*z)", "1/(x*y*z^2)"], 0, 2, [0, 1], [1, 2]),
+        # the first ratio form is zero, so the witness is the second alone
+        (["2/(x*y*z*w)", "1/(x*y^2*z)", "1/(x*y*z*w)"], 3, 1, [1], [1]),
+    ],
+    ids=["independent", "dependent"],
+)
+def test_pipeline_theorem1_4d_witness(capsys, tmp_path, multipliers, code, rank, witness_rows, witness_cols):
+    p = tmp_path / "sys4.system"
+    p.write_text("vars x, y, z, w\ndx = x\ndy = y\ndz = z\ndw = w\n")
+    argv = ["pipeline", "--system", str(p), "--mode", "theorem1", "--json"]
+    for m in multipliers:
+        argv += ["--multiplier", m]
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    rep = json.loads(out)["result"]
+    assert (rep["rank"], rep["witnessRows"], rep["witnessCols"]) == (rank, witness_rows, witness_cols)
+    assert rep["dependent"] is (rank < len(multipliers) - 1)
+
+
 def test_var_order_flag(capsys, tmp_path):
     p = tmp_path / "sys3.system"
     p.write_text("vars x, y, z\ndx = x\ndy = y\ndz = z\n")

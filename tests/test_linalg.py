@@ -5,8 +5,7 @@ import pytest
 
 from lvk.linalg import (
     DimensionMismatch,
-    _back_pass,
-    _eliminate,
+    _cleared,
     _fraction_free,
     determinant,
     rank_with_witness,
@@ -14,6 +13,7 @@ from lvk.linalg import (
 )
 from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_ratfunc
+from lvk.ratfunc import RatFunc
 
 from conftest import random_poly
 
@@ -160,8 +160,10 @@ def test_determinant_rank_and_rref_match_sympy():
             minor = [[rows[i][j] for j in wcols] for i in wrows]
             assert determinant(minor) != 0
             assert _to_sympy(sympy, minor).det() != 0
-        reduced, pivots, _, _ = _eliminate(rows)
-        _back_pass(reduced, pivots)
+        # the RREF is the eliminated cleared rows over their last pivot
+        reduced, pivots, _, _ = _fraction_free([_cleared(row)[0] for row in rows])
+        last = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
+        reduced = [[F(x, last) for x in row] for row in reduced]
         expected, expected_pivots = oracle.rref()
         assert pivots == list(expected_pivots)
         assert reduced == [
@@ -221,10 +223,67 @@ def test_ratfunc_determinant_matches_sympy():
     assert sympy.cancel(ours_sympy - oracle) == 0
 
 
-# -- fraction-free elimination of polynomial matrices against sympy -----------------
-
-
 POLY_NAMES = ["x", "y", "z"]
+
+
+def _ratfunc_matrix(rng, nrows, ncols):
+    def entry():
+        num = random_poly(rng, 3, max_deg=1, max_terms=2, nonzero=True)
+        return RatFunc(num, random_poly(rng, 3, max_deg=1, max_terms=2, nonzero=True))
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _ratfunc_rank_cases():
+    """Seeded RatFunc matrices of 2-4 rows: generic, first pivot below row 0, rank-deficient."""
+    rng = random.Random(40)
+    cases = []
+    for nrows in range(2, 5):
+        ncols = nrows + 1
+        cases.append(pytest.param("generic", _ratfunc_matrix(rng, nrows, ncols), id=f"r{nrows}-generic"))
+        rows = _ratfunc_matrix(rng, nrows, ncols)
+        rows[0][0] = RatFunc.zero(3)
+        cases.append(pytest.param("row-swap", rows, id=f"r{nrows}-row-swap"))
+        right = _ratfunc_matrix(rng, nrows - 1, ncols)
+        left = [[RatFunc.constant(3, rng.randint(-3, 3)) for _ in right] for _ in range(nrows)]
+        product = [
+            [sum((a[k] * right[k][j] for k in range(nrows - 1)), RatFunc.zero(3)) for j in range(ncols)]
+            for a in left
+        ]
+        cases.append(pytest.param("rank-deficient", product, id=f"r{nrows}-rank-deficient"))
+    return cases
+
+
+@pytest.mark.parametrize("shape, rows", _ratfunc_rank_cases())
+def test_ratfunc_rank_with_witness_matches_sympy(shape, rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    symbols = dict(zip(POLY_NAMES, sympy.symbols(POLY_NAMES)))
+
+    def to_sympy(f):
+        text = f"({f.num.render(POLY_NAMES)})/({f.den.render(POLY_NAMES)})"
+        return sympy.sympify(text.replace("^", "**"), locals=symbols)
+
+    def field_matrix(entries):
+        return DomainMatrix.from_Matrix(sympy.Matrix(entries)).to_field()
+
+    oracle = field_matrix([[to_sympy(e) for e in row] for row in rows])
+    rank, wrows, wcols = rank_with_witness(rows)
+    assert rank == oracle.rank()
+    assert len(wrows) == len(wcols) == rank
+    if shape == "rank-deficient":
+        assert rank < len(rows)
+    else:
+        assert rank == len(rows)
+    if shape == "row-swap":
+        assert rows[0][0].is_zero() and wcols[0] == 0  # column 0's pivot came from below
+    minor = [[rows[i][j] for j in wcols] for i in wrows]
+    assert not determinant(minor).is_zero()
+    assert field_matrix([[to_sympy(e) for e in row] for row in minor]).det() != 0
+
+
+# -- fraction-free elimination of polynomial matrices against sympy -----------------
 
 
 def _poly_matrix(rng, nrows, ncols):
@@ -275,7 +334,7 @@ def test_fraction_free_matches_sympy_minors(shape, rows):
         return sub.domain.to_sympy(sub.det())
 
     _, expected_pivots = DomainMatrix.from_Matrix(oracle).to_field().rref()
-    reduced, pivots, sign = _fraction_free(rows)
+    reduced, pivots, _, sign = _fraction_free(rows)
     assert pivots == list(expected_pivots)
     if shape == "rank-deficient":
         assert len(pivots) < nrows

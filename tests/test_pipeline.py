@@ -239,23 +239,30 @@ def test_theorem2_pipeline_on_former_outliers(seed, n, draw, variants, render):
         assert report.multiplier.render(list(X.var_names)) == render
 
 
-def test_multiplier_runs_no_field_elimination(monkeypatch):
-    # Gamma and the Gamma_i come from one fraction-free elimination; the
-    # elimination over fields is left to solve_linear and rank_with_witness
-    def refuse(rows):
-        raise AssertionError("field elimination in the theorem-2 construction")
+def test_multiplier_runs_one_fraction_free_elimination(monkeypatch):
+    # Gamma and the Gamma_i come from one elimination of the cleared gradient
+    # rows, and the construction runs no other (no solve, no rank)
+    calls = []
+    original = linalg._fraction_free
 
-    # at every lvk module that binds it, so an import by name is caught too
-    original = linalg._eliminate
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    # at every lvk module that binds it, so an import by name is counted too
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "lvk"]:
-        if getattr(module, "_eliminate", None) is original:
-            monkeypatch.setattr(module, "_eliminate", refuse)
+        if getattr(module, "_fraction_free", None) is original:
+            monkeypatch.setattr(module, "_fraction_free", counted)
     d = multiplier_from_rational_integrals(LINEAR3, [R3("x/y"), R3("x/z")])
     assert d.result.render(N3) == "x * y^-2 * z^-2"
+    assert all(r.is_zero() for _, r in d.identities)
+    assert calls == [2]
     rng = random.Random(703)
     X, H = _planted_system(rng, 3, degree_cap=2)
     d = multiplier_from_rational_integrals(X, H)
+    assert d.result.render(list(X.var_names)) == "x2"
     assert all(r.is_zero() for _, r in d.identities)
+    assert calls == [2, 2]
 
 
 # -- multiplier construction ------------------------------------------------------
