@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd
 
 from .errors import VerificationError, ZeroDivisionInField
 from .forms import OneForm
 from .linalg import solve_linear
-from .multipoly import MINUS_INFINITY, MultiPoly, try_exact_div
+from .multipoly import MINUS_INFINITY, MultiPoly, _ints_over_lcm, try_exact_div
 from .ratfunc import RatFunc
 
 
@@ -171,7 +172,7 @@ class DarbouxFunction:
             pieces.append(f"exp({self.exp_arg.render(names)})")
         for base, exponent in self.factors:
             b = base.render(names)
-            if len(base.nums) > 1 or (exponent != 1 and "*" in b):
+            if len(base.nums) > 1 or (exponent != 1 and ("*" in b or "^" in b)):
                 b = f"({b})"
             if exponent == 1:
                 pieces.append(b)
@@ -280,22 +281,11 @@ def _vector_metric(vec) -> int:
 
 def _normalize_basis_vector(v):
     """Primitive integer direction with positive first nonzero entry."""
-    from math import gcd, lcm
-
-    denoms = [c.denominator for c in v]
-    mult = 1
-    for d in denoms:
-        mult = lcm(mult, d)
-    ints = [int(c * mult) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g:
-        ints = [c // g for c in ints]
-    first = next((c for c in ints if c != 0), 1)
-    if first < 0:
-        ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints)
+    ints, _ = _ints_over_lcm(v)
+    g = gcd(*ints) or 1
+    if next((c for c in ints if c), 0) < 0:
+        g = -g
+    return tuple(Fraction(c // g) for c in ints)
 
 
 def _best_particular(particular, basis):

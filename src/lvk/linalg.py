@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from operator import floordiv, mul, not_
 from typing import Sequence
 
 from .errors import LvkError
-from .multipoly import MultiPoly, exact_div, gcd_cofactors
-from .ratfunc import RatFunc
+from .multipoly import MultiPoly, _ints_over_lcm, exact_div
+from .ratfunc import RatFunc, _polys_over_lcm
 
 
 class DimensionMismatch(LvkError):
@@ -45,12 +44,8 @@ def _cleared(row: Sequence):
     row of MultiPolys.
     """
     if row and isinstance(row[0], RatFunc):
-        scale = MultiPoly.one(row[0].arity)
-        for x in row:
-            scale = scale * gcd_cofactors(x.den, scale)[1]
-        return [x.num * exact_div(scale, x.den) for x in row], scale
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row], scale
+        return _polys_over_lcm(row[0].arity, row)
+    return _ints_over_lcm(row)
 
 
 def _fraction_free(rows: Sequence[Sequence]):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import (
     ArityMismatch,
@@ -108,9 +108,9 @@ class MultiPoly:
                         f"term of total degree {sum(exps)} exceeds LVK_MAX_DEGREE={cap}"
                     )
                 clean[exps] = coeff
-        nums, den = _over_common_den(clean)
+        ints, den = _ints_over_lcm(clean.values())
         _set_arity(self, arity)
-        _set_nums(self, nums)
+        _set_nums(self, dict(zip(clean, ints)))
         _set_den(self, den)
         _set_hash(self, None)
 
@@ -391,17 +391,15 @@ _set_hash = MultiPoly._hash.__set__
 _raw = MultiPoly._raw
 
 
-def _over_common_den(terms: Mapping[tuple[int, ...], int | Fraction]) -> tuple[dict, int]:
-    """(nums, den) of nonzero int or Fraction coefficients: den is the lcm of their denominators.
+def _ints_over_lcm(values: Collection[int | Fraction]) -> tuple[list[int], int]:
+    """(numerators, den): the ints or Fractions over den, the lcm of their denominators.
 
-    Every prime power of that lcm divides the denominator of some reduced
-    coefficient in full, whose numerator it does not divide, so gcd(den,
-    numerators) = 1 without a gcd.
+    Every prime power p^k of that lcm divides the denominator of some
+    reduced value in full, and p divides neither that value's numerator nor
+    den over its denominator.  So gcd(den, numerators) = 1 without a gcd.
     """
-    if not terms:
-        return {}, 1
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
 
 
 def _reduced(arity: int, nums: dict[tuple[int, ...], int], den: int) -> MultiPoly:
@@ -554,7 +552,7 @@ def _from_coeffs_in_var(coeffs: dict[int, MultiPoly], var: int, arity: int) -> M
     """Inverse of _coeffs_in_var; the coefficients must be free of var.
 
     The coefficients go over the lcm of their denominators.  Their terms do
-    not overlap, so, as in ``_over_common_den``, no gcd is needed.
+    not overlap, so, as in ``_ints_over_lcm``, no gcd is needed.
     """
     den = lcm(*(poly.den for poly in coeffs.values()))
     nums: dict[tuple[int, ...], int] = {}
@@ -764,8 +762,10 @@ def _gcd(a: MultiPoly, b: MultiPoly, cofactors: bool):
         cg = _gcd(cont_a, cont_b, False)
         if pa.degree() < pb.degree():
             pa, pb = pb, pa
-        last, rem, *_ = _subresultant_prs(pa, pb)
-        if not rem.is_zero():
+        chain = [pa, pb]
+        _subresultant_prs(pa, pb, chain)
+        last = chain[-1]
+        if last.degree() == 0:
             g = cg
         else:
             g = monic_grlex(cg * last.div_coeff(_content(last.coeffs)).to_poly())
@@ -790,45 +790,43 @@ def _next_scale(g: MultiPoly, h: MultiPoly, delta: int) -> MultiPoly:
     return exact_div(g**delta, h ** (delta - 1))
 
 
-def _subresultant_prs(a: _UniView, b: _UniView, chain: list | None = None):
-    """Subresultant PRS of a, b (Brown and Collins) up to its last pseudo-remainder.
+def _subresultant_prs(a: _UniView, b: _UniView, chain: list) -> int:
+    """Subresultant PRS of a, b (Brown and Collins), appended to ``chain``.
 
-    Requires deg a >= deg b >= 1.  Stops at the first rem = prem(a, b) of
-    degree <= 0 and returns (b, rem, g, h, delta, sign) of that step: b is
-    the last element of positive degree, rem is zero or a nonzero constant,
-    g and h are the current scales, delta = deg a - deg b, and sign is the
-    product of (-1)^(deg a * deg b) over all steps, which resultants need.
-
-    A given ``chain`` list gets every nonzero remainder, the constant one
-    too, as the regular subresultant of its degree, up to sign: a remainder
-    s whose degree is gap > 1 below b's becomes Lazard's s * lc(s)^(gap-1) /
-    h^(gap-1), h the scale of b (Ducos 2000); the loop goes on with s.
+    Requires deg a >= deg b >= 0.  Each nonzero remainder goes to
+    ``chain`` as the regular subresultant of its degree, up to sign: a
+    remainder s whose degree is gap > 1 below b's becomes Lazard's s *
+    lc(s)^(gap-1) / h^(gap-1), h the scale of b (Ducos 2000); the loop goes
+    on with s.  It
+    stops once the last element is constant or the next remainder is zero,
+    so a chain that starts as [a, b] ends in a constant exactly when a and
+    b have no common factor of positive degree in their variable.  Returns
+    the product of (-1)^(deg a * deg b) over all steps, the sign that
+    resultants need.
     """
     g = h = MultiPoly.one(a.arity)
     sign = 1
-    while True:
+    while b.degree() > 0:
         delta = a.degree() - b.degree()
         if a.degree() % 2 and b.degree() % 2:
             sign = -sign
         rem = _pseudo_rem(a, b)
-        if rem.degree() <= 0 and (chain is None or rem.is_zero()):
-            return b, rem, g, h, delta, sign
+        if rem.is_zero():
+            break
         a, b = b, rem.div_coeff(g * h**delta)
         g = a.lc()
         h = _next_scale(g, h, delta)
-        if chain is not None:
-            gap = a.degree() - b.degree()
-            regular = b if gap <= 1 else b.mul_coeff(b.lc() ** (gap - 1)).div_coeff(h ** (gap - 1))
-            chain.append(regular)
-            if b.degree() == 0:
-                return None
+        gap = a.degree() - b.degree()
+        chain.append(b if gap <= 1 else b.mul_coeff(b.lc() ** (gap - 1)).div_coeff(h ** (gap - 1)))
+    return sign
 
 
 def resultant_in_var(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     """Resultant of a and b in var: lc(a)^deg(b) times the product of b over a's roots.
 
-    Computed fraction-free from the subresultant PRS that gcd_multivar runs
-    (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.7).
+    Read fraction-free off the subresultant PRS that gcd_multivar runs
+    (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.7):
+    the signed last element when it is constant, else 0.
     """
     a._check(b)
     if a.is_zero() or b.is_zero():
@@ -841,11 +839,8 @@ def resultant_in_var(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
         return ua.lc() ** db
     if da < db:
         return resultant_in_var(b, a, var).scale((-1) ** (da * db))
-    last, rem, g, h, delta, sign = _subresultant_prs(ua, ub)
-    if rem.is_zero():
+    chain = [ua, ub]
+    sign = _subresultant_prs(ua, ub, chain)
+    if chain[-1].degree() > 0:
         return MultiPoly.zero(a.arity)
-    # close the sequence: its constant element and the scale that goes with it
-    d = last.degree()
-    final = exact_div(rem.lc(), g * h**delta)
-    h = _next_scale(last.lc(), h, delta)
-    return exact_div(final**d, h ** (d - 1)).scale(sign)
+    return chain[-1].lc().scale(sign)

@@ -35,6 +35,7 @@ terms as they are.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ArityMismatch, ZeroDivisionInField
 from .multipoly import MultiPoly, exact_div, gcd_cofactors
@@ -255,3 +256,23 @@ def _reduced(num: MultiPoly, den: MultiPoly, common: MultiPoly) -> RatFunc:
         if not h.is_constant():
             num, den = num_h, exact_div(den, h)
     return RatFunc._raw(num, den)
+
+
+def _polys_over_lcm(arity: int, fs: Sequence[RatFunc]) -> tuple[list[MultiPoly], MultiPoly]:
+    """(numerators, L): each f as numerator / L, L the monic lcm of the denominators.
+
+    L grows by the cofactor den / gcd(L, den) of each denominator, and the
+    scales taken so far grow with it, so nothing divides.  No irreducible
+    factor p of L divides every numerator: p reaches its full multiplicity
+    in some f.den, so, f being in lowest terms, it divides neither f.num nor
+    L / f.den.  The arity is that of L when ``fs`` is empty.
+    """
+    lcm = MultiPoly.one(arity)
+    scales: list[MultiPoly] = []
+    for f in fs:
+        _, scale, grow = gcd_cofactors(lcm, f.den)
+        if not grow.is_constant():
+            lcm = lcm * grow
+            scales = [s * grow for s in scales]
+        scales.append(scale)
+    return [f.num * s for f, s in zip(fs, scales)], lcm

@@ -28,18 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import NonConstantResidue, ZeroDivisionInField
 from .multipoly import (
     MultiPoly,
     _coeffs_in_var,
+    _ints_over_lcm,
     _subresultant_prs,
     _UniView,
-    gcd_cofactors,
+    gcd_multivar,
     resultant_in_var,
 )
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _polys_over_lcm
 from .unipoly import UniPoly, coeff_inverse, gcd_uni, squarefree_yun
 
 
@@ -48,10 +48,7 @@ def qpoly_render(p: list[Fraction], symbol: str = "t") -> str:
     p = UniPoly(0, 1, p).coeffs
     if not p:
         return "0"
-    mult = 1
-    for c in p:
-        mult = lcm(mult, c.denominator)
-    ints = [int(c * mult) for c in p]
+    ints, _ = _ints_over_lcm(p)
     pieces = []
     for d in range(len(ints) - 1, -1, -1):
         c = ints[d]
@@ -160,16 +157,9 @@ def d5_gcd(chain: list[_UniView], m: UniPoly) -> list[tuple[UniPoly, list[UniPol
             continue  # vanishes at every root of m
         adj, norm = _adjugate(lc, m.coeffs, t, s.var)
         if norm.is_zero():
-            # lc vanishes at some roots of m only: split m there
-            g = gcd_uni(UniPoly.of_poly(lc, t), m)
-            if not g.over_q:
-                for c in g.coeffs:
-                    if not c.is_constant():
-                        raise NonConstantResidue(
-                            "a divisor of the residue minimal polynomial has non-constant "
-                            f"coefficient {c.render()}"
-                        )
-                g = UniPoly(t, m.arity, [c.constant_value() for c in g.coeffs])
+            # lc vanishes at some roots of m only: split m there, by a
+            # divisor of m that lies in Q[t] as Q is algebraically closed in K
+            g = UniPoly.of_poly(gcd_multivar(lc, m.to_ratfunc().num), t)
             return d5_gcd(chain, g) + d5_gcd(chain, m.divmod(g)[0])
         # monic: multiply by adj mod m, then divide once by the t-free norm
         over_q = all(sum(e) == e[t] for p in chain[:2] for c in p.coeffs for e in c.nums)
@@ -289,10 +279,7 @@ def _rational_roots(m: list[Fraction]) -> list[Fraction]:
         m = m[1:]
     if len(m) <= 1:
         return roots
-    mult = 1
-    for c in m:
-        mult = lcm(mult, c.denominator)
-    ints = [int(c * mult) for c in m]
+    ints, _ = _ints_over_lcm(m)
     a0, ad = ints[0], ints[-1]
     if abs(a0) > 10**12 or abs(ad) > 10**12:
         # divisor enumeration would not be worth it; unsplit groups stay valid
@@ -349,9 +336,8 @@ def rothstein_trager(num: UniPoly, den: UniPoly) -> list[ResidueGroup]:
     # res_x(D, N - t*D') up to a factor free of t, or has positive degree in
     # x when R = 0
     x, t, ext = den.main_var, arity, arity + 1
-    fn, fdd = num.to_ratfunc(), dden.to_ratfunc()
-    _, cn, cdd = gcd_cofactors(fn.den, fdd.den)  # their lcm is fn.den * cdd = fdd.den * cn
-    n_t, dd_t = (fn.num * cdd).extend_arity(ext), (fdd.num * cn).extend_arity(ext)
+    (n_x, dd_x), _ = _polys_over_lcm(arity, [num.to_ratfunc(), dden.to_ratfunc()])
+    n_t, dd_t = n_x.extend_arity(ext), dd_x.extend_arity(ext)
     chain = _chain(den.to_ratfunc().num.extend_arity(ext), n_t - MultiPoly.variable(ext, t) * dd_t, x)
     if chain[-1].degree() > 0 or (res_t := UniPoly.of_poly(chain[-1].lc(), t)).degree() <= 0:
         raise NonConstantResidue("resultant degenerates; preconditions violated")

@@ -37,13 +37,11 @@ from .multipoly import (
     _check_cap,
     _coeffs_in_var,
     _from_coeffs_in_var,
-    _over_common_den,
-    exact_div,
-    gcd_cofactors,
+    _ints_over_lcm,
     resultant_in_var,
     squarefree_in_var,
 )
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _polys_over_lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -222,33 +220,26 @@ class UniPoly:
     def to_ratfunc(self) -> RatFunc:
         """The polynomial as a RatFunc, in lowest terms by construction.
 
-        Over Q the MultiPoly is built directly.  Over K, with L the monic lcm
-        of the coefficient denominators, it is (sum of c_i.num * (L/c_i.den)
-        * x^i) / L, x the main variable.  That is in lowest terms: every
-        irreducible factor p of L reaches its full multiplicity in some
-        c_i.den, so p divides neither c_i.num nor L/c_i.den, hence not the
-        x^i coefficient of the numerator; as p is free of x, it does not
-        divide the numerator.
+        Over Q the coefficients go over the lcm of their denominators
+        (``_ints_over_lcm``).  Over K they go over L, the monic lcm of
+        theirs (``_polys_over_lcm``), and the numerator is the sum of the
+        cleared coefficients times x^i, x the main variable.  No irreducible
+        factor of L divides every cleared coefficient, and each is free of
+        x, so none divides the numerator.
         """
         mv, ar = self.main_var, self.arity
         if self.over_q:
-            terms = {}
-            for i, c in enumerate(self.coeffs):
-                if c:
+            ints, den = _ints_over_lcm(self.coeffs)
+            nums = {}
+            for i, n in enumerate(ints):
+                if n:
                     e = [0] * ar
                     e[mv] = i
-                    terms[tuple(e)] = c
-            _check_cap(len(self.coeffs) - 1)
-            return RatFunc._raw(MultiPoly._raw(ar, *_over_common_den(terms)), MultiPoly.one(ar))
-        lcm = MultiPoly.one(ar)
-        for c in self.coeffs:
-            if not c.den.is_constant():
-                lcm = lcm * gcd_cofactors(lcm, c.den)[2]
-        if lcm.is_constant():
-            by_deg = {i: c.num for i, c in enumerate(self.coeffs)}
-        else:
-            by_deg = {i: c.num * exact_div(lcm, c.den) for i, c in enumerate(self.coeffs)}
-        return RatFunc._raw(_from_coeffs_in_var(by_deg, mv, ar), lcm)
+                    nums[tuple(e)] = n
+            _check_cap(len(ints) - 1)
+            return RatFunc._raw(MultiPoly._raw(ar, nums, den), MultiPoly.one(ar))
+        nums, lcm = _polys_over_lcm(ar, self.coeffs)
+        return RatFunc._raw(_from_coeffs_in_var(dict(enumerate(nums)), mv, ar), lcm)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):

@@ -163,6 +163,42 @@ def test_render_sorted_and_stable():
     assert parse_darboux("y^-1 * x^-1", NAMES).render(NAMES) == "(x*y)^-1"
 
 
+def _parses_back(f, names):
+    g = parse_darboux(f.render(names), names)
+    assert g.scale == f.scale, f.render(names)
+    assert g.log_derivative() == f.log_derivative(), f.render(names)
+
+
+def test_render_of_a_power_base_with_an_exponent_parses_back():
+    # x^-2 is stored as the factor (x^2, -1); x^2^-1 would not parse
+    assert parse_darboux("x^-2", NAMES).render(NAMES) == "(x^2)^-1"
+    for text in ["x^-2", "x^(-2)", "x^-2*y^3", "3*x^2*y^(-1/3)", "(x^2)^(1/2)", "x^2*y^-4"]:
+        _parses_back(parse_darboux(text, NAMES), NAMES)
+
+
+CATALOG = Path(__file__).resolve().parent.parent / "catalog"
+
+
+def test_catalog_darboux_renders_parse_back():
+    # every group-free Darboux function a catalog golden prints reads back,
+    # and so does its render once read (parsing merges factors: x * y^-2 *
+    # z^-2 reads as x * (y^2*z^2)^-1)
+    import json
+
+    seen = 0
+    for golden in sorted(CATALOG.glob("*.golden.json")):
+        result = json.loads(golden.read_text())["result"]
+        renders = [result.get(k) for k in ("object", "multiplier", "representative", "darboux")]
+        renders = [r for r in renders + result.get("solutions", []) if r and "sum[" not in r]
+        source = next(CATALOG.glob(golden.name.replace(".golden.json", ".*[mf]")))
+        header = next(line for line in source.read_text().splitlines() if line.startswith("vars"))
+        names = [v.strip() for v in header[4:].split(",")]
+        for text in renders:
+            _parses_back(parse_darboux(text, names), names)
+            seen += 1
+    assert seen >= 10
+
+
 # -- verification -------------------------------------------------------------------
 
 

@@ -30,3 +30,36 @@ def test_every_private_helper_has_a_caller():
         and used[node.name] <= _uses(node)[node.name]
     ]
     assert dead == []
+
+
+def _imported(tree) -> list[tuple[int, str]]:
+    """(line, bound name) of every import in tree but ``from __future__``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(node.lineno, a.asname or a.name) for a in node.names]
+    return out
+
+
+def _exported(tree) -> set[str]:
+    """The string entries of a module-level ``__all__`` list."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
+def test_every_import_is_used():
+    # a name a module of src/lvk imports and never reads is a dead import;
+    # the package's __all__ counts as a read of what it re-exports
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = set(_uses(tree)) | _exported(tree)
+        unused += [f"{path.name}:{n} {name}" for n, name in _imported(tree) if name not in read]
+    assert unused == []

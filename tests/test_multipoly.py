@@ -231,9 +231,9 @@ def prs_calls(monkeypatch):
     calls = []
     prs = multipoly._subresultant_prs
 
-    def counted(a, b):
+    def counted(a, b, chain):
         calls.append((a.degree(), b.degree()))
-        return prs(a, b)
+        return prs(a, b, chain)
 
     monkeypatch.setattr(multipoly, "_subresultant_prs", counted)
     return calls

@@ -226,6 +226,30 @@ def test_resultants_match_sympy():
         assert_canonical(ours)
         assert sympy.expand(to_sympy(ours).as_expr() - theirs) == 0, (a, b, var)
 
+    # remainder degrees that drop by 2 or more, also at the last, constant
+    # step, where the resultant is read off Lazard's rescaled element.  The
+    # oracle is the determinant of sympy's Sylvester matrix: sympy's own
+    # resultant gives -(y^3 + y) for res_x(x^3 + x, x^5 + y), whose roots
+    # 0, i, -i make it y*(i + y)*(-i + y)
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    names = ("x", "y", "z")
+    pairs = [
+        ("x^3 + y", "x^2"),
+        ("x^5 + y", "x^3 + x"),
+        ("x^6 + y", "x^3 + z"),
+        ("y*x^4 + x + 1", "x^2 - y"),
+        ("x^5 + y*x + 1", "(y + 1)*x^2 + z"),
+    ]
+    x = gens(3)[0]
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        a, b = P(a, names), P(b, names)
+        ours = resultant_in_var(a, b, 0)
+        assert_canonical(ours)
+        theirs = sylvester(to_sympy(a).as_expr(), to_sympy(b).as_expr(), x, 1).det()
+        assert sympy.expand(to_sympy(ours).as_expr() - theirs) == 0, (a, b)
+    assert P("y^3 + y", names) == resultant_in_var(P("x^3 + x", names), P("x^5 + y", names), 0)
+
 
 # -- exact division by the primitive part of the divisor ---------------------------------
 

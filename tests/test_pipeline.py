@@ -201,6 +201,11 @@ def test_theorem2_pipeline_on_planted_systems(n):
             assert residual.is_zero(), name
         reduced, _ = _strip_common_factor(X)
         assert multiplier_residual(reduced, report.multiplier).is_zero()
+        # what is printed reads back as the same function
+        names = list(X.var_names)
+        back = parse_darboux(report.multiplier.render(names), names)
+        assert back.scale == report.multiplier.scale
+        assert back.log_derivative() == report.multiplier.log_derivative()
     assert last_zero >= 2
 
 

@@ -186,7 +186,7 @@ def _count_eliminations(monkeypatch):
     runs, adjugating = [], []
     prs, adjugate = lvk.multipoly._subresultant_prs, lvk.residues._adjugate
 
-    def recording_prs(a, b, chain=None):
+    def recording_prs(a, b, chain):
         if not adjugating:
             runs.append((a.degree(), b.degree()))
         return prs(a, b, chain)
