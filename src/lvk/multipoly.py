@@ -20,10 +20,12 @@ does not divide a.
 The monomial order used everywhere (normalization, leading terms,
 printing) is graded lexicographic with the declared variable order.
 
-``gcd_multivar`` returns the monic gcd; ``gcd_cofactors`` returns it with
-both cofactors, (g, a/g, b/g), for callers that divide by the gcd.  Both run
-one shortcut ladder (``_gcd``), and the shortcut that finds g also knows the
-cofactors, so only the subresultant branch pays two exact divisions.
+The gcd is one shortcut ladder with one output, ``gcd_cofactors(a, b)`` =
+(g, a/g, b/g) with g monic; ``gcd_multivar`` and the contents take g.  The
+shortcut that finds g also knows the cofactors, so only the general branch,
+the subresultant PRS, divides a and b by g.  ``_subresultant_prs(a, b)``
+seeds its own chain, higher degree first, and returns it with the sign
+that resultants need.
 """
 
 from __future__ import annotations
@@ -50,16 +52,13 @@ MINUS_INFINITY = float("-inf")
 def degree_cap() -> int:
     """Safety rail on intermediate total degrees (env LVK_MAX_DEGREE, default 64).
 
-    A value that is not a non-negative integer is a ParseError, not a silent default.
+    A value that is not a string of ASCII decimal digits is a ParseError, not a
+    silent default.
     """
     text = os.environ.get("LVK_MAX_DEGREE", "64")
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = -1
-    if cap < 0:
+    if not (text.isascii() and text.isdigit()):
         raise ParseError(f"LVK_MAX_DEGREE={text!r} is not a non-negative integer")
-    return cap
+    return int(text)
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -638,7 +637,7 @@ def _content(coeffs: Iterable[MultiPoly]) -> MultiPoly:
     for c in coeffs:
         if c.is_zero():
             continue
-        g = c if g is None else _gcd(g, c, False)
+        g = c if g is None else gcd_cofactors(g, c)[0]
         if g.is_constant():
             break
     if g is None:
@@ -649,33 +648,9 @@ def _content(coeffs: Iterable[MultiPoly]) -> MultiPoly:
 def gcd_multivar(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized with graded-lex leading coefficient 1.
 
-    Recursive content/primitive-part reduction with a subresultant polynomial
-    remainder sequence in the top occurring variable.  Three exact shortcuts
-    come first (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*,
-    ch. 7):
-
-    - a single-term argument c*x^e: every divisor of a monomial is a
-      monomial, so the gcd is x^f with f the componentwise minimum of e and
-      of every exponent of the other argument;
-    - one argument dividing the other: if s, the one of lower total degree,
-      has no higher degree in any variable and divides the other exactly,
-      the gcd is s itself.  A failed trial division stops at the first
-      leading monomial that does not divide;
-    - s of total degree 1 that does not divide the other: a degree-1
-      polynomial is irreducible, so the gcd is s or 1, and it is 1.
+    The first element of ``gcd_cofactors(a, b)``.
     """
-    return _gcd(a, b, False)
-
-
-def gcd_cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """(g, a/g, b/g) with g = gcd_multivar(a, b).
-
-    The shortcuts of gcd_multivar already know the cofactors: 1 gives (a, b),
-    a == b gives lc(a) twice, a monomial gcd x^f shifts exponents, and a
-    divisor s of t gives lc(s) and the trial quotient t/s times lc(s).  Only
-    the subresultant branch divides.
-    """
-    return _gcd(a, b, True)
+    return gcd_cofactors(a, b)[0]
 
 
 def squarefree_in_var(p: MultiPoly, var: int) -> tuple[MultiPoly, list[tuple[MultiPoly, int]]]:
@@ -693,84 +668,78 @@ def squarefree_in_var(p: MultiPoly, var: int) -> tuple[MultiPoly, list[tuple[Mul
     content = _content(_UniView.of(p, var).coeffs)
     if not content.is_constant():
         p = exact_div(p, content)
-    _, w, z = _gcd(p, p.derivative(var), True)
+    _, w, z = gcd_cofactors(p, p.derivative(var))
     parts = []
     e = 1
     while w.involves(var):
-        a, w, z = _gcd(w, z - w.derivative(var), True)
+        a, w, z = gcd_cofactors(w, z - w.derivative(var))
         if a.involves(var):
             parts.append((a, e))
         e += 1
     return content, parts
 
 
-def _gcd(a: MultiPoly, b: MultiPoly, cofactors: bool):
-    """The one shortcut ladder behind gcd_multivar and gcd_cofactors."""
+def gcd_cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(g, a/g, b/g) with g the gcd of a and b, graded-lex monic.
+
+    Recursive content/primitive-part reduction with a subresultant
+    polynomial remainder sequence in the first occurring variable.  Three
+    exact shortcuts come first, and each knows the cofactors without
+    dividing (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*,
+    ch. 7):
+
+    - a single-term argument c*x^e: every divisor of a monomial is a
+      monomial, so the gcd is x^f with f the componentwise minimum of e and
+      of every exponent of the other argument, and the cofactors shift
+      exponents down by f;
+    - one argument dividing the other: if s, the one of lower total degree,
+      has no higher degree in any variable and divides the other exactly,
+      the gcd is s itself, with cofactors lc(s) and the trial quotient
+      times lc(s).  A failed trial division stops at the first leading
+      monomial that does not divide;
+    - s of total degree 1 that does not divide the other: a degree-1
+      polynomial is irreducible, so the gcd is 1.
+
+    Otherwise the gcd is the gcd of the contents times the primitive part
+    of the chain's last element, unless that element is constant; only
+    this branch divides a and b by g for the cofactors.
+    """
     a._check(b)
     arity = a.arity
     if a.is_zero() and b.is_zero():
         raise ZeroDivisionInField("gcd(0, 0) undefined")
     if a.is_zero() or b.is_zero():
         p = b if a.is_zero() else a
-        g = monic_grlex(p)
-        if not cofactors:
-            return g
-        lc = MultiPoly.constant(arity, p.leading_coefficient())
+        g, lc = monic_grlex(p), MultiPoly.constant(arity, p.leading_coefficient())
         return (g, lc, b) if b.is_zero() else (g, a, lc)
     if a.is_constant() or b.is_constant():
-        return (MultiPoly.one(arity), a, b) if cofactors else MultiPoly.one(arity)
-    if a == b:
-        g = monic_grlex(a)
-        if not cofactors:
-            return g
-        lc = MultiPoly.constant(arity, a.leading_coefficient())
-        return g, lc, lc
+        return MultiPoly.one(arity), a, b
     if len(a.nums) == 1 or len(b.nums) == 1:
         mono, other = (a, b) if len(a.nums) == 1 else (b, a)
         f = next(iter(mono.nums))
         for e in other.nums:
             f = tuple(map(min, f, e))
-        g = _raw(arity, {f: 1}, 1)
-        return (g, _shift_down(a, f), _shift_down(b, f)) if cofactors else g
+        return _raw(arity, {f: 1}, 1), _shift_down(a, f), _shift_down(b, f)
     a_low = a.total_degree() <= b.total_degree()
     s, t = (a, b) if a_low else (b, a)
     if all(s.degree_in(v) <= t.degree_in(v) for v in range(arity)):
         q = try_exact_div(t, s)
         if q is not None:
-            g = monic_grlex(s)
-            if not cofactors:
-                return g
-            lc = s.leading_coefficient()
+            g, lc = monic_grlex(s), s.leading_coefficient()
             cs, ct = MultiPoly.constant(arity, lc), q.scale(lc)
             return (g, cs, ct) if a_low else (g, ct, cs)
     if s.total_degree() == 1:
-        return (MultiPoly.one(arity), a, b) if cofactors else MultiPoly.one(arity)
-    var = next(
-        v for v in range(arity) if a.involves(v) or b.involves(v)
-    )
-    if not (a.involves(var) and b.involves(var)):
-        # one of them is free of the chosen top variable: gcd divides the
-        # content of the other in that variable
-        free, bound = (a, b) if not a.involves(var) else (b, a)
-        cont = _content(_UniView.of(bound, var).coeffs)
-        g = _gcd(free, cont, False)
+        return MultiPoly.one(arity), a, b
+    var = next(v for v in range(arity) if a.involves(v) or b.involves(v))
+    ua, ub = _UniView.of(a, var), _UniView.of(b, var)
+    cont_a, cont_b = _content(ua.coeffs), _content(ub.coeffs)
+    cg = gcd_cofactors(cont_a, cont_b)[0]
+    chain, _ = _subresultant_prs(ua.div_coeff(cont_a), ub.div_coeff(cont_b))
+    last = chain[-1]
+    if last.degree() == 0:
+        g = cg
     else:
-        ua, ub = _UniView.of(a, var), _UniView.of(b, var)
-        cont_a, cont_b = _content(ua.coeffs), _content(ub.coeffs)
-        pa = ua.div_coeff(cont_a)
-        pb = ub.div_coeff(cont_b)
-        cg = _gcd(cont_a, cont_b, False)
-        if pa.degree() < pb.degree():
-            pa, pb = pb, pa
-        chain = [pa, pb]
-        _subresultant_prs(pa, pb, chain)
-        last = chain[-1]
-        if last.degree() == 0:
-            g = cg
-        else:
-            g = monic_grlex(cg * last.div_coeff(_content(last.coeffs)).to_poly())
-    if not cofactors:
-        return g
+        g = monic_grlex(cg * last.div_coeff(_content(last.coeffs)).to_poly())
     if g.is_constant():
         return g, a, b
     return g, exact_div(a, g), exact_div(b, g)
@@ -790,22 +759,27 @@ def _next_scale(g: MultiPoly, h: MultiPoly, delta: int) -> MultiPoly:
     return exact_div(g**delta, h ** (delta - 1))
 
 
-def _subresultant_prs(a: _UniView, b: _UniView, chain: list) -> int:
-    """Subresultant PRS of a, b (Brown and Collins), appended to ``chain``.
+def _subresultant_prs(a: _UniView, b: _UniView) -> tuple[list[_UniView], int]:
+    """Subresultant PRS of a, b (Brown and Collins): (chain, sign).
 
-    Requires deg a >= deg b >= 0.  Each nonzero remainder goes to
-    ``chain`` as the regular subresultant of its degree, up to sign: a
-    remainder s whose degree is gap > 1 below b's becomes Lazard's s *
-    lc(s)^(gap-1) / h^(gap-1), h the scale of b (Ducos 2000); the loop goes
-    on with s.  It
+    The chain starts with a and b, the one of higher degree first, and goes
+    on with each nonzero remainder as the regular subresultant of its
+    degree, up to sign: a remainder s whose degree is gap > 1 below the
+    previous element's becomes Lazard's s * lc(s)^(gap-1) / h^(gap-1), h
+    the scale of that element (Ducos 2000); the loop goes on with s.  It
     stops once the last element is constant or the next remainder is zero,
-    so a chain that starts as [a, b] ends in a constant exactly when a and
-    b have no common factor of positive degree in their variable.  Returns
-    the product of (-1)^(deg a * deg b) over all steps, the sign that
-    resultants need.
+    so the chain ends in a constant exactly when a and b have no common
+    factor of positive degree in their variable.  sign is the product of
+    (-1)^(deg a * deg b) over the first-place swap and every step, the sign
+    that resultants need.
     """
-    g = h = MultiPoly.one(a.arity)
     sign = 1
+    if a.degree() < b.degree():
+        a, b = b, a
+        if a.degree() % 2 and b.degree() % 2:
+            sign = -1
+    chain = [a, b]
+    g = h = MultiPoly.one(a.arity)
     while b.degree() > 0:
         delta = a.degree() - b.degree()
         if a.degree() % 2 and b.degree() % 2:
@@ -818,7 +792,7 @@ def _subresultant_prs(a: _UniView, b: _UniView, chain: list) -> int:
         h = _next_scale(g, h, delta)
         gap = a.degree() - b.degree()
         chain.append(b if gap <= 1 else b.mul_coeff(b.lc() ** (gap - 1)).div_coeff(h ** (gap - 1)))
-    return sign
+    return chain, sign
 
 
 def resultant_in_var(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
@@ -837,10 +811,7 @@ def resultant_in_var(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
         return ub.lc() ** da
     if da == 0:
         return ua.lc() ** db
-    if da < db:
-        return resultant_in_var(b, a, var).scale((-1) ** (da * db))
-    chain = [ua, ub]
-    sign = _subresultant_prs(ua, ub, chain)
+    chain, sign = _subresultant_prs(ua, ub)
     if chain[-1].degree() > 0:
         return MultiPoly.zero(a.arity)
     return chain[-1].lc().scale(sign)

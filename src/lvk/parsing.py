@@ -190,7 +190,10 @@ class _Parser:
                     raise ParseError(
                         "exponent denominator must be a literal", t3.line, t3.column
                     )
-                value = value / Fraction(t3.text)
+                den = Fraction(t3.text)
+                if den == 0:
+                    raise ParseError("division by zero", t3.line, t3.column)
+                value = value / den
         return sign * value
 
     def atom(self):

@@ -129,15 +129,9 @@ def _chain(a: MultiPoly, b: MultiPoly, x: int) -> list[_UniView]:
     After a and b come their nonzero remainders, each the regular
     subresultant of its degree up to sign.  The last element is free of x
     exactly when a and b have no common factor in x; it is then their
-    resultant up to sign, or b itself when b is free of x.
+    resultant up to sign, or the argument free of x when one of them is.
     """
-    pa, pb = _UniView.of(a, x), _UniView.of(b, x)
-    if pa.degree() < pb.degree():
-        pa, pb = pb, pa
-    chain = [pa, pb]
-    if pb.degree() > 0:
-        _subresultant_prs(pa, pb, chain)
-    return chain
+    return _subresultant_prs(_UniView.of(a, x), _UniView.of(b, x))[0]
 
 
 def d5_gcd(chain: list[_UniView], m: UniPoly) -> list[tuple[UniPoly, list[UniPoly]]]:

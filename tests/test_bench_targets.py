@@ -3,11 +3,14 @@
 A deletion or rename in lvk then fails here instead of in a traced benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS_PY = BENCH / "spans.py"
 
 
 def load_spans():
@@ -25,6 +28,52 @@ def test_every_traced_name_resolves():
         modname, cls_name = path.rsplit(".", 1)
         cls = getattr(importlib.import_module(modname), cls_name)
         assert method in vars(cls), (path, method)
+
+
+def lvk_chains(tree: ast.AST):
+    """(dotted name, call node or None) for each outermost attribute chain on the name ``lvk``."""
+    inner, calls = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            inner.add(id(node.value))
+        if isinstance(node, ast.Call):
+            calls[id(node.func)] = node
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        parts, base = [], node
+        while isinstance(base, ast.Attribute):
+            parts.append(base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id == "lvk":
+            yield ".".join(reversed(parts)), calls.get(id(node))
+
+
+def test_every_lvk_name_the_benchmark_uses_resolves():
+    """Each lvk.… chain in the benchmark scripts resolves, and each call binds its keywords.
+
+    The benchmark reaches past the traced names too (the planted check calls
+    ``lvk.pipeline._strip_common_factor``, the roundtrip calls
+    ``integrate_closed(w, check=False)``), so a rename there would otherwise
+    pass the tests and fail every benchmark run.
+    """
+    import lvk
+    import lvk.cli  # the package does not import its front end; bench/run.py does
+
+    seen = set()
+    for name in ("workloads.py", "run.py", "smoke.py"):
+        for chain, call in lvk_chains(ast.parse((BENCH / name).read_text())):
+            target = lvk
+            for attr in chain.split("."):
+                assert hasattr(target, attr), (name, f"lvk.{chain}")
+                target = getattr(target, attr)
+            seen.add(chain)
+            if call is None or any(isinstance(a, ast.Starred) for a in call.args):
+                continue
+            keywords = {k.arg: None for k in call.keywords if k.arg is not None}
+            inspect.signature(target).bind(*[None] * len(call.args), **keywords)
+    assert {"pipeline._strip_common_factor", "integrator.integrate_closed"} <= seen
+    assert "check" in inspect.signature(lvk.integrator.integrate_closed).parameters
 
 
 def test_tracer_reads_coefficient_size_from_polynomials():

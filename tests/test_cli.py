@@ -89,6 +89,7 @@ MALFORMED = [
     (["verify", "--system", "{dir}/s", "--first-integral", "0"], {"s": b"vars x\ndx = x\n"}),
     (["verify", "--system", "{dir}/s", "--first-integral", "2*²"], {"s": b"vars x\ndx = x\n"}),
     (["verify", "--system", "{dir}/s", "--multiplier", "x/0^-1"], {"s": b"vars x\ndx = x\n"}),
+    (["verify", "--system", "{dir}/s", "--multiplier", "x^(1/0)"], {"s": b"vars x\ndx = x\n"}),
 ]
 
 
@@ -140,7 +141,7 @@ def test_degree_cap_is_a_resource_limit_exit_3(capsys, lotka, monkeypatch):
     assert out == ""
 
 
-@pytest.mark.parametrize("value", ["abc", "1e4", "-1"])
+@pytest.mark.parametrize("value", ["abc", "1e4", "-1", "6_4", "\u0666\u0664"])
 def test_malformed_or_negative_degree_cap_is_a_parse_error_exit_2(capsys, lotka, monkeypatch, value):
     monkeypatch.setenv("LVK_MAX_DEGREE", value)
     code, out, err = run(capsys, "verify", "--system", lotka, "--multiplier", "1/(x*y)")

@@ -79,6 +79,9 @@ def test_darboux_rejects_sums_of_transcendentals():
         ("2^(1/2)", 2),  # fractional power of the constant 2
         ("(2*x)^(1/2)", 6),  # of the constant factor 2 of 2*x
         ("exp(x)/0", 7),
+        ("x^(1/0)", 6),  # an exponent over 0 fails at its denominator
+        ("x^(0/0)", 6),
+        ("exp(x)^(-1/0)", 12),
         ("0^(1/2)", 2),
         ("0", 1),  # zero is not a Darboux function
         ("0^-1", 2),

@@ -186,10 +186,11 @@ def _count_eliminations(monkeypatch):
     runs, adjugating = [], []
     prs, adjugate = lvk.multipoly._subresultant_prs, lvk.residues._adjugate
 
-    def recording_prs(a, b, chain):
+    def recording_prs(a, b):
+        chain, sign = prs(a, b)
         if not adjugating:
-            runs.append((a.degree(), b.degree()))
-        return prs(a, b, chain)
+            runs.append((chain[0].degree(), chain[1].degree()))
+        return chain, sign
 
     def quiet_adjugate(*args):
         adjugating.append(1)
@@ -500,9 +501,10 @@ def test_d5_gcd_matches_sympy_on_defective_chains(monkeypatch, minpoly, arity):
     chains = []
     prs = lvk.residues._subresultant_prs
 
-    def recording_prs(a, b, chain):
-        prs(a, b, chain)
+    def recording_prs(a, b):
+        chain, sign = prs(a, b)
         chains.append([s.degree() for s in chain])
+        return chain, sign
 
     monkeypatch.setattr(lvk.residues, "_subresultant_prs", recording_prs)
     ext = arity + 1
