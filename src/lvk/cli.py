@@ -53,7 +53,6 @@ from .pipeline import (
     multiplier_from_rational_integrals,
     ratio_first_integrals,
 )
-from .ratfunc import RatFunc
 from .residues import qpoly_render
 from .vectorfield import parse_system
 
@@ -216,12 +215,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         outcome = _verify_exp(X, arg.num, arg.den)
         if isinstance(outcome, Reject):
             result = {"object": arg.render(names), "reason": outcome.reason}
-            residual = (
-                outcome.residual
-                if outcome.residual is not None
-                else RatFunc.constant(X.arity, 1)
-            )
-            certs.append(_certificate("exp-factor", residual, names))
+            certs.append(_certificate("exp-factor", outcome.residual, names))
         else:
             result = {
                 "object": arg.render(names),

@@ -16,7 +16,13 @@ from math import gcd
 from .errors import VerificationError, ZeroDivisionInField
 from .forms import OneForm
 from .linalg import solve_linear
-from .multipoly import MINUS_INFINITY, MultiPoly, _ints_over_lcm, try_exact_div
+from .multipoly import (
+    MINUS_INFINITY,
+    MultiPoly,
+    _check_constant_power,
+    _ints_over_lcm,
+    try_exact_div,
+)
 from .ratfunc import RatFunc
 
 
@@ -38,7 +44,7 @@ class ExponentialFactor:
 @dataclass(frozen=True)
 class Reject:
     reason: str
-    residual: RatFunc | None = None
+    residual: RatFunc
 
 
 @dataclass(frozen=True)
@@ -94,10 +100,6 @@ class DarbouxFunction:
         raise AttributeError("DarbouxFunction is immutable")
 
     @staticmethod
-    def one(arity: int) -> "DarbouxFunction":
-        return DarbouxFunction(RatFunc.zero(arity))
-
-    @staticmethod
     def of_ratfunc(f: RatFunc) -> "DarbouxFunction":
         if f.is_zero():
             raise ZeroDivisionInField("zero is not a Darboux function")
@@ -121,6 +123,7 @@ class DarbouxFunction:
     def __pow__(self, e) -> "DarbouxFunction":
         e = Fraction(e)
         if e.denominator == 1:
+            _check_constant_power(self.scale, int(e))
             scale = self.scale ** int(e)
         elif self.scale == 1:
             scale = Fraction(1)
@@ -164,7 +167,6 @@ class DarbouxFunction:
         return OneForm(comps)
 
     def render(self, names: list[str] | None = None) -> str:
-        names = names or [f"x{i+1}" for i in range(self.arity)]
         pieces = []
         if self.scale != 1:
             pieces.append(str(self.scale))
@@ -259,22 +261,6 @@ def is_first_integral(X, D: DarbouxFunction) -> CheckResult:
 # -- synthesis -----------------------------------------------------------------
 
 
-def _monomials_up_to(arity: int, degree: int) -> list[tuple[int, ...]]:
-    if degree < 0:
-        return []
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == arity:
-            out.append(tuple(prefix))
-            return
-        for d in range(remaining + 1):
-            rec(prefix + [d], remaining - d, pos + 1)
-
-    rec([], degree, 0)
-    return sorted(out, key=lambda e: (sum(e), e))
-
-
 def _vector_metric(vec) -> int:
     return sum(abs(c.numerator) + c.denominator - 1 for c in vec)
 
@@ -331,12 +317,14 @@ def synthesize(X, darboux_polys, exp_factors, target: str) -> list[DarbouxFuncti
         cofactors.append(r.cofactor.poly)
     if not cofactors:
         return []
-    monos = _monomials_up_to(arity, max(X.degree - 1, 0))
     rhs_poly = (
         -X.divergence() if target == "multiplier" else MultiPoly.zero(arity)
     )
     tables = [k.terms for k in cofactors]
     rhs_terms = rhs_poly.terms
+    # one row per monomial that occurs; every other row is 0 = 0.  The constant
+    # row keeps a column per unknown when every cofactor is zero.
+    monos = sorted({(0,) * arity}.union(*tables, rhs_terms), key=lambda e: (sum(e), e))
     rows = []
     rhs = []
     for e in monos:

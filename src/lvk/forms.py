@@ -63,7 +63,6 @@ class OneForm:
         return all(c.is_zero() for c in self.components)
 
     def render(self, names: list[str] | None = None) -> str:
-        names = names or [f"x{i+1}" for i in range(self.arity)]
         return ", ".join(c.render(names) for c in self.components)
 
     def __repr__(self):

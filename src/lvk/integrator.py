@@ -15,6 +15,7 @@ from fractions import Fraction
 from .darboux import DarbouxFunction
 from .errors import NotClosed
 from .forms import OneForm, is_closed
+from .multipoly import _signed_sum
 from .ratfunc import RatFunc
 from .residues import ResidueGroup, rothstein_trager
 from .unipoly import hermite_reduce, ratfunc_as_unipair
@@ -32,27 +33,19 @@ class IntegrationResult:
         return self.rat_part.arity
 
     def render(self, names: list[str] | None = None) -> str:
-        names = names or [f"x{i+1}" for i in range(self.arity)]
-        pieces = []
+        terms = []
         for group, s in self.log_groups:
             if group.degree == 1:
                 c = group.residue_value() * s
                 body = group.arg_at_rational(group.residue_value()).render(names)
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}log({body})"
+                terms.append((f"{mag}log({body})", c < 0))
             else:
                 term = group.render(names)
-                if s != 1:
-                    term = f"{s}*({term})"
-                c = Fraction(1)
-            if not pieces:
-                pieces.append(term if c > 0 else f"-{term}")
-            else:
-                pieces.append(f"+ {term}" if c > 0 else f"- {term}")
+                terms.append((term if s == 1 else f"{s}*({term})", False))
         if not self.rat_part.is_zero():
-            body = self.rat_part.render(names)
-            pieces.append(f"+ {body}" if pieces else body)
-        return " ".join(pieces) if pieces else "0"
+            terms.append((self.rat_part.render(names), False))
+        return _signed_sum(terms)
 
 
 def differentiate(result: IntegrationResult) -> OneForm:

@@ -61,6 +61,18 @@ def degree_cap() -> int:
     return int(text)
 
 
+def _check_constant_power(c: Fraction, n: int) -> None:
+    """Refuse c^n for a rational c other than 0 and +-1 when |n| exceeds the cap.
+
+    A constant never raises a total degree, but its digits grow with n, so
+    without this rail ``2^99999999999`` runs without bound.
+    """
+    if c not in (0, 1, -1):
+        cap = degree_cap()
+        if abs(n) > cap:
+            raise DegreeCapExceeded(f"power {n} of the constant {c} exceeds LVK_MAX_DEGREE={cap}")
+
+
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
@@ -273,6 +285,8 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if self.is_constant():
+            _check_constant_power(self.constant_value(), n)
         result = MultiPoly.one(self.arity)
         base = self
         while n:
@@ -356,25 +370,24 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
     def render(self, names: list[str] | None = None) -> str:
+        """The terms in descending graded-lex order; names default to x1, ..., xn."""
         if not self.nums:
             return "0"
         names = names or [f"x{i+1}" for i in range(self.arity)]
-        pieces = []
+        terms = []
         for e, c in self.sorted_terms():
             mono = "*".join(
                 n if p == 1 else f"{n}^{p}" for n, p in zip(names, e) if p > 0
             )
+            mag = abs(c)
             if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = str(mag)
+            elif mag == 1:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+                body = f"{mag}*{mono}"
+            terms.append((body, c < 0))
+        return _signed_sum(terms)
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"
@@ -388,6 +401,17 @@ _set_nums = MultiPoly.nums.__set__
 _set_den = MultiPoly.den.__set__
 _set_hash = MultiPoly._hash.__set__
 _raw = MultiPoly._raw
+
+
+def _signed_sum(terms: Iterable[tuple[str, bool]]) -> str:
+    """Join (body, negative) terms as ``-a + b - c``; "0" when there are none."""
+    pieces = []
+    for body, negative in terms:
+        if pieces:
+            pieces.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if negative else body)
+    return " ".join(pieces) or "0"
 
 
 def _ints_over_lcm(values: Collection[int | Fraction]) -> tuple[list[int], int]:

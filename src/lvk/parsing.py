@@ -33,6 +33,10 @@ class Token:
 
 _OPS = set("+-*/^(),=")
 
+#: Levels of nesting an expression may have: each '(', 'exp(' and unary '-'
+#: in a factor is one.  The parser recurses once per level.
+MAX_NESTING = 100
+
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
@@ -92,6 +96,7 @@ class _Parser:
     def __init__(self, tokens, algebra):
         self.tokens = [t for t in tokens if t.kind != "newline"]
         self.pos = 0
+        self.depth = 0
         self.alg = algebra
 
     def peek(self) -> Token:
@@ -106,6 +111,15 @@ class _Parser:
         t = self.take()
         if t.kind != "op" or t.text != text:
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.column)
+
+    def nested(self, t: Token, parse):
+        """parse() one nesting level deeper, the level opened by t."""
+        if self.depth == MAX_NESTING:
+            raise ParseError("expression nested too deeply", t.line, t.column)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self):
         value = self.expr()
@@ -152,7 +166,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text == "-":
             self.take()
-            return self.alg.neg(self.factor(), t)
+            return self.alg.neg(self.nested(t, self.factor), t)
         value = self.atom()
         t = self.peek()
         if t.kind == "op" and t.text == "^":
@@ -205,12 +219,12 @@ class _Parser:
                 nxt = self.peek()
                 if nxt.kind == "op" and nxt.text == "(":
                     self.take()
-                    inner = self.expr()
+                    inner = self.nested(t, self.expr)
                     self.expect_op(")")
                     return self.alg.exp(inner, t)
             return self.alg.var(t.text, t)
         if t.kind == "op" and t.text == "(":
-            inner = self.expr()
+            inner = self.nested(t, self.expr)
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {t.text!r}", t.line, t.column)

@@ -29,7 +29,6 @@ from .vectorfield import PolyVectorField
 
 @dataclass(frozen=True)
 class IndependenceCertificate:
-    gradient_rows: tuple  # tuple of tuples of RatFunc
     rank: int
     witness_rows: tuple[int, ...]
     witness_cols: tuple[int, ...]
@@ -97,7 +96,6 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
     else:
         rank, wrows, wcols = 0, [], []
     cert = IndependenceCertificate(
-        gradient_rows=tuple(rows),
         rank=rank,
         witness_rows=tuple(wrows),
         witness_cols=tuple(wcols),

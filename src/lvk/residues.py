@@ -43,28 +43,10 @@ from .ratfunc import RatFunc, _polys_over_lcm
 from .unipoly import UniPoly, coeff_inverse, gcd_uni, squarefree_yun
 
 
-def qpoly_render(p: list[Fraction], symbol: str = "t") -> str:
+def qpoly_render(p: list[Fraction]) -> str:
     """Render with denominators cleared to integers, descending powers."""
-    p = UniPoly(0, 1, p).coeffs
-    if not p:
-        return "0"
     ints, _ = _ints_over_lcm(p)
-    pieces = []
-    for d in range(len(ints) - 1, -1, -1):
-        c = ints[d]
-        if c == 0:
-            continue
-        if d == 0:
-            body = str(abs(c))
-        elif d == 1:
-            body = symbol if abs(c) == 1 else f"{abs(c)}*{symbol}"
-        else:
-            body = f"{symbol}^{d}" if abs(c) == 1 else f"{abs(c)}*{symbol}^{d}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+    return MultiPoly(1, {(d,): c for d, c in enumerate(ints)}).render(["t"])
 
 
 def power_sums(m: list[Fraction], count: int) -> list[Fraction]:
@@ -211,8 +193,6 @@ class ResidueGroup:
         return _group_log_derivative(list(self.minpoly), list(self.arg), var)
 
     def render(self, names: list[str] | None = None) -> str:
-        arity = self.arity
-        names = names or [f"x{i+1}" for i in range(arity)]
         if self.degree == 1:
             c = self.residue_value()
             body = self.arg_at_rational(c).render(names)

@@ -1,6 +1,9 @@
+import functools
+import importlib.util
 import os
 import random
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from lvk.multipoly import MultiPoly
 from lvk.ratfunc import RatFunc
 
 CATALOG = Path(__file__).resolve().parent.parent / "catalog"
+BENCH = CATALOG.parent / "bench"
 
 
 def random_poly(rng: random.Random, arity, max_deg=3, max_terms=4, nonzero=False):
@@ -45,6 +49,29 @@ def catalog_entries():
         argv = shlex.split(cmd.read_text().replace("{dir}", str(CATALOG)))
         out.append((cmd.stem, argv))
     return out
+
+
+@functools.cache
+def bench_workloads():
+    """``bench/workloads.py``, loaded by path.
+
+    It is registered in ``sys.modules`` before it runs: its dataclasses look
+    their module up there.
+    """
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def bench_cases(workload: str, seed: int = 5) -> list:
+    """The cases of one benchmark workload, drawn as the benchmark draws them."""
+    import lvk
+    import lvk.cli  # the catalog workload runs the front end
+
+    return bench_workloads().WORKLOADS[workload][0](lvk, seed).cases
 
 
 @pytest.fixture

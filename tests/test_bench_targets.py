@@ -1,15 +1,18 @@
 """The benchmark's tracer wraps lvk functions by name; each name must resolve.
 
-A deletion or rename in lvk then fails here instead of in a traced benchmark run.
+A deletion or rename in lvk then fails here instead of in a traced benchmark run,
+and an output that the benchmark's own check refuses fails here instead of as
+``outputs_incorrect`` in every benchmark run.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
-from pathlib import Path
+import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import BENCH, bench_cases, bench_workloads
+
 SPANS_PY = BENCH / "spans.py"
 
 
@@ -74,6 +77,16 @@ def test_every_lvk_name_the_benchmark_uses_resolves():
             inspect.signature(target).bind(*[None] * len(call.args), **keywords)
     assert {"pipeline._strip_common_factor", "integrator.integrate_closed"} <= seen
     assert "check" in inspect.signature(lvk.integrator.integrate_closed).parameters
+
+
+@pytest.mark.parametrize("workload", ["catalog", "roundtrip", "planted"])
+def test_every_seed_5_output_passes_the_benchmark_check(workload):
+    import lvk
+
+    _, operate, check = bench_workloads().WORKLOADS[workload]
+    cases = bench_cases(workload)
+    assert cases
+    assert [c.label for c in cases if not check(lvk, c, operate(lvk, c))] == []
 
 
 def test_tracer_reads_coefficient_size_from_polynomials():

@@ -90,6 +90,9 @@ MALFORMED = [
     (["verify", "--system", "{dir}/s", "--first-integral", "2*²"], {"s": b"vars x\ndx = x\n"}),
     (["verify", "--system", "{dir}/s", "--multiplier", "x/0^-1"], {"s": b"vars x\ndx = x\n"}),
     (["verify", "--system", "{dir}/s", "--multiplier", "x^(1/0)"], {"s": b"vars x\ndx = x\n"}),
+    (["verify", "--system", "{dir}/s", "--multiplier", "1"], {"s": b"vars x\ndx = " + b"(" * 260 + b"x" + b")" * 260}),
+    (["verify", "--system", "{dir}/s", "--multiplier", "exp(" * 300 + "x" + ")" * 300], {"s": b"vars x\ndx = x\n"}),
+    (["verify", "--system", "{dir}/s", "--multiplier", "1"], {"s": b"vars x\ndx = " + b"-" * 1200 + b"x\n"}),
 ]
 
 
@@ -141,6 +144,16 @@ def test_degree_cap_is_a_resource_limit_exit_3(capsys, lotka, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("multiplier", ["2^4/(x*y)", "(2*exp(x))^4"])
+def test_constant_power_above_the_degree_cap_is_a_resource_limit(capsys, lotka, monkeypatch, multiplier):
+    """A constant's digits grow with its power, so 2^99999999999 would run without bound."""
+    monkeypatch.setenv("LVK_MAX_DEGREE", "3")
+    code, out, err = run(capsys, "verify", "--system", lotka, "--multiplier", multiplier)
+    assert code == 3
+    assert err.startswith("resource limit: ") and "LVK_MAX_DEGREE=3" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("value", ["abc", "1e4", "-1", "6_4", "\u0666\u0664"])
 def test_malformed_or_negative_degree_cap_is_a_parse_error_exit_2(capsys, lotka, monkeypatch, value):
     monkeypatch.setenv("LVK_MAX_DEGREE", value)
@@ -155,6 +168,18 @@ def test_synthesize_no_solution_exit_3(capsys, sys2):
         capsys, "synthesize", "--system", sys2, "--poly", "x", "--target", "first-integral"
     )
     assert code == 3
+
+
+def test_synthesize_with_zero_cofactors_finds_the_first_integral(capsys):
+    """x^2 + y^2 has cofactor 0 under the rotation, so the cofactor equation has
+    no nonzero coefficient; the solution space is still one-dimensional."""
+    system = str(CATALOG / "hamiltonian2.system")
+    argv = ["synthesize", "--system", system, "--poly", "x^2+y^2", "--target", "first-integral"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["dimension"] == 1
+    assert result["solutions"] == ["(x^2 + y^2)"]
 
 
 # -- payload content ------------------------------------------------------------------

@@ -463,6 +463,21 @@ def test_degree_cap_on_products(monkeypatch):
     assert (p * p).total_degree() == 4  # at the cap is fine
 
 
+def test_degree_cap_on_constant_powers(monkeypatch):
+    """Only a constant whose digits grow with the power is capped: not 0, not +-1."""
+    from lvk.parsing import parse_darboux
+
+    monkeypatch.setenv("LVK_MAX_DEGREE", "4")
+    with pytest.raises(DegreeCapExceeded):
+        P("1/2") ** 5
+    with pytest.raises(DegreeCapExceeded):
+        parse_darboux("(2*exp(x))^(-5)", ["x"])
+    assert P("2") ** 4 == P("16")  # at the cap is fine
+    assert P("-1") ** 99999999999 == P("-1")
+    assert P("0") ** 99999999999 == P("0")
+    assert parse_darboux("exp(x)^99999999999", ["x"]).exp_arg.num == P("99999999999*x", ["x"])
+
+
 def test_degree_cap_on_reassembly(monkeypatch):
     from lvk.multipoly import _coeffs_in_var, _from_coeffs_in_var
 

@@ -94,6 +94,20 @@ def test_darboux_input_errors_are_parse_errors_at_their_position(text, column):
     assert (e.value.line, e.value.column) == (1, column)
 
 
+@pytest.mark.parametrize("opener", ["(", "exp(", "-"])
+def test_nesting_stops_at_the_token_that_opens_level_101(opener):
+    closer = ")" if opener.endswith("(") else ""
+    with pytest.raises(ParseError, match="nested too deeply") as e:
+        parse_darboux("x*" + opener * 101 + "x" + closer * 101, NAMES)
+    assert (e.value.line, e.value.column) == (1, 3 + 100 * len(opener))
+
+
+def test_nesting_at_the_limit_parses():
+    assert parse_ratfunc("(" * 100 + "x" + ")" * 100, NAMES) == parse_ratfunc("x", NAMES)
+    # the leading sign of a sum is not a level: 101 signs nest 100 deep
+    assert parse_ratfunc("-" * 101 + "x", NAMES) == parse_ratfunc("-x", NAMES)
+
+
 def test_negative_power_of_zero_is_a_division_by_zero():
     with pytest.raises(ParseError, match="division by zero"):
         parse_ratfunc("x + 0^-2", NAMES)
