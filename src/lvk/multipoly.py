@@ -20,19 +20,23 @@ does not divide a.
 The monomial order used everywhere (normalization, leading terms,
 printing) is graded lexicographic with the declared variable order.
 
-The gcd is one shortcut ladder with one output, ``gcd_cofactors(a, b)`` =
+The gcd is one ladder with one output, ``gcd_cofactors(a, b)`` =
 (g, a/g, b/g) with g monic; ``gcd_multivar`` and the contents take g.  The
-shortcut that finds g also knows the cofactors, so only the general branch,
-the subresultant PRS, divides a and b by g.  ``_subresultant_prs(a, b)``
-seeds its own chain, higher degree first, and returns it with the sign
-that resultants need.
+rung that finds g also knows the cofactors, so only the last, the
+subresultant PRS, divides a and b by g.  Before it, the heuristic gcd
+GCDHEU (``_heuristic_gcd``) reads g off the integer gcd of the arguments'
+values at a large integer point, one variable at a time, and keeps it
+only if both trial divisions succeed; its images are bounded by
+``HEURISTIC_IMAGE_BITS``, not by ``LVK_MAX_DEGREE``.
+``_subresultant_prs(a, b)`` seeds its own chain, higher degree first, and
+returns it with the sign that resultants need.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, sub
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
@@ -71,6 +75,13 @@ def _check_constant_power(c: Fraction, n: int) -> None:
         cap = degree_cap()
         if abs(n) > cap:
             raise DegreeCapExceeded(f"power {n} of the constant {c} exceeds LVK_MAX_DEGREE={cap}")
+
+
+#: GCDHEU gives up, and the PRS runs, once an integer image would pass this bit length.
+HEURISTIC_IMAGE_BITS = 1 << 17
+
+#: Evaluation points GCDHEU tries before it gives up.
+HEURISTIC_TRIES = 6
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -285,7 +296,9 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if self.is_constant():
+        nums = self.nums
+        # 0 and +-1 are read off the ints; only another constant builds its Fraction
+        if self.is_constant() and nums and (self.den != 1 or abs(nums[(0,) * self.arity]) != 1):
             _check_constant_power(self.constant_value(), n)
         result = MultiPoly.one(self.arity)
         base = self
@@ -314,22 +327,24 @@ class MultiPoly:
         """Substitute rational values for some variables (others untouched).
 
         Each value p/q of a variable of degree D is taken as p^k * q^(D-k)
-        over q^D, so every term stays an integer over one denominator.
+        over q^D, from one table per variable, so every term stays an
+        integer over one denominator.
         """
-        values = [(var, Fraction(val)) for var, val in assignments.items()]
-        if not self.nums or not values:
+        if not self.nums or not assignments:
             return self
         den = self.den
-        tops = {}
-        for var, val in values:
-            tops[var] = top = max(e[var] for e in self.nums)
-            den *= val.denominator**top
+        tables = []
+        for var, val in assignments.items():
+            val = Fraction(val)
+            p, q = val.numerator, val.denominator
+            top = max(e[var] for e in self.nums)
+            tables.append((var, [p**k * q ** (top - k) for k in range(top + 1)]))
+            den *= q**top
         nums: dict[tuple[int, ...], int] = {}
         for e, c in self.nums.items():
             new = list(e)
-            for var, val in values:
-                k = e[var]
-                c *= val.numerator**k * val.denominator ** (tops[var] - k)
+            for var, table in tables:
+                c *= table[e[var]]
                 new[var] = 0
             if not c:
                 continue
@@ -706,11 +721,11 @@ def squarefree_in_var(p: MultiPoly, var: int) -> tuple[MultiPoly, list[tuple[Mul
 def gcd_cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(g, a/g, b/g) with g the gcd of a and b, graded-lex monic.
 
-    Recursive content/primitive-part reduction with a subresultant
-    polynomial remainder sequence in the first occurring variable.  Three
-    exact shortcuts come first, and each knows the cofactors without
-    dividing (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*,
-    ch. 7):
+    A ladder of exact rungs; the last is recursive content/primitive-part
+    reduction with a subresultant polynomial remainder sequence in the
+    first occurring variable.  Three exact shortcuts come first, and each
+    knows the cofactors without dividing (Geddes, Czapor & Labahn,
+    *Algorithms for Computer Algebra*, ch. 7):
 
     - a single-term argument c*x^e: every divisor of a monomial is a
       monomial, so the gcd is x^f with f the componentwise minimum of e and
@@ -724,9 +739,14 @@ def gcd_cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, Mul
     - s of total degree 1 that does not divide the other: a degree-1
       polynomial is irreducible, so the gcd is 1.
 
-    Otherwise the gcd is the gcd of the contents times the primitive part
-    of the chain's last element, unless that element is constant; only
-    this branch divides a and b by g for the cofactors.
+    Then GCDHEU on the integer numerators (``_heuristic_gcd``): g is the
+    candidate that both trial divisions certify, with ξ at or above the
+    theorem's bound 2 * min(|a|, |b|) + 2 at every level, and the two
+    quotients are the cofactors.  When it gives up (six points, or an
+    image past ``HEURISTIC_IMAGE_BITS``), the gcd is the gcd of the
+    contents times the primitive part of the subresultant chain's last
+    element, unless that element is constant; only this branch divides a
+    and b by g for the cofactors.
     """
     a._check(b)
     arity = a.arity
@@ -754,6 +774,13 @@ def gcd_cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, Mul
             return (g, cs, ct) if a_low else (g, ct, cs)
     if s.total_degree() == 1:
         return MultiPoly.one(arity), a, b
+    heuristic = _heuristic_gcd(_raw(arity, a.nums, 1), _raw(arity, b.nums, 1))
+    if heuristic is not None:
+        h, qa, qb = heuristic
+        if h.is_constant():
+            return MultiPoly.one(arity), a, b
+        lc = h.leading_coefficient()
+        return monic_grlex(h), qa.scale(lc / a.den), qb.scale(lc / b.den)
     var = next(v for v in range(arity) if a.involves(v) or b.involves(v))
     ua, ub = _UniView.of(a, var), _UniView.of(b, var)
     cont_a, cont_b = _content(ua.coeffs), _content(ub.coeffs)
@@ -767,6 +794,90 @@ def gcd_cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, Mul
     if g.is_constant():
         return g, a, b
     return g, exact_div(a, g), exact_div(b, g)
+
+
+def _heuristic_gcd(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly] | None:
+    """(h, a/h, b/h) with h the gcd over Z of nonzero integer polynomials a and b, or None.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 1989; Geddes, Czapor &
+    Labahn, *Algorithms for Computer Algebra*, 7.7).  With the integer
+    contents split off, the first occurring variable x goes to an integer
+    xi >= 2 * min(|a|, |b|) + 2 (max norms of the primitive parts); the gcd
+    gamma of the two images comes from the same rung one variable down, an
+    integer gcd at the bottom; h is the primitive part of the symmetric
+    xi-adic expansion H of gamma in x.
+
+    The theorem: if h divides a and b, it is their gcd.  The gcd is h*k,
+    and k(xi) divides the content of H, an integer of absolute value at
+    most xi/2.  Say |a| <= |b|.  A polynomial in x alone that divides a
+    coefficient of a (in the other variables) has its roots within 1 + |a|
+    <= xi/2 of 0 (Cauchy), so it does not vanish at xi, and there it
+    exceeds xi/2 in absolute value unless it is constant.  As k(xi) is
+    free of the other variables, every coefficient of k in them but the
+    constant one vanishes at xi; the leading one divides a coefficient of
+    a, so k is free of them.  Then k itself divides every coefficient of
+    a, so it is a constant, +-1 as the gcd is primitive.
+
+    The two trial divisions that certify h give the cofactors.  When they
+    fail xi grows, ``HEURISTIC_TRIES`` times in all; an image whose
+    estimated bit length, bits(|p|) + deg_x(p) * bits(xi), would pass
+    ``HEURISTIC_IMAGE_BITS`` (2^17) gives up at once, since an image grows
+    like prod (deg + 1) * bits(xi) over the levels.  None sends the caller
+    to the subresultant PRS.
+    """
+    arity = a.arity
+    ca, cb = gcd(*a.nums.values()), gcd(*b.nums.values())
+    c = gcd(ca, cb)
+    if a.is_constant() or b.is_constant():
+        return _raw(arity, {(0,) * arity: c}, 1), a._scale(1, c), b._scale(1, c)
+    a, b = a._scale(1, ca), b._scale(1, cb)
+    tops_a, tops_b = list(map(max, zip(*a.nums))), list(map(max, zip(*b.nums)))
+    var = next(v for v in range(arity) if tops_a[v] or tops_b[v])
+    norm_a, norm_b = max(map(abs, a.nums.values())), max(map(abs, b.nums.values()))
+    xi = 2 * min(norm_a, norm_b) + 29
+    for _ in range(HEURISTIC_TRIES):
+        bits = xi.bit_length()
+        if max(
+            norm_a.bit_length() + tops_a[var] * bits,
+            norm_b.bit_length() + tops_b[var] * bits,
+        ) > HEURISTIC_IMAGE_BITS:
+            return None
+        ia, ib = a.eval_partial({var: xi}), b.eval_partial({var: xi})
+        if ia.nums and ib.nums:
+            images = _heuristic_gcd(ia, ib)
+            if images is None:
+                return None
+            h = _xi_adic(images[0], var, xi)
+            h = h._scale(1, gcd(*h.nums.values()))
+            qa = try_exact_div(a, h)
+            if qa is not None:
+                qb = try_exact_div(b, h)
+                if qb is not None:
+                    return h._scale(c, 1), qa._scale(ca // c, 1), qb._scale(cb // c, 1)
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _xi_adic(gamma: MultiPoly, var: int, xi: int) -> MultiPoly:
+    """H with H(xi) = gamma for gamma free of var: each coefficient as its symmetric base-xi digits.
+
+    Digit k of a coefficient, in (-xi/2, xi/2], goes to var^k.
+    """
+    half = xi // 2
+    nums: dict[tuple[int, ...], int] = {}
+    for e, c in gamma.nums.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                new = list(e)
+                new[var] = k
+                nums[tuple(new)] = d
+            c = (c - d) // xi
+            k += 1
+    return _raw(gamma.arity, nums, 1)
 
 
 def _shift_down(p: MultiPoly, f: tuple[int, ...]) -> MultiPoly:

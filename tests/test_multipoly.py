@@ -240,6 +240,19 @@ def prs_calls(monkeypatch):
     return calls
 
 
+def on_both_routes(monkeypatch, prs_calls, check):
+    """Run check() as is, then again with the heuristic gcd giving up.
+
+    The heuristic answers the first run with no PRS; in the second the PRS
+    runs and check() returns the same (g, a/g, b/g) triples.
+    """
+    first = check()
+    assert prs_calls == []
+    monkeypatch.setattr(multipoly, "_heuristic_gcd", lambda a, b: None)
+    assert check() == first
+    assert prs_calls
+
+
 def test_gcd_single_term_arguments(prs_calls):
     sympy = pytest.importorskip("sympy")
     assert checked_gcd(sympy, P("6*x^2*y"), P("4*x*y^3")) == P("x*y")
@@ -280,7 +293,7 @@ def test_gcd_divisor_arguments(prs_calls):
     assert prs_calls == []
 
 
-def test_gcd_when_the_trial_division_fails_late(prs_calls):
+def test_gcd_when_the_trial_division_fails_late(prs_calls, monkeypatch):
     sympy = pytest.importorskip("sympy")
     # lm(s) divides lm(t) and no degree of s exceeds t's, yet s does not divide t
     cases = [
@@ -288,23 +301,31 @@ def test_gcd_when_the_trial_division_fails_late(prs_calls):
         (P("x^2 + y"), P("x^3 + x^2*y + 2"), MultiPoly.one(2)),
         (P("(x*y + 1)*(x + y)"), P("(x*y + 1)*(x^2*y + x - 3)"), P("x*y + 1")),
     ]
-    for s, t, expected in cases:
-        assert s.total_degree() < t.total_degree()
-        assert all(s.degree_in(v) <= t.degree_in(v) for v in range(2))
-        assert all(i <= j for i, j in zip(s.leading_monomial(), t.leading_monomial()))
-        assert try_exact_div(t, s) is None
-        assert checked_gcd(sympy, s, t) == expected
-        assert checked_gcd(sympy, t, s) == expected
-    assert prs_calls
+
+    def check():
+        for s, t, expected in cases:
+            assert s.total_degree() < t.total_degree()
+            assert all(s.degree_in(v) <= t.degree_in(v) for v in range(2))
+            assert all(i <= j for i, j in zip(s.leading_monomial(), t.leading_monomial()))
+            assert try_exact_div(t, s) is None
+            assert checked_gcd(sympy, s, t) == expected
+            assert checked_gcd(sympy, t, s) == expected
+        return [gcd_cofactors(x, y) for s, t, _ in cases for x, y in ((s, t), (t, s))]
+
+    on_both_routes(monkeypatch, prs_calls, check)
 
 
-def test_gcd_proper_common_factor_reaches_the_prs(prs_calls):
+def test_gcd_proper_common_factor_reaches_the_prs(prs_calls, monkeypatch):
     sympy = pytest.importorskip("sympy")
     # neither argument is a monomial and neither divides the other
     a = P("(x + y)*(x - 1)")
     b = P("(x + y)*(x + 2*y)")
-    assert checked_gcd(sympy, a, b) == P("x + y")
-    assert prs_calls
+
+    def check():
+        assert checked_gcd(sympy, a, b) == P("x + y")
+        return [gcd_cofactors(a, b)]
+
+    on_both_routes(monkeypatch, prs_calls, check)
 
 
 def test_gcd_with_a_degree_one_argument_that_does_not_divide(prs_calls):
@@ -387,15 +408,99 @@ def test_gcd_cofactors_shortcuts_run_no_prs(prs_calls):
     assert results[9] == (MultiPoly.one(2), cases[9][1], cases[9][2])
 
 
-def test_gcd_cofactors_through_the_prs(prs_calls):
-    # a common factor that neither argument equals: content and PRS branches
+def test_gcd_cofactors_through_the_prs(prs_calls, monkeypatch):
+    # a common factor that neither argument equals: the heuristic rung, and
+    # the content and PRS branches once it gives up
     cases = [
         (P("(x + y)*(x - 1)"), P("(x + y)*(x + 2*y)")),
         (P("(y + 1)*(y - 2)"), P("(y + 1)*(x^2 + y)")),
     ]
-    for a, b in cases:
-        check_cofactors(a, b, gcd_cofactors(a, b))
+
+    def check():
+        results = [gcd_cofactors(a, b) for a, b in cases]
+        for (a, b), result in zip(cases, results):
+            check_cofactors(a, b, result)
+        return results
+
+    on_both_routes(monkeypatch, prs_calls, check)
+
+
+# -- the heuristic gcd (GCDHEU) ---------------------------------------------------
+
+
+def big_poly(rng, arity, max_deg, max_terms=3) -> MultiPoly:
+    """A nonzero polynomial with integer or rational coefficients up to about 2^64."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = [0] * arity
+        for _ in range(rng.randint(0, max_deg)):
+            e[rng.randrange(arity)] += 1
+        terms[tuple(e)] = Fraction(rng.randint(-(2**64), 2**64), rng.choice([1, 1, 3, 2**20]))
+    p = MultiPoly(arity, terms)
+    return p if not p.is_zero() else MultiPoly.one(arity)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_heuristic_gcd_matches_sympy_and_the_prs_on_seeded_pairs(arity, prs_calls, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2400 + arity)
+    pairs = []
+    for _ in range(12):
+        g = big_poly(rng, arity, max_deg=2)
+        pairs.append((big_poly(rng, arity, max_deg=2) * g, big_poly(rng, arity, max_deg=2) * g))
+
+    def check():
+        results = [gcd_cofactors(a, b) for a, b in pairs]
+        for (a, b), (g, ca, cb) in zip(pairs, results):
+            # the exact cofactor identity, and sympy's gcd up to a constant
+            assert g * ca == a and g * cb == b
+            assert g.leading_coefficient() == 1
+            theirs = sympy.gcd(to_sympy(sympy, a), to_sympy(sympy, b))
+            ratio = sympy.cancel(to_sympy(sympy, g) / theirs)
+            assert ratio.is_number and ratio != 0, (a, b, g, theirs)
+        return results
+
+    on_both_routes(monkeypatch, prs_calls, check)
+
+
+def test_heuristic_gcd_takes_a_second_point_when_an_image_vanishes(prs_calls, monkeypatch):
+    # min(|a|, |b|) = 1 puts the first point at 2*1 + 29 = 31, a root of a in x
+    a, b = P("(x - 31)*(x + y)"), P("(x + y)*(x + 1)")
+    assert a.eval_partial({0: 31}).is_zero()
+    points = []
+    evaluate = MultiPoly.eval_partial
+
+    def recording(p, assignments):
+        points.extend(xi for var, xi in assignments.items() if var == 0)
+        return evaluate(p, assignments)
+
+    monkeypatch.setattr(MultiPoly, "eval_partial", recording)
+    g, ca, cb = gcd_cofactors(a, b)
+    assert (g, ca, cb) == (P("x + y"), P("x - 31"), P("x + 1"))
+    # a and b at 31, then at the next point 73794 * 31 * floor(31^(1/4)) // 27011
+    assert points == [31, 31, 169, 169]
+    assert prs_calls == []
+
+
+def test_heuristic_gcd_gives_up_over_the_image_limit(prs_calls, monkeypatch):
+    # |a| = 2^k puts x at about 2^(k+1): a degree-3 image has about 4k bits
+    x, one = MultiPoly.variable(1, 0), MultiPoly.one(1)
+
+    def pair(k):
+        m = MultiPoly.constant(1, 2**k)
+        return (x + one) * (x * x + m), (x + one) * (x * x + m + one)
+
+    limit = multipoly.HEURISTIC_IMAGE_BITS
+    below, over = pair(limit // 5), pair(limit // 3)
+    assert multipoly._heuristic_gcd(*below) is not None
+    assert multipoly._heuristic_gcd(*over) is None
+    answers = [gcd_cofactors(*below)]
+    assert prs_calls == []
+    answers.append(gcd_cofactors(*over))
     assert prs_calls
+    for (a, b), result in zip((below, over), answers):
+        assert result[0] == x + one
+        check_cofactors(a, b, result)
 
 
 # -- the subresultant chain -------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from lvk.residues import (
 from lvk.unipoly import UniPoly, gcd_uni, ratfunc_as_unipair, squarefree_yun
 
 F = Fraction
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def _unipair(expr_num, expr_den, names, main_var=0):
@@ -453,6 +455,26 @@ def test_quartic_group_round_trips():
     psi = IntegrationResult(log_groups=((group, F(1)),), rat_part=parse_ratfunc("x/(y+1)", names))
     w = differentiate(psi)
     assert differentiate(integrate_closed(w)) == w
+
+
+def test_quartic_group_log_derivative_at_the_default_cap(monkeypatch):
+    # its final RatFunc(trace, norm) is one gcd whose answer is 1 (67 and 96
+    # terms); the subresultant PRS passes degree 64 on it, the heuristic gcd
+    # does not.  The golden is the PRS route's render at LVK_MAX_DEGREE=4096.
+    monkeypatch.delenv("LVK_MAX_DEGREE", raising=False)
+    names = ["x1", "x2", "x3"]
+    args = (
+        "-3*x2^2 + 1/3*x2*x3 - x1 - 4/3*x3",
+        "-4/3*x2^2 + 1",
+        "2*x1^2",
+        "-4/3*x1*x2 + 2*x1 - 3/2",
+    )
+    group = ResidueGroup(
+        minpoly=(F(-2), F(0), F(0), F(0), F(1)),
+        arg=tuple(parse_ratfunc(a, names) for a in args),
+    )
+    expected = (GOLDENS / "t4-2-group-log-derivative.txt").read_text().rstrip("\n")
+    assert group.log_derivative(0).render(names) == expected
 
 
 # -- independent oracle for d5_gcd: sympy's gcd over Q(alpha) -------------------------
