@@ -5,12 +5,17 @@ rank certification of their independence, and the 2D integrating-factor first
 integral.  Theorem-2 direction: from rational first integrals through the
 Gamma determinants, all read off one fraction-free elimination of the
 integrals' gradient matrix with its rows cleared to polynomials, and
-h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  The Cramer and
-determinant-cancellation identities are polynomial identities on the
-minors' numerators over their shared denominator.  The factors of 1/h are
-split by multiplicity variable by variable, as integrating -d log h would
-split them, but with squarefree decompositions and no integration; the
+h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  The factors of
+1/h are split by multiplicity variable by variable, as integrating -d log h
+would split them, but with squarefree decompositions and no integration; the
 multiplier identity certifies the result.
+
+Certificates are decided as polynomial zero tests, and a residual is reduced
+to lowest terms only when it is nonzero.  X(H) = 0 for each integral is a
+test on its cleared gradient row; the Cramer and determinant-cancellation
+identities are tests on the minors' numerators over their shared
+denominator; <A, P> = div P, like theorem 1's first-integral identities, is
+a test by cross-multiplication over the form's denominators (``_sums_to``).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .darboux import DarbouxFunction, is_jacobian_multiplier
-from .errors import VerificationError
+from .errors import DegreeCapExceeded, ParseError, VerificationError
 from .forms import OneForm, is_closed
 from .integrator import IntegrationResult, differentiate, integrate_closed
 from .linalg import _fraction_free, rank_with_witness
@@ -83,12 +88,13 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
     forms = []
     for w in log_rows[:-1]:
         diff = w - reference
-        residual = X.lie_derivative_log(diff)
-        if not residual.is_zero():
-            raise VerificationError(
-                "multiplier ratio failed the first-integral identity "
-                f"(residual {residual.render()})"
-            )
+        if not _sums_to(MultiPoly.zero(n), diff.components, X.components):
+            residual = X.lie_derivative_log(diff)
+            if not residual.is_zero():
+                raise VerificationError(
+                    "multiplier ratio failed the first-integral identity "
+                    f"(residual {residual.render()})"
+                )
         forms.append(diff)
     rows = [tuple(f.components) for f in forms]
     if rows:
@@ -108,11 +114,9 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
 def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
     """(g, [g_i], L, column variables, last variable index): Gamma = g/L^2, Gamma_i = g_i/L^2.
 
-    M is the (n-1) x n gradient matrix of the integrals, each first checked
-    to satisfy X(H) = 0 through the polynomial Lie derivatives of its
-    numerator and denominator (``lie_derivative_ratfunc``).  Gamma is the
-    minor of M without the last variable lv's column; Gamma_i replaces
-    column i in it by lv's.
+    M is the (n-1) x n gradient matrix of the integrals.  Gamma is the minor
+    of M without the last variable lv's column; Gamma_i replaces column i in
+    it by lv's.
 
     Row k of M, for H_k = N_k/D_k, is cleared to D_k dN_k - N_k dD_k, so
     every minor of M is a minor of the cleared rows over L^2, L = prod D_k.
@@ -122,6 +126,10 @@ def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
     without last_var lv is the largest v whose complementary minor is
     nonzero.  g is the last pivot, and g_i is pivot row i's entry in lv's
     column, both signed by the row permutation.
+
+    The cleared row also certifies H_k first: X(H_k) = sum_i P_i row_k[i] /
+    D_k^2, so X(H_k) = 0 is the polynomial zero test sum_i P_i row_k[i] = 0,
+    and the residual is reduced to lowest terms only for the error message.
     """
     n = X.arity
     names = list(X.var_names)
@@ -132,14 +140,19 @@ def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
         raise VerificationError(f"need {n - 1} first integrals, got {len(integrals)}")
     rows, den = [], MultiPoly.one(n)
     for H in integrals:
-        residual = X.lie_derivative_ratfunc(H)
-        if not residual.is_zero():
+        if H.arity != n:
+            raise ParseError("arity mismatch")
+        N, D = H.num, H.den
+        row = [D * N.derivative(i) - N * D.derivative(i) for i in range(n)]
+        lie = MultiPoly.zero(n)
+        for c, r in zip(X.components, row):
+            lie = lie + c * r
+        if not lie.is_zero():
             raise VerificationError(
                 f"{H.render(names)} is not a first integral "
-                f"(residual {residual.render(names)})"
+                f"(residual {RatFunc(lie, D * D).render(names)})"
             )
-        N, D = H.num, H.den
-        rows.append([D * N.derivative(i) - N * D.derivative(i) for i in range(n)])
+        rows.append(row)
         den = den * D
     order = list(range(n))
     if last_var is not None:
@@ -235,6 +248,39 @@ def _inverse_by_levels(h: RatFunc) -> DarbouxFunction:
     return DarbouxFunction(RatFunc.zero(n), factors=factors)
 
 
+def _sums_to(target: MultiPoly, w, P) -> bool:
+    """Whether sum_i w_i P_i = target, for rational w_i and polynomial P_i.
+
+    A zero test by cross-multiplication, without a gcd: the w_i are grouped
+    by their denominators d_k, S_k sums num(w_i) P_i over group k, and the
+    test is target prod_k d_k - sum_k S_k prod_{j != k} d_j = 0.  False also
+    when a product passes LVK_MAX_DEGREE: the caller then decides with the
+    normalized residual.
+    """
+    groups: dict[MultiPoly, MultiPoly] = {}
+    try:
+        for wi, Pi in zip(w, P):
+            if not wi.is_zero():
+                s = wi.num * Pi
+                groups[wi.den] = groups[wi.den] + s if wi.den in groups else s
+        # target - sum_k S_k/d_k as num/prod over the groups seen so far
+        num, prod = target, MultiPoly.one(target.arity)
+        for d, s in groups.items():
+            num = num * d - s * prod
+            prod = prod * d
+        return num.is_zero()
+    except DegreeCapExceeded:
+        return False
+
+
+def _pairing_residual(X: PolyVectorField, a_form: OneForm) -> RatFunc:
+    """div P - <A, P>, decided by ``_sums_to`` and reduced only when nonzero."""
+    divergence = X.divergence()
+    if _sums_to(divergence, a_form.components, X.components):
+        return RatFunc.zero(X.arity)
+    return RatFunc(divergence) - X.lie_derivative_log(a_form)
+
+
 def _residual(numerator: MultiPoly, den: MultiPoly, power: int) -> RatFunc:
     """numerator/den^power, built and normalized only when the identity fails."""
     return RatFunc.zero(den.arity) if numerator.is_zero() else RatFunc(numerator, den**power)
@@ -280,8 +326,7 @@ def multiplier_from_rational_integrals(
     identities.append(("determinant-cancellation", _residual(det_identity, den, 3)))
     if not det_identity.is_zero():
         raise VerificationError("determinant cancellation identity failed")
-    P = [RatFunc(c) for c in comps]
-    h = P[lv] / gamma
+    h = RatFunc(comps[lv]) / gamma
     a_form = OneForm([h.log_derivative(i) for i in range(n)])
     closed = is_closed(a_form)
     identities.append(
@@ -292,9 +337,7 @@ def multiplier_from_rational_integrals(
     )
     if not closed.closed:
         raise VerificationError("A = d log h failed the closedness identity")
-    pairing = RatFunc(X.divergence())
-    for i in range(n):
-        pairing = pairing - a_form[i] * P[i]
+    pairing = _pairing_residual(X, a_form)
     identities.append(("A-pairing-divergence", pairing))
     if not pairing.is_zero():
         raise VerificationError("<A, P> = div P failed")
@@ -342,9 +385,9 @@ def first_integral_2d(
     result = integrate_closed(omega)
     # verify: sum d_i(I) P_i = 0
     grad = differentiate(result)
-    residual = X.lie_derivative_log(grad)
-    if not residual.is_zero():
-        raise VerificationError("2D first integral failed verification")
+    if not _sums_to(MultiPoly.zero(2), grad.components, X.components):
+        if not X.lie_derivative_log(grad).is_zero():
+            raise VerificationError("2D first integral failed verification")
     return result
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from lvk import linalg
 from lvk.darboux import multiplier_residual
-from lvk.errors import VerificationError
+from lvk.errors import ParseError, VerificationError
 from lvk.forms import OneForm, is_closed
 from lvk.integrator import differentiate, integrate_closed, to_darboux
 from lvk.multipoly import MultiPoly, exact_div, gcd_multivar
@@ -13,7 +13,9 @@ from lvk.parsing import parse_darboux, parse_ratfunc
 from lvk.pipeline import (
     ClosedFormUnavailable,
     _inverse_by_levels,
+    _pairing_residual,
     _strip_common_factor,
+    _sums_to,
     first_integral_2d,
     gamma_determinants,
     multiplier_from_rational_integrals,
@@ -23,7 +25,7 @@ from lvk.pipeline import (
 from lvk.ratfunc import RatFunc
 from lvk.vectorfield import PolyVectorField, parse_system
 
-from conftest import random_poly
+from conftest import CATALOG, bench_cases, random_poly
 
 N3 = ["x", "y", "z"]
 LINEAR3 = parse_system("vars x, y, z\ndx = x\ndy = y\ndz = z\n")
@@ -67,6 +69,25 @@ def test_gamma_rejects_a_one_variable_system():
 def test_gamma_rejects_non_integral():
     with pytest.raises(VerificationError):
         gamma_determinants(LINEAR3, [R3("x"), R3("x/z")])
+
+
+@pytest.mark.parametrize(
+    "integral, residual", [("x + y", "x + y"), ("(x + 1)/z", "-1/z")]
+)
+def test_non_integral_keeps_its_message_and_residual(integral, residual):
+    # X(H) = 0 is decided on the cleared gradient row; the message still
+    # carries X(H) in lowest terms, as lie_derivative_ratfunc gives it
+    X = parse_system((CATALOG / "linear3.system").read_text())
+    H = R3(integral)
+    assert X.lie_derivative_ratfunc(H).render(N3) == residual
+    with pytest.raises(VerificationError) as err:
+        gamma_determinants(X, [R3("x/y"), H])
+    assert str(err.value) == f"{integral} is not a first integral (residual {residual})"
+
+
+def test_gamma_rejects_an_integral_of_another_arity():
+    with pytest.raises(ParseError, match="arity mismatch"):
+        gamma_determinants(LINEAR3, [R3("x/y"), parse_ratfunc("x/y", ["x", "y"])])
 
 
 def test_gamma_falls_back_to_other_last_variable():
@@ -268,6 +289,81 @@ def test_multiplier_runs_one_fraction_free_elimination(monkeypatch):
     assert d.result.render(list(X.var_names)) == "x2"
     assert all(r.is_zero() for _, r in d.identities)
     assert calls == [2, 2]
+
+
+# -- the pairing <A, P> = div P as a zero test -----------------------------------
+
+
+def _planted_pairings():
+    """(reduced field, A-form) of every seed-5 planted system."""
+    out = []
+    for case in bench_cases("planted"):
+        X, H = case.data
+        out.append((_strip_common_factor(X)[0], theorem2_pipeline(X, H).derivation.a_form))
+    return out
+
+
+def _normalized_pairing(X, a_form):
+    """div P - sum a_i P_i, one normalized RatFunc product and sum per variable."""
+    pairing = RatFunc(X.divergence())
+    for a, c in zip(a_form.components, X.components):
+        pairing = pairing - a * RatFunc(c)
+    return pairing
+
+
+def test_pairing_zero_test_on_planted_a_forms():
+    scaled_any = 0
+    for X, a_form in _planted_pairings():
+        assert _sums_to(X.divergence(), a_form.components, X.components)
+        assert _pairing_residual(X, a_form).is_zero()
+        # scaling a_k by 2 adds a_k P_k, nonzero when both factors are
+        pairs = zip(a_form.components, X.components)
+        k = next((i for i, (a, c) in enumerate(pairs) if not (a.is_zero() or c.is_zero())), None)
+        if k is None:
+            continue
+        comps = list(a_form.components)
+        comps[k] = comps[k].scale(2)
+        scaled = OneForm(comps)
+        assert not _sums_to(X.divergence(), scaled.components, X.components)
+        residual = _pairing_residual(X, scaled)
+        assert not residual.is_zero()
+        assert residual == _normalized_pairing(X, scaled)
+        scaled_any += 1
+    assert scaled_any >= 20
+
+
+def test_pairing_zero_test_is_false_past_the_degree_cap(monkeypatch):
+    # a cross product past LVK_MAX_DEGREE makes the test say False, so the
+    # caller falls back to the normalized residual instead of raising
+    for X, a_form in _planted_pairings():
+        if len({a.den for a in a_form.components if not a.is_zero()}) >= 2:
+            break
+    else:
+        pytest.fail("no planted A-form has two denominators")
+    divergence = X.divergence()
+    cap = max(
+        p.total_degree()
+        for p in [divergence, *X.components]
+        + [q for a in a_form.components for q in (a.num, a.den)]
+    )
+    assert _sums_to(divergence, a_form.components, X.components)
+    monkeypatch.setenv("LVK_MAX_DEGREE", str(cap))
+    assert not _sums_to(divergence, a_form.components, X.components)
+
+
+def test_sums_to_decides_log_derivative_sums():
+    # X(log F) = sum w_i P_i for w = d log F on the linear field: 0 for x/y
+    # and x*y/(x + z)^2, 2 for x*y, 1 for x*y/(x + z)
+    def d_log(text):
+        F = R3(text)
+        return [F.log_derivative(i) for i in range(3)]
+
+    zero, two = MultiPoly.zero(3), MultiPoly.constant(3, 2)
+    assert _sums_to(zero, d_log("x/y"), LINEAR3.components)
+    assert not _sums_to(zero, d_log("x*y"), LINEAR3.components)
+    assert _sums_to(two, d_log("x*y"), LINEAR3.components)
+    assert not _sums_to(two, d_log("x*y/(x + z)"), LINEAR3.components)
+    assert _sums_to(zero, d_log("x*y/(x + z)^2"), LINEAR3.components)
 
 
 # -- multiplier construction ------------------------------------------------------
