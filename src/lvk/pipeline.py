@@ -14,8 +14,9 @@ Certificates are decided as polynomial zero tests, and a residual is reduced
 to lowest terms only when it is nonzero.  X(H) = 0 for each integral is a
 test on its cleared gradient row; the Cramer and determinant-cancellation
 identities are tests on the minors' numerators over their shared
-denominator; <A, P> = div P, like theorem 1's first-integral identities, is
-a test by cross-multiplication over the form's denominators (``_sums_to``).
+denominator; <A, P> = div P is a test by cross-multiplication over the
+A-form's denominators (``_sums_to``).  Theorem 1's first-integral identities
+are decided on normalized residuals.
 """
 
 from __future__ import annotations
@@ -88,13 +89,12 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
     forms = []
     for w in log_rows[:-1]:
         diff = w - reference
-        if not _sums_to(MultiPoly.zero(n), diff.components, X.components):
-            residual = X.lie_derivative_log(diff)
-            if not residual.is_zero():
-                raise VerificationError(
-                    "multiplier ratio failed the first-integral identity "
-                    f"(residual {residual.render()})"
-                )
+        residual = X.lie_derivative_log(diff)
+        if not residual.is_zero():
+            raise VerificationError(
+                "multiplier ratio failed the first-integral identity "
+                f"(residual {residual.render()})"
+            )
         forms.append(diff)
     rows = [tuple(f.components) for f in forms]
     if rows:
@@ -273,14 +273,6 @@ def _sums_to(target: MultiPoly, w, P) -> bool:
         return False
 
 
-def _pairing_residual(X: PolyVectorField, a_form: OneForm) -> RatFunc:
-    """div P - <A, P>, decided by ``_sums_to`` and reduced only when nonzero."""
-    divergence = X.divergence()
-    if _sums_to(divergence, a_form.components, X.components):
-        return RatFunc.zero(X.arity)
-    return RatFunc(divergence) - X.lie_derivative_log(a_form)
-
-
 def _residual(numerator: MultiPoly, den: MultiPoly, power: int) -> RatFunc:
     """numerator/den^power, built and normalized only when the identity fails."""
     return RatFunc.zero(den.arity) if numerator.is_zero() else RatFunc(numerator, den**power)
@@ -337,7 +329,12 @@ def multiplier_from_rational_integrals(
     )
     if not closed.closed:
         raise VerificationError("A = d log h failed the closedness identity")
-    pairing = _pairing_residual(X, a_form)
+    # div P - <A, P>, reduced to lowest terms only when the zero test fails
+    divergence = X.divergence()
+    if _sums_to(divergence, a_form.components, comps):
+        pairing = RatFunc.zero(n)
+    else:
+        pairing = RatFunc(divergence) - X.lie_derivative_log(a_form)
     identities.append(("A-pairing-divergence", pairing))
     if not pairing.is_zero():
         raise VerificationError("<A, P> = div P failed")
@@ -385,9 +382,9 @@ def first_integral_2d(
     result = integrate_closed(omega)
     # verify: sum d_i(I) P_i = 0
     grad = differentiate(result)
-    if not _sums_to(MultiPoly.zero(2), grad.components, X.components):
-        if not X.lie_derivative_log(grad).is_zero():
-            raise VerificationError("2D first integral failed verification")
+    residual = X.lie_derivative_log(grad)
+    if not residual.is_zero():
+        raise VerificationError("2D first integral failed verification")
     return result
 
 
