@@ -44,7 +44,8 @@ class IntegrationResult:
                 term = group.render(names)
                 terms.append((term if s == 1 else f"{s}*({term})", False))
         if not self.rat_part.is_zero():
-            terms.append((self.rat_part.render(names), False))
+            body = self.rat_part.render(names)
+            terms.append((body[1:], True) if body.startswith("-") else (body, False))
         return _signed_sum(terms)
 
 

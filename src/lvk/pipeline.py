@@ -5,10 +5,9 @@ rank certification of their independence, and the 2D integrating-factor first
 integral.  Theorem-2 direction: from rational first integrals through the
 Gamma determinants, all read off one fraction-free elimination of the
 integrals' gradient matrix with its rows cleared to polynomials, and
-h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  The factors of
-1/h are split by multiplicity variable by variable, as integrating -d log h
-would split them, but with squarefree decompositions and no integration; the
-multiplier identity certifies the result.
+h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  The multiplier is
+1/h split into squarefree parts variable by variable, in declared order, up
+to a constant factor; the multiplier identity certifies the result.
 
 Certificates are decided as polynomial zero tests, and a residual is reduced
 to lowest terms only when it is nonzero.  X(H) = 0 for each integral is a
@@ -23,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .darboux import DarbouxFunction, is_jacobian_multiplier
+from .darboux import DarbouxFunction, first_integral_residual, is_jacobian_multiplier
 from .errors import DegreeCapExceeded, ParseError, VerificationError
 from .forms import OneForm, is_closed
 from .integrator import IntegrationResult, differentiate, integrate_closed
 from .linalg import _fraction_free, rank_with_witness
-from .multipoly import MultiPoly, _coeffs_in_var, exact_div, gcd_multivar, squarefree_in_var
+from .multipoly import MultiPoly, exact_div, gcd_multivar, squarefree_in_var
 from .ratfunc import RatFunc
 from .vectorfield import PolyVectorField
 
@@ -220,31 +219,20 @@ def _strip_common_factor(X: PolyVectorField):
 
 
 def _inverse_by_levels(h: RatFunc) -> DarbouxFunction:
-    """1/h as a Darboux function, factored as integrating -d log h factors it.
+    """1/h split into squarefree parts variable by variable, up to a constant.
 
-    At each variable v in natural order, integrate_closed groups the factors
-    of G (first 1/h) that involve v by their residue, the signed
-    multiplicity e, into one argument a_e/lc_v(a_e), monic in v, and carries
-    G divided by the arguments' powers to the later variables.  Here a_e
-    comes from squarefree_in_var on num(G) and den(G), so no integration
-    runs.  The pairs (a_e, e) and (lc_v(a_e), -e) make the same Darboux
-    function as the argument's numerator and denominator, since a_e is
-    primitive in v and so coprime to lc_v(a_e).
+    For num(1/h) and den(1/h) in turn, squarefree_in_var splits p at each
+    variable v in declared order into its content in v and the squarefree
+    parts a_e, pairwise coprime, that involve v; the content goes on to the
+    later variables (Geddes, Czapor & Labahn, *Algorithms for Computer
+    Algebra*, 8.2).  The constant left at the end is dropped.
     """
     n = h.arity
-    num, den = h.den, h.num
     factors = []
-    for v in range(n):
-        carried = []
-        for p, sign in ((num, 1), (den, -1)):
-            content, parts = squarefree_in_var(p, v)
-            for a, e in parts:
-                lc = _coeffs_in_var(a, v)[a.degree_in(v)]
-                factors += [(a, sign * e), (lc, -sign * e)]
-                content = content * lc**e
-            carried.append(content)
-        g = RatFunc(*carried)
-        num, den = g.num, g.den
+    for p, sign in ((h.den, 1), (h.num, -1)):
+        for v in range(n):
+            p, parts = squarefree_in_var(p, v)
+            factors += [(a, sign * e) for a, e in parts]
     return DarbouxFunction(RatFunc.zero(n), factors=factors)
 
 
@@ -340,9 +328,9 @@ def multiplier_from_rational_integrals(
         raise VerificationError("<A, P> = div P failed")
     u_form = -a_form
     result = _inverse_by_levels(h)
-    final = is_jacobian_multiplier(X, result)
-    identities.append(("multiplier-residual", final.residual))
-    if not final.ok:
+    final = first_integral_residual(X, result) + RatFunc(divergence)
+    identities.append(("multiplier-residual", final))
+    if not final.is_zero():
         raise VerificationError("constructed function failed the multiplier identity")
     return MultiplierDerivation(
         gamma=gamma,

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from lvk.cli import main
+from lvk.forms import OneForm
+from lvk.integrator import integrate_closed
+from lvk.parsing import parse_ratfunc
 
 from conftest import CATALOG, catalog_entries
 
@@ -133,6 +136,16 @@ def test_rational_only_exit_4(capsys):
     )
     assert code == 4
     assert "unavailable" in out
+
+
+def test_negative_rational_part_is_a_signed_term(capsys):
+    # log(x) - x/y, not log(x) + -x/y
+    argv = ["integrate-form", "--vars", "x,y", "--component", "1/x - 1/y, x/y^2"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["potential"] == "log(x) - x/y"
+    w = OneForm([parse_ratfunc(c, ["x", "y"]) for c in ("1/x - 1/y", "x/y^2")])
+    assert integrate_closed(w).render(["x", "y"]) == "log(x) - x/y"
 
 
 def test_degree_cap_is_a_resource_limit_exit_3(capsys, lotka, monkeypatch):
