@@ -53,7 +53,7 @@ from .pipeline import (
     multiplier_from_rational_integrals,
     ratio_first_integrals,
 )
-from .residues import qpoly_render
+from .residues import bound_name, qpoly_render
 from .vectorfield import parse_system
 
 EXIT_OK = 0
@@ -182,7 +182,7 @@ def _load_form(args) -> tuple[OneForm, list[str], str]:
 
 def _group_payload(group, weight: Fraction, names) -> dict:
     return {
-        "minPoly": qpoly_render(list(group.minpoly)),
+        "minPoly": qpoly_render(group.minpoly, bound_name(names)),
         "arg": [c.render(names) for c in group.arg],
         "weight": str(weight),
     }

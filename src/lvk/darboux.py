@@ -183,8 +183,7 @@ class DarbouxFunction:
             else:
                 pieces.append(f"{b}^({exponent})")
         for group, s in self.groups:
-            prefix = "" if s == 1 else f"[{s}*]"
-            pieces.append(f"{prefix}exp({group.render(names)})")
+            pieces.append(f"exp({group.render(names, s)})")
         return " * ".join(pieces) if pieces else "1"
 
     def __repr__(self):

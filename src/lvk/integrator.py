@@ -33,16 +33,7 @@ class IntegrationResult:
         return self.rat_part.arity
 
     def render(self, names: list[str] | None = None) -> str:
-        terms = []
-        for group, s in self.log_groups:
-            if group.degree == 1:
-                c = group.residue_value() * s
-                body = group.arg_at_rational(group.residue_value()).render(names)
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                terms.append((f"{mag}log({body})", c < 0))
-            else:
-                term = group.render(names)
-                terms.append((term if s == 1 else f"{s}*({term})", False))
+        terms = [group.term(names, s) for group, s in self.log_groups]
         if not self.rat_part.is_zero():
             body = self.rat_part.render(names)
             terms.append((body[1:], True) if body.startswith("-") else (body, False))
@@ -113,7 +104,7 @@ def to_darboux(result: IntegrationResult) -> DarbouxFunction:
     for group, s in result.log_groups:
         if group.degree == 1:
             c = group.residue_value() * s
-            val = group.arg_at_rational(group.residue_value())
+            val = group.arg[0]
             factors.append((val.num, c))
             factors.append((val.den, -c))
         else:

@@ -4,6 +4,11 @@ A ResidueGroup encodes  sum over roots t of m(t)  of  t * log(arg(t, x))
 without ever materializing the algebraic numbers t.  The minimal polynomial m
 always has rational coefficients (constancy of residues is the computational
 shadow of closedness); arguments may involve the x variables and powers of t.
+A group prints as one signed term, ``sum[t: m = 0] t*log(A/L)``: m with its
+denominators cleared, and A/L the argument as one RatFunc in the x variables
+and t, both in graded-lex order.  t is named by ``bound_name``, the first of
+t, t1, t2, ... that no variable is named.  A group of degree 1 prints as
+c*log(arg).
 
 A single residue needs no elimination: when num = c*den' for a constant c,
 the logarithmic part is c*log(den).  Otherwise one subresultant chain of den
@@ -26,6 +31,7 @@ F[t]/(m) over the level's field F, with K's elements as RatFuncs of
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +40,7 @@ from .multipoly import (
     MultiPoly,
     _coeffs_in_var,
     _ints_over_lcm,
+    _signed_sum,
     _subresultant_prs,
     _UniView,
     gcd_multivar,
@@ -43,10 +50,18 @@ from .ratfunc import RatFunc, _polys_over_lcm
 from .unipoly import UniPoly, coeff_inverse, gcd_uni, squarefree_yun
 
 
-def qpoly_render(p: list[Fraction]) -> str:
-    """Render with denominators cleared to integers, descending powers."""
+def bound_name(names: list[str]) -> str:
+    """The name of a group's root t: the first of t, t1, t2, ... not in names."""
+    k = 0
+    while (name := f"t{k or ''}") in names:
+        k += 1
+    return name
+
+
+def qpoly_render(p: Sequence[Fraction], name: str) -> str:
+    """Render in the one variable ``name``, denominators cleared to integers."""
     ints, _ = _ints_over_lcm(p)
-    return MultiPoly(1, {(d,): c for d, c in enumerate(ints)}).render(["t"])
+    return MultiPoly(1, {(d,): c for d, c in enumerate(ints)}).render([name])
 
 
 def power_sums(m: list[Fraction], count: int) -> list[Fraction]:
@@ -156,11 +171,16 @@ class ResidueGroup:
     """sum over roots t of minpoly of  t * log(arg(t, x)).
 
     minpoly: monic squarefree, rational coefficients, ascending powers.
-    arg: coefficient of t**k at index k; each a RatFunc in the x variables.
+    arg: coefficient of t**k at index k; each a RatFunc in the x variables;
+    reduced modulo minpoly, so 1 <= len(arg) <= degree.
     """
 
     minpoly: tuple[Fraction, ...]
     arg: tuple[RatFunc, ...]
+
+    def __post_init__(self):
+        if not 1 <= len(self.arg) <= self.degree:
+            raise ValueError(f"a group of degree {self.degree} takes 1 to that many arg coefficients")
 
     @property
     def degree(self) -> int:
@@ -176,11 +196,10 @@ class ResidueGroup:
             return None
         return -self.minpoly[0] / self.minpoly[1]
 
-    def arg_at_rational(self, value: Fraction) -> RatFunc:
-        acc = RatFunc.zero(self.arity)
-        for k in reversed(range(len(self.arg))):
-            acc = acc.scale(value) + self.arg[k]
-        return acc
+    def argument(self) -> RatFunc:
+        """arg as one A/L in the x variables and t, t last, with L free of t."""
+        n = self.arity
+        return UniPoly(n, n + 1, [c.extend_arity(n + 1) for c in self.arg]).to_ratfunc()
 
     def log_derivative(self, var: int) -> RatFunc:
         """Exact RatFunc value of sum_t t * d_var(arg)/arg.
@@ -189,34 +208,38 @@ class ResidueGroup:
         """
         c = self.residue_value()
         if c is not None:
-            return self.arg_at_rational(c).log_derivative(var).scale(c)
-        return _group_log_derivative(list(self.minpoly), list(self.arg), var)
+            return self.arg[0].log_derivative(var).scale(c)
+        return _group_log_derivative(list(self.minpoly), self.argument(), var)
 
-    def render(self, names: list[str] | None = None) -> str:
-        if self.degree == 1:
-            c = self.residue_value()
-            body = self.arg_at_rational(c).render(names)
-            if c == 1:
-                return f"log({body})"
-            return f"{c}*log({body})"
-        arg_terms = []
-        for k, c in enumerate(self.arg):
-            if c.is_zero():
-                continue
-            tpow = "" if k == 0 else ("*t" if k == 1 else f"*t^{k}")
-            arg_terms.append(f"({c.render(names)}){tpow}" if tpow else c.render(names))
-        arg_str = " + ".join(arg_terms) if arg_terms else "0"
-        return f"sum[t: {qpoly_render(list(self.minpoly))} = 0] t*log({arg_str})"
+    def term(self, names: list[str] | None, weight: Fraction) -> tuple[str, bool]:
+        """weight times the group as a (body, negative) term of ``_signed_sum``.
+
+        Degree 1 is c*log(arg) with c = residue * weight.  A higher degree
+        is sum[t: m = 0] t*log(A/L), A/L the ``argument()`` printed over
+        names and t, t named by ``bound_name``; times |weight| unless that is 1.
+        """
+        names = names or [f"x{i + 1}" for i in range(self.arity)]
+        c = self.residue_value()
+        if c is not None:
+            c *= weight
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            return f"{mag}log({self.arg[0].render(names)})", c < 0
+        t = bound_name(names)
+        arg = self.argument().render([*names, t])
+        body = f"sum[{t}: {qpoly_render(self.minpoly, t)} = 0] {t}*log({arg})"
+        return (body if abs(weight) == 1 else f"{abs(weight)}*({body})"), weight < 0
+
+    def render(self, names: list[str] | None = None, weight: Fraction = Fraction(1)) -> str:
+        return _signed_sum([self.term(names, weight)])
 
 
-def _group_log_derivative(m: list[Fraction], arg: list[RatFunc], var: int) -> RatFunc:
-    """``ResidueGroup.log_derivative`` for a group of degree 2 or more."""
-    arity = arg[0].arity
+def _group_log_derivative(m: list[Fraction], f: RatFunc, var: int) -> RatFunc:
+    """``ResidueGroup.log_derivative`` for a group of degree 2 or more, f its argument()."""
+    arity = f.arity - 1
     # arg = A/L with L free of t: sum_t t*dA/A is Tr(t * dA * adj(A)) / Norm(A),
     # and sum_t t*dL/L is p_1 * dL/L
     t, n = arity, arity + 2
     m = UniPoly(0, 1, m).monic().coeffs
-    f = UniPoly(t, arity + 1, [c.extend_arity(arity + 1) for c in arg]).to_ratfunc()
     a = f.num.extend_arity(n)
     adj, norm = _adjugate(a, m, t, n - 1)
     if norm.is_zero():

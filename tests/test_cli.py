@@ -138,6 +138,18 @@ def test_rational_only_exit_4(capsys):
     assert "unavailable" in out
 
 
+def test_group_root_is_not_named_after_a_variable(capsys):
+    # with a variable named t, the root of the group's minimal polynomial is t1
+    argv = ["integrate-form", "--vars", "x,t", "--component", "1/(x^2-2)", "--component=0"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    group = "sum[t1: 8*t1^2 - 1 = 0] t1*log(x - 4*t1)"
+    assert result["potential"] == group
+    assert result["darboux"] == f"exp({group})"
+    assert [g["minPoly"] for g in result["logGroups"]] == ["8*t1^2 - 1"]
+
+
 def test_negative_rational_part_is_a_signed_term(capsys):
     # log(x) - x/y, not log(x) + -x/y
     argv = ["integrate-form", "--vars", "x,y", "--component", "1/x - 1/y, x/y^2"]

@@ -247,7 +247,7 @@ def test_potential_derivative_matches_sympy():
             t = group.residue_value()
             assert t is not None, "rational residues only"
             logs += 1
-            arg = group.arg_at_rational(t)
+            arg = group.arg[0]
             potential += sympy.Rational(t * s) * sympy.log(_sympy_ratfunc(sympy, arg, symbols))
         for s, component in zip(symbols, form):
             assert sympy.cancel(sympy.diff(potential, s) - component) == 0

@@ -2,17 +2,25 @@
 
 The goldens' strings must re-render identically, and the values the
 theorem-2 pipeline and the integrator print for the benchmark's seed-5 inputs
-must parse back equal.
+must parse back equal.  A printed residue group's minimal polynomial and
+argument parse back to the ones the group holds.
 """
 
 import json
+import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
+from lvk.forms import OneForm
 from lvk.integrator import integrate_closed
-from lvk.parsing import parse_equations, parse_form, parse_ratfunc
+from lvk.multipoly import MultiPoly
+from lvk.parsing import parse_equations, parse_form, parse_poly, parse_ratfunc
 from lvk.pipeline import theorem2_pipeline
+from lvk.residues import bound_name
 
 from conftest import CATALOG, bench_cases, catalog_entries
+from test_residue_goldens import GOLDENS, residue_groups
 
 RATIONAL_FIELDS = ("gamma", "gammas", "h", "aForm", "uForm", "ratioForms", "ratPart")
 
@@ -59,5 +67,43 @@ def test_integration_values_parse_back():
     for case in bench_cases("roundtrip"):
         (w,) = case.data
         result = integrate_closed(w, check=False)
-        args = [g.arg_at_rational(g.residue_value()) for g, _ in result.log_groups if g.degree == 1]
+        args = [g.arg[0] for g, _ in result.log_groups if g.degree == 1]
         assert_parse_back([result.rat_part, *args], [f"x{i + 1}" for i in range(w.arity)])
+
+
+GROUP = re.compile(r"sum\[(\w+): (.+) = 0\] \1\*log\((.+)\)")
+LOG = re.compile(r"(-?)(?:(.+)\*)?log\((.+)\)")
+
+
+def assert_group_parses_back(group, names):
+    text = group.render(names)
+    if group.degree == 1:
+        sign, c, arg = LOG.fullmatch(text).groups()
+        assert Fraction(sign + (c or "1")) == group.residue_value(), text
+        assert parse_ratfunc(arg, names) == group.arg[0], text
+        return
+    t, m, arg = GROUP.fullmatch(text).groups()
+    assert t == bound_name(names), text
+    lcm = math.lcm(*(c.denominator for c in group.minpoly))
+    cleared = MultiPoly(1, {(k,): c * lcm for k, c in enumerate(group.minpoly)})
+    assert parse_poly(m, [t]) == cleared, text
+    assert parse_ratfunc(arg, [*names, t]) == group.argument(), text
+
+
+def test_residue_golden_groups_parse_back():
+    seen = 0
+    for groups, names in residue_groups().values():
+        for group in groups:
+            assert_group_parses_back(group, names)
+            seen += group.degree > 1
+    assert seen == 33
+
+
+def test_algebraic_form_groups_parse_back():
+    names, comps = parse_form((GOLDENS / "algebraic-t2-2.form").read_text())
+    result = integrate_closed(OneForm(comps))
+    potential = json.loads((GOLDENS / "algebraic-t2-2.golden.json").read_text())["result"]["potential"]
+    assert [g.degree for g, _ in result.log_groups] == [2]
+    for group, _ in result.log_groups:
+        assert_group_parses_back(group, names)
+        assert group.render(names) in potential

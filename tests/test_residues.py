@@ -7,6 +7,7 @@ import pytest
 import lvk.multipoly
 import lvk.residues
 from conftest import random_poly
+from lvk.darboux import DarbouxFunction
 from lvk.errors import NonConstantResidue, ZeroDivisionInField
 from lvk.integrator import IntegrationResult, differentiate, integrate_closed
 from lvk.multipoly import MultiPoly
@@ -15,6 +16,7 @@ from lvk.ratfunc import RatFunc
 from lvk.residues import (
     ResidueGroup,
     _divisors,
+    bound_name,
     power_sums,
     qpoly_render,
     rothstein_trager,
@@ -35,9 +37,9 @@ def _unipair(expr_num, expr_den, names, main_var=0):
 
 
 def test_qpoly_render_clears_denominators():
-    assert qpoly_render([F(-1, 8), F(0), F(1)]) == "8*t^2 - 1"
-    assert qpoly_render([F(-1), F(1)]) == "t - 1"
-    assert qpoly_render([]) == "0"
+    assert qpoly_render([F(-1, 8), F(0), F(1)], "t") == "8*t^2 - 1"
+    assert qpoly_render([F(-1), F(1)], "s") == "s - 1"
+    assert qpoly_render([], "t") == "0"
 
 
 def test_power_sums_of_known_roots():
@@ -97,6 +99,57 @@ def test_algebraic_group_trace_derivative():
     assert g.log_derivative(0) == parse_ratfunc("1/(x^2 - 2)", names)
 
 
+@pytest.mark.parametrize("arg", [(), ("x", "1", "0")], ids=["empty", "past-the-degree"])
+def test_group_argument_is_reduced_modulo_the_minimal_polynomial(arg):
+    # a quadratic group takes the coefficients of 1 and t, and at least one
+    with pytest.raises(ValueError, match="^a group of degree 2 takes 1 to that many arg coefficients$"):
+        ResidueGroup(minpoly=(F(-2), F(0), F(1)), arg=tuple(parse_ratfunc(a, ["x"]) for a in arg))
+
+
+def test_group_argument_is_one_ratfunc_in_x_and_t():
+    names = ["x", "y"]
+    g = ResidueGroup(
+        minpoly=(F(-2), F(0), F(1)),
+        arg=(parse_ratfunc("x/(y + 1)", names), parse_ratfunc("1/(y^2 - 1)", names)),
+    )
+    assert g.argument() == parse_ratfunc("(x*y - x + t)/(y^2 - 1)", [*names, "t"])
+    assert g.render(names) == "sum[t: t^2 - 2 = 0] t*log((x*y - x + t)/(y^2 - 1))"
+
+
+def test_bound_name_avoids_the_variable_names():
+    assert bound_name(["x", "y"]) == "t"
+    assert bound_name(["x", "t"]) == "t1"
+    assert bound_name(["t1", "t", "t2"]) == "t3"
+
+
+def _quadratic_group(names):
+    """sum over t^2 = 2 of t*log(x + t*y)."""
+    return ResidueGroup(
+        minpoly=(F(-2), F(0), F(1)), arg=tuple(parse_ratfunc(a, names) for a in ("x", "y"))
+    )
+
+
+def test_negative_group_weight_is_a_signed_term():
+    names = ["x", "y"]
+    group = _quadratic_group(names)
+    log_x = ResidueGroup(minpoly=(F(-1), F(1)), arg=(parse_ratfunc("x", names),))
+    psi = IntegrationResult(
+        log_groups=((log_x, F(1)), (group, F(-2))), rat_part=RatFunc.zero(2)
+    )
+    assert psi.render(names) == "log(x) - 2*(sum[t: t^2 - 2 = 0] t*log(y*t + x))"
+    psi = IntegrationResult(log_groups=((group, F(-1)),), rat_part=parse_ratfunc("y", names))
+    assert psi.render(names) == "-sum[t: t^2 - 2 = 0] t*log(y*t + x) + y"
+
+
+def test_darboux_group_power_is_a_signed_exponent():
+    names = ["x", "y"]
+    D = DarbouxFunction(RatFunc.zero(2), groups=[(_quadratic_group(names), F(1))])
+    assert D.render(names) == "exp(sum[t: t^2 - 2 = 0] t*log(y*t + x))"
+    assert (D**2).render(names) == "exp(2*(sum[t: t^2 - 2 = 0] t*log(y*t + x)))"
+    assert D.inverse().render(names) == "exp(-sum[t: t^2 - 2 = 0] t*log(y*t + x))"
+    assert (D ** F(-1, 2)).render(names) == "exp(-1/2*(sum[t: t^2 - 2 = 0] t*log(y*t + x)))"
+
+
 def test_group_argument_vanishing_at_a_root_is_a_zero_division():
     # x*(t - 1) vanishes at the root t = 1 of t^2 - 1: the group is invalid
     x = parse_ratfunc("x", ["x"])
@@ -122,7 +175,7 @@ def test_rt_simple_log():
     assert len(groups) == 1
     g = groups[0]
     assert g.degree == 1 and g.residue_value() == 1
-    assert g.arg_at_rational(F(1)) == parse_ratfunc("x", ["x"])
+    assert g.arg[0] == parse_ratfunc("x", ["x"])
 
 
 def test_rt_two_rational_residues(monkeypatch):
@@ -133,7 +186,7 @@ def test_rt_two_rational_residues(monkeypatch):
     groups = rothstein_trager(num, den)
     assert calls == [1]
     got = sorted(
-        (g.residue_value(), g.arg_at_rational(g.residue_value()).render(["x"]))
+        (g.residue_value(), g.arg[0].render(["x"]))
         for g in groups
     )
     assert got == [(F(1), "x"), (F(2), "x - 1")]
@@ -144,7 +197,7 @@ def test_rt_algebraic_residues_golden():
     groups = rothstein_trager(num, den)
     assert len(groups) == 1
     g = groups[0]
-    assert qpoly_render(list(g.minpoly)) == "8*t^2 - 1"
+    assert qpoly_render(g.minpoly, "t") == "8*t^2 - 1"
     assert [c.render(["x"]) for c in g.arg] == ["x", "-4"]
     # the trace-sum derivative reproduces the input exactly
     assert g.log_derivative(0) == parse_ratfunc("1/(x^2 - 2)", ["x"])
@@ -157,7 +210,7 @@ def test_rt_parameterized_coefficients():
     assert len(groups) == 1
     g = groups[0]
     assert g.residue_value() == 1
-    assert g.arg_at_rational(F(1)) == parse_ratfunc("x + y", ["x", "y"])
+    assert g.arg[0] == parse_ratfunc("x + y", ["x", "y"])
 
 
 def test_rt_rejects_non_constant_residue():
@@ -354,7 +407,7 @@ def test_irrational_level_over_q_reaches_d5_over_q(monkeypatch):
     d5_gcd = lvk.residues.d5_gcd
     monkeypatch.setattr(lvk.residues, "d5_gcd", lambda *a: calls.append((a, d5_gcd(*a))) or calls[-1][1])
     (g,) = rothstein_trager(num, den)
-    assert g.render(["x"]) == "sum[t: 8*t^2 - 1 = 0] t*log(x + (-4)*t)"
+    assert g.render(["x"]) == "sum[t: 8*t^2 - 1 = 0] t*log(x - 4*t)"
     (((chain, m), branches),) = calls
     assert all(c.arity == 2 and not c.involves(0) for s in chain for c in s.coeffs)
     ((m_branch, v),) = branches
