@@ -53,6 +53,7 @@ from .pipeline import (
     multiplier_from_rational_integrals,
     ratio_first_integrals,
 )
+from .ratfunc import fraction_sum
 from .residues import bound_name, qpoly_render
 from .vectorfield import parse_system
 
@@ -92,6 +93,7 @@ def _certified(command: str, system_name: str, result: dict, certs: list) -> tup
 
 
 def _dump_human(value, indent: int, out: list) -> None:
+    """Indented lines; a nested value goes one level below its key or its "-" list item."""
     pad = "  " * indent
     if isinstance(value, dict):
         for k in value:
@@ -104,7 +106,8 @@ def _dump_human(value, indent: int, out: list) -> None:
     elif isinstance(value, list):
         for v in value:
             if isinstance(v, (dict, list)):
-                _dump_human(v, indent, out)
+                out.append(f"{pad}-")
+                _dump_human(v, indent + 1, out)
             else:
                 out.append(f"{pad}- {v}")
     else:
@@ -305,9 +308,8 @@ def cmd_integrate_form(args) -> tuple[dict, int]:
     certs = [_certificate("closedness", None, names)]
     back = differentiate(result)
     for i, n_ in enumerate(names):
-        certs.append(
-            _certificate(f"roundtrip[{n_}]", back[i] - w[i], names)
-        )
+        residual = fraction_sum(w.arity, [(back[i].num, back[i].den), (-w[i].num, w[i].den)])
+        certs.append(_certificate(f"roundtrip[{n_}]", residual, names))
     payload = {
         "potential": result.render(names),
         "ratPart": result.rat_part.render(names),

@@ -23,7 +23,7 @@ from .multipoly import (
     _ints_over_lcm,
     try_exact_div,
 )
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, fraction_sum
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def cofactor_of(X, f: MultiPoly) -> Cofactor | Reject:
     lie = X.lie_derivative(f)
     q = try_exact_div(lie, f)
     if q is None:
-        return Reject("f does not divide X(f)", residual=RatFunc(lie) / RatFunc(f))
+        return Reject("f does not divide X(f)", residual=fraction_sum(f.arity, [(lie, f)]))
     deg = q.total_degree()
     if deg is not MINUS_INFINITY and deg > X.degree - 1:
         raise VerificationError(f"cofactor degree {deg} exceeds m-1 = {X.degree - 1}")

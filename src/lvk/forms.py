@@ -1,12 +1,15 @@
-"""Rational 1-forms and the exactness (closedness) check."""
+"""Rational 1-forms and the exactness (closedness) check.
+
+Each symmetry identity is a ``ratfunc.fraction_sum`` zero test, so only a
+failing pair's residual is normalized.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ArityMismatch, DegreeCapExceeded
-from .multipoly import gcd_cofactors
-from .ratfunc import RatFunc
+from .errors import ArityMismatch
+from .ratfunc import RatFunc, fraction_sum
 
 
 @dataclass(frozen=True)
@@ -72,35 +75,18 @@ class OneForm:
 def is_closed(w: OneForm) -> ClosednessWitness:
     """Check d w = 0 exactly: all partial-derivative symmetry identities.
 
-    Each pair is first decided by a zero test without a gcd on a numerator;
-    only the first failing pair computes its residual in lowest terms.
+    For the pair (j, i), with a = w_j and b = w_i, d a/dx_i - d b/dx_j is
+    A/den(a)^2 - B/den(b)^2, where A = num(a)' den(a) - num(a) den(a)' in
+    x_i and B likewise in x_j.  ``fraction_sum`` decides it: a zero test
+    without a gcd, and the first failing pair's residual in lowest terms.
     """
     n = len(w)
     for j in range(n):
         for i in range(j + 1, n):
-            if _derivatives_agree(w[j], i, w[i], j):
-                continue
-            residual = w[j].derivative(i) - w[i].derivative(j)
+            a, b = w[j], w[i]
+            A = a.num.derivative(i) * a.den - a.num * a.den.derivative(i)
+            B = b.num.derivative(j) * b.den - b.num * b.den.derivative(j)
+            residual = fraction_sum(w.arity, [(A, a.den), (-B, b.den)], 2)
             if not residual.is_zero():
                 return ClosednessWitness(closed=False, pair=(j, i), residual=residual)
     return ClosednessWitness(closed=True)
-
-
-def _derivatives_agree(a: RatFunc, i: int, b: RatFunc, j: int) -> bool:
-    """Whether d a/dx_i = d b/dx_j, by cross-multiplication.
-
-    With A = a_n' a_d - a_n a_d' (in x_i) and B likewise (in x_j), the
-    derivatives are A/a_d^2 and B/b_d^2.  Equal denominators compare A = B;
-    otherwise, with g = gcd(a_d, b_d) = a_d/c_a = b_d/c_b, they compare
-    A c_b^2 = B c_a^2.  False also when a product passes LVK_MAX_DEGREE: the
-    caller then decides with the normalized residual.
-    """
-    try:
-        A = a.num.derivative(i) * a.den - a.num * a.den.derivative(i)
-        B = b.num.derivative(j) * b.den - b.num * b.den.derivative(j)
-        if a.den == b.den:
-            return A == B
-        _, ca, cb = gcd_cofactors(a.den, b.den)
-        return A * (cb * cb) == B * (ca * ca)
-    except DegreeCapExceeded:
-        return False

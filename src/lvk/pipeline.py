@@ -9,13 +9,15 @@ h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  The multiplier is
 1/h split into squarefree parts variable by variable, in declared order, up
 to a constant factor; the multiplier identity certifies the result.
 
-Certificates are decided as polynomial zero tests, and a residual is reduced
-to lowest terms only when it is nonzero.  X(H) = 0 for each integral is a
-test on its cleared gradient row; the Cramer and determinant-cancellation
-identities are tests on the minors' numerators over their shared
-denominator; <A, P> = div P is a test by cross-multiplication over the
-A-form's denominators (``_sums_to``).  Theorem 1's first-integral identities
-are decided on normalized residuals.
+Theorem 2's certificates are sums of polynomials over powers of
+denominators, and ``ratfunc.fraction_sum`` decides each: a zero test, and a
+residual reduced to lowest terms only when it is nonzero.  X(H) = 0 for each
+integral is its cleared gradient row against P over the squared
+denominator; the Cramer and determinant-cancellation identities are the
+minors' numerators over their shared denominator squared and cubed;
+A-closedness is ``forms.is_closed``, and <A, P> = div P is the pairing's
+numerators over the A-form's denominators.  Theorem 1's first-integral
+identities are decided on normalized residuals.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .darboux import DarbouxFunction, first_integral_residual, is_jacobian_multiplier
-from .errors import DegreeCapExceeded, ParseError, VerificationError
+from .errors import ParseError, VerificationError
 from .forms import OneForm, is_closed
 from .integrator import IntegrationResult, differentiate, integrate_closed
 from .linalg import _fraction_free, rank_with_witness
 from .multipoly import MultiPoly, exact_div, gcd_multivar, squarefree_in_var
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, fraction_sum
 from .vectorfield import PolyVectorField
 
 
@@ -74,7 +76,7 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
     multipliers = list(multipliers)
     if len(multipliers) != n - 1:
         raise VerificationError(
-            f"need {n - 1} multipliers for an {n}-dimensional system"
+            f"need {n - 1} multipliers for a {n}-dimensional system"
         )
     log_rows = []
     for J in multipliers:
@@ -127,8 +129,8 @@ def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
     column, both signed by the row permutation.
 
     The cleared row also certifies H_k first: X(H_k) = sum_i P_i row_k[i] /
-    D_k^2, so X(H_k) = 0 is the polynomial zero test sum_i P_i row_k[i] = 0,
-    and the residual is reduced to lowest terms only for the error message.
+    D_k^2, so X(H_k) = 0 is a zero test on that sum, and the residual is
+    reduced to lowest terms only for the error message.
     """
     n = X.arity
     names = list(X.var_names)
@@ -146,10 +148,11 @@ def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
         lie = MultiPoly.zero(n)
         for c, r in zip(X.components, row):
             lie = lie + c * r
-        if not lie.is_zero():
+        residual = fraction_sum(n, [(lie, D)], 2)
+        if not residual.is_zero():
             raise VerificationError(
                 f"{H.render(names)} is not a first integral "
-                f"(residual {RatFunc(lie, D * D).render(names)})"
+                f"(residual {residual.render(names)})"
             )
         rows.append(row)
         den = den * D
@@ -236,36 +239,6 @@ def _inverse_by_levels(h: RatFunc) -> DarbouxFunction:
     return DarbouxFunction(RatFunc.zero(n), factors=factors)
 
 
-def _sums_to(target: MultiPoly, w, P) -> bool:
-    """Whether sum_i w_i P_i = target, for rational w_i and polynomial P_i.
-
-    A zero test by cross-multiplication, without a gcd: the w_i are grouped
-    by their denominators d_k, S_k sums num(w_i) P_i over group k, and the
-    test is target prod_k d_k - sum_k S_k prod_{j != k} d_j = 0.  False also
-    when a product passes LVK_MAX_DEGREE: the caller then decides with the
-    normalized residual.
-    """
-    groups: dict[MultiPoly, MultiPoly] = {}
-    try:
-        for wi, Pi in zip(w, P):
-            if not wi.is_zero():
-                s = wi.num * Pi
-                groups[wi.den] = groups[wi.den] + s if wi.den in groups else s
-        # target - sum_k S_k/d_k as num/prod over the groups seen so far
-        num, prod = target, MultiPoly.one(target.arity)
-        for d, s in groups.items():
-            num = num * d - s * prod
-            prod = prod * d
-        return num.is_zero()
-    except DegreeCapExceeded:
-        return False
-
-
-def _residual(numerator: MultiPoly, den: MultiPoly, power: int) -> RatFunc:
-    """numerator/den^power, built and normalized only when the identity fails."""
-    return RatFunc.zero(den.arity) if numerator.is_zero() else RatFunc(numerator, den**power)
-
-
 def multiplier_from_rational_integrals(
     X: PolyVectorField, integrals, last_var: int | None = None
 ) -> MultiplierDerivation:
@@ -288,8 +261,8 @@ def multiplier_from_rational_integrals(
     # Cramer identities: Gamma * P_i = -Gamma_i * P_last, i.e. over den^2
     # g * P_i + g_i * P_last = 0
     for pos, i in enumerate(cols):
-        residual = g * comps[i] + gs[pos] * comps[lv]
-        identities.append((f"cramer[{names[i]}]", _residual(residual, den, 2)))
+        residual = fraction_sum(n, [(g * comps[i] + gs[pos] * comps[lv], den)], 2)
+        identities.append((f"cramer[{names[i]}]", residual))
         if not residual.is_zero():
             raise VerificationError(
                 f"Cramer identity failed for {names[i]}: the integrals are not "
@@ -302,8 +275,8 @@ def multiplier_from_rational_integrals(
     for pos, i in enumerate(cols):
         dg = dg - gs[pos].derivative(i)
         gdl = gdl - gs[pos] * den.derivative(i)
-    det_identity = den * dg - gdl.scale(2)
-    identities.append(("determinant-cancellation", _residual(det_identity, den, 3)))
+    det_identity = fraction_sum(n, [(den * dg - gdl.scale(2), den)], 3)
+    identities.append(("determinant-cancellation", det_identity))
     if not det_identity.is_zero():
         raise VerificationError("determinant cancellation identity failed")
     h = RatFunc(comps[lv]) / gamma
@@ -317,12 +290,10 @@ def multiplier_from_rational_integrals(
     )
     if not closed.closed:
         raise VerificationError("A = d log h failed the closedness identity")
-    # div P - <A, P>, reduced to lowest terms only when the zero test fails
+    # div P - <A, P> over the A-form's denominators
     divergence = X.divergence()
-    if _sums_to(divergence, a_form.components, comps):
-        pairing = RatFunc.zero(n)
-    else:
-        pairing = RatFunc(divergence) - X.lie_derivative_log(a_form)
+    terms = [(-(a.num * c), a.den) for a, c in zip(a_form.components, comps)]
+    pairing = fraction_sum(n, [(divergence, MultiPoly.one(n))] + terms)
     identities.append(("A-pairing-divergence", pairing))
     if not pairing.is_zero():
         raise VerificationError("<A, P> = div P failed")

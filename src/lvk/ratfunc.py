@@ -23,8 +23,12 @@ monic and the graded-lex leading coefficient is multiplicative.
 quotient: with (n1, n1') the cofactors of gcd(n, n') and (d1, d1') those of
 gcd(d, d'), (n1'*d1 - d1'*n1) / (n1*d1) is in lowest terms, because
 gcd(n, d) = 1 and each pair is coprime, so it is only made monic.
-``forms.is_closed`` tests its identities by cross-multiplication, not
-through this normalization.
+
+``fraction_sum`` decides the certificate identities of ``forms.is_closed``,
+theorem 2 and the command line: sum n_k / d_k^p over the lcm of the
+denominators, a zero test before any normalization, and lowest terms only
+for a nonzero sum.  It is the one place below the command line that
+catches ``DegreeCapExceeded``: past the cap it sums term by term.
 
 A constant denominator is exactly 1, so polynomial operands take no gcd at
 all: the sum or product of two polynomials, the derivative of a
@@ -37,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ArityMismatch, ZeroDivisionInField
+from .errors import ArityMismatch, DegreeCapExceeded, ZeroDivisionInField
 from .multipoly import MultiPoly, exact_div, gcd_cofactors
 
 
@@ -276,3 +280,43 @@ def _polys_over_lcm(arity: int, fs: Sequence[RatFunc]) -> tuple[list[MultiPoly],
             scales = [s * grow for s in scales]
         scales.append(scale)
     return [f.num * s for f, s in zip(fs, scales)], lcm
+
+
+def fraction_sum(
+    arity: int, terms: Sequence[tuple[MultiPoly, MultiPoly]], power: int = 1
+) -> RatFunc:
+    """sum n / d^power over the (n, d) pairs, in lowest terms.
+
+    A certificate identity holds when this sum is zero, so the zero test
+    comes before any normalization: a zero sum is ``RatFunc.zero`` without
+    a gcd on it and without forming a power of a denominator.  When a
+    product passes LVK_MAX_DEGREE, the sum is taken term by term in lowest
+    terms instead, which cancels before it multiplies.
+    """
+    try:
+        return _over_lcm(arity, terms, power)
+    except DegreeCapExceeded:
+        return sum((RatFunc(n, d**power) for n, d in terms), RatFunc.zero(arity))
+
+
+def _over_lcm(arity: int, terms: Sequence[tuple[MultiPoly, MultiPoly]], power: int) -> RatFunc:
+    """``fraction_sum`` over the lcm L of the denominators: total / L^power.
+
+    Numerators over equal denominators are added first, with no gcd.  L
+    then starts as the first denominator and grows by each cofactor
+    d / gcd(L, d); with L = g*c and d = g*e, t/L^p + n/d^p =
+    (t*e^p + n*c^p) / (L*e)^p.
+    """
+    groups: dict[MultiPoly, MultiPoly] = {}
+    for n, d in terms:
+        if not n.is_zero():
+            groups[d] = groups[d] + n if d in groups else n
+    pairs = iter(groups.items())
+    lcm, total = next(pairs, (None, MultiPoly.zero(arity)))  # no nonzero term: the sum is 0
+    for d, n in pairs:
+        _, c, e = gcd_cofactors(lcm, d)
+        total = total * e**power + n * c**power
+        lcm = lcm * e
+    if total.is_zero():
+        return RatFunc.zero(arity)
+    return RatFunc(total, lcm**power)

@@ -6,7 +6,7 @@ from .errors import ParseError
 from .forms import OneForm
 from .multipoly import MultiPoly
 from .parsing import parse_equations
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, fraction_sum
 
 
 class PolyVectorField:
@@ -66,9 +66,7 @@ class PolyVectorField:
             raise ParseError("arity mismatch")
         n, d = f.num, f.den
         num = d * self.lie_derivative(n) - n * self.lie_derivative(d)
-        if num.is_zero():
-            return RatFunc.zero(self.arity)
-        return RatFunc(num, d * d)
+        return fraction_sum(self.arity, [(num, d)], 2)
 
     def lie_derivative_log(self, w: OneForm) -> RatFunc:
         """X(log F) = sum w_i P_i for w = d(log F)."""

@@ -295,6 +295,71 @@ def test_pipeline_theorem1_4d_witness(capsys, tmp_path, multipliers, code, rank,
     assert rep["dependent"] is (rank < len(multipliers) - 1)
 
 
+def test_human_report_keeps_each_ratio_form_together(capsys, tmp_path):
+    # each inner list is one "-" item with its components one level deeper
+    p = tmp_path / "sys4.system"
+    p.write_text("vars x, y, z, w\ndx = x\ndy = y\ndz = z\ndw = w\n")
+    argv = ["pipeline", "--system", str(p), "--mode", "theorem1"]
+    for m in ["1/(x*y*z*w)", "1/(x^2*y*z)", "1/(x*y^2*w)"]:
+        argv += ["--multiplier", m]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    forms = json.loads(run(capsys, *argv, "--json")[1])["result"]["ratioForms"]
+    assert len(forms) == 2 and all(len(f) == 4 for f in forms)
+    expected = ["  ratioForms:"]
+    for form in forms:
+        expected += ["    -"] + [f"      - {c}" for c in form]
+    lines = out.splitlines()
+    start = lines.index("  ratioForms:")
+    assert lines[start : start + len(expected)] == expected
+    assert lines[start + len(expected)] == "  rank: 2"
+
+
+def test_human_report_keeps_each_log_group_together(capsys):
+    # a mapping inside a list is one "-" item too, with its keys one level deeper
+    argv = ["integrate-form", "--vars", "x,y", "--component", "1/x + 1/(x^2-2)", "--component", "0"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("  logGroups:")
+    assert lines[start : start + 12] == [
+        "  logGroups:",
+        "    -",
+        "      minPoly: t - 1",
+        "      arg:",
+        "        - x",
+        "      weight: 1",
+        "    -",
+        "      minPoly: 8*t^2 - 1",
+        "      arg:",
+        "        - x",
+        "        - -4",
+        "      weight: 1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # dependent ratio forms: every ratio-derivative certificate is zero
+        ["pipeline", "--mode", "theorem1", "--multiplier", "1/(x*y*z)", "--multiplier", "1/(x*y*z)"],
+        # no solution: there is no certificate at all
+        ["synthesize", "--poly", "x", "--target", "first-integral"],
+    ],
+    ids=["theorem1-dependent", "synthesize-no-solution"],
+)
+def test_failed_status_without_a_nonzero_certificate(capsys, tmp_path, argv):
+    p = tmp_path / "sys3.system"
+    p.write_text("vars x, y, z\ndx = x\ndy = y\ndz = z\n")
+    code, out, _ = run(capsys, *argv, "--system", str(p), "--json")
+    rep = json.loads(out)
+    assert (code, rep["status"]) == (3, "failed")
+    assert all(c["isZero"] for c in rep["certificates"])
+    assert len(rep["certificates"]) == (1 if argv[0] == "pipeline" else 0)
+    code, out, _ = run(capsys, *argv, "--system", str(p))
+    assert code == 3 and "status: failed" in out
+
+
 def test_var_order_flag(capsys, tmp_path):
     p = tmp_path / "sys3.system"
     p.write_text("vars x, y, z\ndx = x\ndy = y\ndz = z\n")

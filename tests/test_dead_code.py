@@ -63,3 +63,22 @@ def test_every_import_is_used():
         read = set(_uses(tree)) | _exported(tree)
         unused += [f"{path.name}:{n} {name}" for n, name in _imported(tree) if name not in read]
     assert unused == []
+
+
+def _catches(handler: ast.ExceptHandler, name: str) -> bool:
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, (ast.Name, ast.Attribute)) and name in _uses(t) for t in types)
+
+
+def test_degree_cap_fallback_has_one_owner():
+    # past LVK_MAX_DEGREE, ratfunc.fraction_sum falls back to the term-by-term
+    # normalized sum and cli.main maps the error to an exit code; any other
+    # handler would be a second fallback rule
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and _catches(node, "DegreeCapExceeded"):
+                    owners.append((path.stem, getattr(top, "name", None)))
+    assert sorted(owners) == [("cli", "main"), ("ratfunc", "fraction_sum")]

@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from lvk import linalg, pipeline
+from lvk import linalg, ratfunc
 from lvk.darboux import multiplier_residual
-from lvk.errors import ParseError, VerificationError
+from lvk.errors import DegreeCapExceeded, ParseError, VerificationError
 from lvk.forms import OneForm, is_closed
 from lvk.integrator import differentiate
 from lvk.multipoly import MultiPoly, exact_div, gcd_multivar
@@ -14,14 +14,13 @@ from lvk.pipeline import (
     ClosedFormUnavailable,
     _inverse_by_levels,
     _strip_common_factor,
-    _sums_to,
     first_integral_2d,
     gamma_determinants,
     multiplier_from_rational_integrals,
     ratio_first_integrals,
     theorem2_pipeline,
 )
-from lvk.ratfunc import RatFunc
+from lvk.ratfunc import RatFunc, fraction_sum
 from lvk.vectorfield import PolyVectorField, parse_system
 
 from conftest import CATALOG, bench_cases, random_poly
@@ -310,10 +309,19 @@ def _normalized_pairing(X, a_form):
     return pairing
 
 
+def _pairing_terms(target, w, P):
+    """target - sum_i w_i P_i as fraction_sum's terms, as the pipeline pairs A with P."""
+    return [(target, MultiPoly.one(target.arity))] + [(-(wi.num * Pi), wi.den) for wi, Pi in zip(w, P)]
+
+
+def _pairing(target, w, P):
+    return fraction_sum(target.arity, _pairing_terms(target, w, P))
+
+
 def test_pairing_zero_test_on_planted_a_forms():
     scaled_any = 0
     for X, a_form in _planted_pairings():
-        assert _sums_to(X.divergence(), a_form.components, X.components)
+        assert _pairing(X.divergence(), a_form.components, X.components).is_zero()
         assert _normalized_pairing(X, a_form).is_zero()
         # scaling a_k by 2 adds a_k P_k, nonzero when both factors are
         pairs = zip(a_form.components, X.components)
@@ -323,45 +331,59 @@ def test_pairing_zero_test_on_planted_a_forms():
         comps = list(a_form.components)
         comps[k] = comps[k].scale(2)
         scaled = OneForm(comps)
-        assert not _sums_to(X.divergence(), scaled.components, X.components)
         # the reported residual equals the per-variable normalized loop's
-        residual = RatFunc(X.divergence()) - X.lie_derivative_log(scaled)
+        residual = _pairing(X.divergence(), scaled.components, X.components)
         assert not residual.is_zero()
         assert residual == _normalized_pairing(X, scaled)
+        assert residual == RatFunc(X.divergence()) - X.lie_derivative_log(scaled)
         scaled_any += 1
     assert scaled_any >= 20
 
 
+def _over_lcm_capped(*args):
+    raise DegreeCapExceeded("forced")
+
+
 def test_pairing_fallback_reports_the_same_identities(monkeypatch):
-    # with the zero test forced to fail, the normalized residual decides and
-    # every certificate still reads as it does through the zero test
+    # with fraction_sum's sum over the lcm forced past the degree cap, the
+    # term-by-term normalized sum decides every theorem-2 certificate, and
+    # each reads as it does through the zero test
     cases = bench_cases("planted")[:5]
     expected = [theorem2_pipeline(*case.data).derivation.identities for case in cases]
-    monkeypatch.setattr(pipeline, "_sums_to", lambda *args: False)
+    monkeypatch.setattr(ratfunc, "_over_lcm", _over_lcm_capped)
     for case, identities in zip(cases, expected):
         assert theorem2_pipeline(*case.data).derivation.identities == identities
 
 
-def test_pairing_zero_test_is_false_past_the_degree_cap(monkeypatch):
-    # a cross product past LVK_MAX_DEGREE makes the test say False, so the
-    # caller falls back to the normalized residual instead of raising
+def test_pairing_past_the_degree_cap_is_the_normalized_sum(monkeypatch):
+    # at a cap of the terms' largest degree the sum over the lcm passes the
+    # cap unless the denominators divide one another; fraction_sum then sums
+    # term by term instead of raising, and both the zero pairing and a
+    # failing one read as the normalized loop's residual
+    cases = []
     for X, a_form in _planted_pairings():
-        if len({a.den for a in a_form.components if not a.is_zero()}) >= 2:
-            break
-    else:
-        pytest.fail("no planted A-form has two denominators")
-    divergence = X.divergence()
-    cap = max(
-        p.total_degree()
-        for p in [divergence, *X.components]
-        + [q for a in a_form.components for q in (a.num, a.den)]
-    )
-    assert _sums_to(divergence, a_form.components, X.components)
-    monkeypatch.setenv("LVK_MAX_DEGREE", str(cap))
-    assert not _sums_to(divergence, a_form.components, X.components)
+        comps = list(a_form.components)
+        pairs = zip(comps, X.components)
+        k = next((i for i, (a, c) in enumerate(pairs) if not (a.is_zero() or c.is_zero())), None)
+        if k is None:
+            continue
+        comps[k] = comps[k].scale(2)
+        scaled = OneForm(comps)
+        for form, value in ((a_form, RatFunc.zero(X.arity)), (scaled, _normalized_pairing(X, scaled))):
+            cases.append((_pairing_terms(X.divergence(), form.components, X.components), value))
+    past = 0
+    for terms, value in cases:
+        arity = value.arity
+        monkeypatch.setenv("LVK_MAX_DEGREE", str(max(q.total_degree() for t in terms for q in t)))
+        try:
+            ratfunc._over_lcm(arity, terms, 1)
+        except DegreeCapExceeded:
+            past += 1
+        assert fraction_sum(arity, terms) == value
+    assert past >= 15
 
 
-def test_sums_to_decides_log_derivative_sums():
+def test_fraction_sum_decides_log_derivative_sums():
     # X(log F) = sum w_i P_i for w = d log F on the linear field: 0 for x/y
     # and x*y/(x + z)^2, 2 for x*y, 1 for x*y/(x + z)
     def d_log(text):
@@ -369,11 +391,11 @@ def test_sums_to_decides_log_derivative_sums():
         return [F.log_derivative(i) for i in range(3)]
 
     zero, two = MultiPoly.zero(3), MultiPoly.constant(3, 2)
-    assert _sums_to(zero, d_log("x/y"), LINEAR3.components)
-    assert not _sums_to(zero, d_log("x*y"), LINEAR3.components)
-    assert _sums_to(two, d_log("x*y"), LINEAR3.components)
-    assert not _sums_to(two, d_log("x*y/(x + z)"), LINEAR3.components)
-    assert _sums_to(zero, d_log("x*y/(x + z)^2"), LINEAR3.components)
+    assert _pairing(zero, d_log("x/y"), LINEAR3.components).is_zero()
+    assert _pairing(zero, d_log("x*y"), LINEAR3.components) == R3("-2")
+    assert _pairing(two, d_log("x*y"), LINEAR3.components).is_zero()
+    assert _pairing(two, d_log("x*y/(x + z)"), LINEAR3.components) == R3("1")
+    assert _pairing(zero, d_log("x*y/(x + z)^2"), LINEAR3.components).is_zero()
 
 
 # -- multiplier construction ------------------------------------------------------
@@ -497,6 +519,12 @@ def test_ratio_duplicated_multipliers_dependent():
 def test_ratio_rejects_bad_multiplier():
     with pytest.raises(VerificationError):
         ratio_first_integrals(LINEAR3, [parse_darboux("x", N3), parse_darboux("x", N3)])
+
+
+def test_ratio_needs_one_multiplier_fewer_than_the_dimension():
+    J = parse_darboux("1/(x*y*z)", N3)
+    with pytest.raises(VerificationError, match="^need 2 multipliers for a 3-dimensional system$"):
+        ratio_first_integrals(LINEAR3, [J])
 
 
 def test_first_integral_2d_golden():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lvk.errors import ZeroDivisionInField
 from lvk.multipoly import MultiPoly, gcd_multivar
 from lvk.parsing import parse_poly, parse_ratfunc
-from lvk.ratfunc import RatFunc
+from lvk.ratfunc import RatFunc, fraction_sum
 
 from conftest import random_poly, random_ratfunc
 
@@ -276,3 +276,36 @@ def test_scale_by_zero_and_trivial_powers():
     assert f**0 == RatFunc.one(2)
     assert RatFunc.zero(2) ** 0 == RatFunc.one(2)
     assert f**1 == f
+
+
+# -- fraction_sum against the term-by-term normalized sum --------------------------
+
+
+def _normalized_sum(arity, terms, power):
+    total = RatFunc.zero(arity)
+    for n, d in terms:
+        total = total + RatFunc(n, d**power)
+    return total
+
+
+def test_fraction_sum_matches_the_normalized_sum():
+    rng = random.Random(2718)
+    nonzero = 0
+    for trial in range(60):
+        arity, power = rng.randint(1, 3), 1 + trial % 3
+        dens = [random_poly(rng, arity, 2, nonzero=True) for _ in range(rng.randint(1, 3))]
+        # denominators repeat, so equal ones are grouped
+        terms = [(random_poly(rng, arity), rng.choice(dens)) for _ in range(rng.randint(1, 4))]
+        total = fraction_sum(arity, terms, power)
+        assert total == _normalized_sum(arity, terms, power)
+        nonzero += not total.is_zero()
+        # minus the same sum, regrouped and rescaled, cancels to zero
+        c = rng.choice(dens)
+        cancel = terms + [(-(n * c**power), d * c) for n, d in reversed(terms)]
+        assert fraction_sum(arity, cancel, power) == RatFunc.zero(arity)
+    assert nonzero >= 40
+    assert fraction_sum(2, [], 3) == RatFunc.zero(2)
+    x, y = parse_poly("x", NAMES), parse_poly("y", NAMES)
+    # a non-monic denominator and a common factor: 1/(2x)^2 - 1/(4x*y)^2
+    terms = [(MultiPoly.one(2), x.scale(2)), (-MultiPoly.one(2), (x * y).scale(4))]
+    assert fraction_sum(2, terms, 2) == R("1/(4*x^2) - 1/(16*x^2*y^2)")
