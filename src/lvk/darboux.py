@@ -226,25 +226,40 @@ def verify_exponential_factor(X, g: MultiPoly, h: MultiPoly):
     return ExponentialFactor(g=arg.num, h=arg.den, cofactor=Cofactor(poly))
 
 
+def _log_lie_terms(X, D: DarbouxFunction) -> list[tuple[MultiPoly, MultiPoly]]:
+    """(n, d) pairs whose sum is X(log D) = sum w_i P_i with w = d log D.
+
+    For D = exp(g) * prod f_k^e_k * prod groups^s that is X(g), each
+    e_k * X(f_k) over f_k, and s * num(w_i) * P_i over den(w_i) for each
+    group's log derivative w_i.
+    """
+    lie = X.lie_derivative_ratfunc(D.exp_arg)
+    terms = [(lie.num, lie.den)] + [(X.lie_derivative(f).scale(e), f) for f, e in D.factors]
+    for group, s in D.groups:
+        ws = map(group.log_derivative, range(D.arity))
+        terms += [((w.num * c).scale(s), w.den) for w, c in zip(ws, X.components)]
+    return terms
+
+
 def multiplier_residual(X, D: DarbouxFunction) -> RatFunc:
-    """The exact value of sum w_i P_i + div P with w = d log D."""
-    return first_integral_residual(X, D) + RatFunc(X.divergence())
+    """The exact value of sum w_i P_i + div P with w = d log D.
+
+    The terms of ``first_integral_residual`` and div P over 1, in the same
+    one ``fraction_sum``.
+    """
+    return fraction_sum(D.arity, _log_lie_terms(X, D) + [(X.divergence(), MultiPoly.one(D.arity))])
 
 
 def first_integral_residual(X, D: DarbouxFunction) -> RatFunc:
     """The exact value of sum w_i P_i = X(log D) with w = d log D.
 
     X(log D) = X(g) + sum_k e_k * X(f_k)/f_k for D = exp(g) * prod f_k^e_k,
-    so each factor costs one polynomial Lie derivative; only the residue
-    groups go through their 1-forms.
+    so each factor costs one polynomial Lie derivative and no gcd of its
+    own; only the residue groups go through their log derivatives.  All
+    terms go into one ``fraction_sum``: a zero test over the lcm of the
+    denominators, and lowest terms only for a nonzero residual.
     """
-    total = X.lie_derivative_ratfunc(D.exp_arg)
-    for base, exponent in D.factors:
-        total = total + RatFunc(X.lie_derivative(base), base).scale(exponent)
-    for group, s in D.groups:
-        form = OneForm(group.log_derivative(i) for i in range(D.arity))
-        total = total + X.lie_derivative_log(form).scale(s)
-    return total
+    return fraction_sum(D.arity, _log_lie_terms(X, D))
 
 
 def is_jacobian_multiplier(X, D: DarbouxFunction) -> CheckResult:
@@ -359,12 +374,10 @@ def synthesize(X, darboux_polys, exp_factors, target: str) -> list[DarbouxFuncti
             if any(c != 0 for c in v):
                 results.append(build(v))
     # closed-loop verification of the whole catalog of outputs
+    certify = is_jacobian_multiplier if target == "multiplier" else is_first_integral
     for d in results:
-        check = (
-            is_jacobian_multiplier(X, d)
-            if target == "multiplier"
-            else is_first_integral(X, d)
-        )
-        if not check.ok:
-            raise VerificationError(f"synthesized function failed verification: {d.render()}")
+        if not certify(X, d).ok:
+            raise VerificationError(
+                f"synthesized function failed verification: {d.render(X.var_names)}"
+            )
     return results

@@ -300,15 +300,15 @@ class MultiPoly:
         # 0 and +-1 are read off the ints; only another constant builds its Fraction
         if self.is_constant() and nums and (self.den != 1 or abs(nums[(0,) * self.arity]) != 1):
             _check_constant_power(self.constant_value(), n)
-        result = MultiPoly.one(self.arity)
-        base = self
+        if n == 0:
+            return MultiPoly.one(self.arity)
+        base, result = self, None
         while n:
             if n & 1:
-                result = result * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
+                result = base if result is None else result * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def derivative(self, var: int) -> "MultiPoly":

@@ -15,16 +15,17 @@ residual reduced to lowest terms only when it is nonzero.  X(H) = 0 for each
 integral is its cleared gradient row against P over the squared
 denominator; the Cramer and determinant-cancellation identities are the
 minors' numerators over their shared denominator squared and cubed;
-A-closedness is ``forms.is_closed``, and <A, P> = div P is the pairing's
-numerators over the A-form's denominators.  Theorem 1's first-integral
-identities are decided on normalized residuals.
+A-closedness is ``forms.is_closed``, <A, P> = div P is the pairing's
+numerators over the A-form's denominators, and the multiplier identity is
+``darboux.is_jacobian_multiplier``, the check ``verify`` runs.  Theorem 1's
+first-integral identities are decided on normalized residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .darboux import DarbouxFunction, first_integral_residual, is_jacobian_multiplier
+from .darboux import DarbouxFunction, is_jacobian_multiplier
 from .errors import ParseError, VerificationError
 from .forms import OneForm, is_closed
 from .integrator import IntegrationResult, differentiate, integrate_closed
@@ -83,7 +84,7 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
         check = is_jacobian_multiplier(X, J)
         if not check.ok:
             raise VerificationError(
-                f"not a Jacobian multiplier (residual {check.residual.render()})"
+                f"not a Jacobian multiplier (residual {check.residual.render(X.var_names)})"
             )
         log_rows.append(J.log_derivative())
     reference = log_rows[-1]
@@ -94,7 +95,7 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
         if not residual.is_zero():
             raise VerificationError(
                 "multiplier ratio failed the first-integral identity "
-                f"(residual {residual.render()})"
+                f"(residual {residual.render(X.var_names)})"
             )
         forms.append(diff)
     rows = [tuple(f.components) for f in forms]
@@ -291,17 +292,16 @@ def multiplier_from_rational_integrals(
     if not closed.closed:
         raise VerificationError("A = d log h failed the closedness identity")
     # div P - <A, P> over the A-form's denominators
-    divergence = X.divergence()
     terms = [(-(a.num * c), a.den) for a, c in zip(a_form.components, comps)]
-    pairing = fraction_sum(n, [(divergence, MultiPoly.one(n))] + terms)
+    pairing = fraction_sum(n, [(X.divergence(), MultiPoly.one(n))] + terms)
     identities.append(("A-pairing-divergence", pairing))
     if not pairing.is_zero():
         raise VerificationError("<A, P> = div P failed")
     u_form = -a_form
     result = _inverse_by_levels(h)
-    final = first_integral_residual(X, result) + RatFunc(divergence)
-    identities.append(("multiplier-residual", final))
-    if not final.is_zero():
+    check = is_jacobian_multiplier(X, result)
+    identities.append(("multiplier-residual", check.residual))
+    if not check.ok:
         raise VerificationError("constructed function failed the multiplier identity")
     return MultiplierDerivation(
         gamma=gamma,
@@ -326,7 +326,7 @@ def first_integral_2d(
     check = is_jacobian_multiplier(X, V)
     if not check.ok:
         raise VerificationError(
-            f"V is not an integrating factor (residual {check.residual.render()})"
+            f"V is not an integrating factor (residual {check.residual.render(X.var_names)})"
         )
     if not V.is_rational():
         # closedness certificate of (V P_2, -V P_1) through log-derivatives:

@@ -25,9 +25,9 @@ gcd(d, d'), (n1'*d1 - d1'*n1) / (n1*d1) is in lowest terms, because
 gcd(n, d) = 1 and each pair is coprime, so it is only made monic.
 
 ``fraction_sum`` decides the certificate identities of ``forms.is_closed``,
-theorem 2 and the command line: sum n_k / d_k^p over the lcm of the
-denominators, a zero test before any normalization, and lowest terms only
-for a nonzero sum.  It is the one place below the command line that
+the Darboux residuals, theorem 2 and the command line: sum n_k / d_k^p
+over the lcm of the denominators, a zero test before any normalization,
+and lowest terms only for a nonzero sum.  It is the one place below the command line that
 catches ``DegreeCapExceeded``: past the cap it sums term by term.
 
 A constant denominator is exactly 1, so polynomial operands take no gcd at
