@@ -417,6 +417,43 @@ def test_verify_darboux_poly_takes_one_lie_derivative(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "system, flag, expr, identity, residual",
+    [
+        ("quad2", "--multiplier", "x^-2", "multiplier-residual", "x"),
+        (
+            "lotka2",
+            "--multiplier",
+            "exp(x/y)*x^(1/2)",
+            "multiplier-residual",
+            "(-x^2 - 3/2*y^2 + 2*x + 1/2*y)/y",
+        ),
+        (
+            "lotka2",
+            "--first-integral",
+            "exp(1/(x-y))",
+            "first-integral-residual",
+            "(2*x*y - x - y)/(x^2 - 2*x*y + y^2)",
+        ),
+    ],
+)
+def test_failing_darboux_residuals_keep_their_lowest_terms(capsys, system, flag, expr, identity, residual):
+    # a nonzero residual of the one certificate sum is reduced to lowest terms
+    argv = ["verify", "--system", str(CATALOG / f"{system}.system"), flag, expr, "--json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "")
+    assert json.loads(out)["certificates"] == [
+        {"identity": identity, "isZero": False, "residual": residual}
+    ]
+
+
+def test_theorem1_rejection_prints_the_residual_over_the_system_names(capsys):
+    argv = ["pipeline", "--mode", "theorem1", "--system", str(CATALOG / "lotka2.system")]
+    got = run(capsys, *argv, "--multiplier", "exp(x)")
+    err = "verification failure: not a Jacobian multiplier (residual -x*y + 2*x - y)\n"
+    assert got == (3, "", err)
+
+
 def test_synthesize_checks_each_multiplier_once(capsys, monkeypatch):
     # synthesize certifies every solution; the report does not check it again
     import lvk.cli

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lvk import ratfunc
 from lvk.darboux import (
     DarbouxFunction,
     Reject,
@@ -18,7 +19,7 @@ from lvk.darboux import (
     synthesize,
     verify_exponential_factor,
 )
-from lvk.errors import VerificationError
+from lvk.errors import DegreeCapExceeded, VerificationError
 from lvk.forms import is_closed
 from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_darboux, parse_poly, parse_ratfunc
@@ -251,6 +252,22 @@ def test_first_integral_residual_matches_the_one_form_oracle(seed, arity):
     multiplier = multiplier_residual(X, D)
     assert multiplier == oracle + RatFunc(X.divergence())
     assert multiplier.render(names) == (oracle + RatFunc(X.divergence())).render(names)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("arity", [2, 3])
+def test_residuals_past_the_degree_cap_match_the_one_form_oracle(monkeypatch, seed, arity):
+    # with fraction_sum's sum over the lcm forced past the degree cap, both
+    # residuals are the term-by-term normalized sum, with the oracle's value
+    forced = []
+
+    def capped(*args):
+        forced.append(args)
+        raise DegreeCapExceeded("forced")
+
+    monkeypatch.setattr(ratfunc, "_over_lcm", capped)
+    test_first_integral_residual_matches_the_one_form_oracle(seed, arity)
+    assert forced
 
 
 def test_first_integral_residual_vanishes_on_functions_of_a_hamiltonian():

@@ -82,3 +82,22 @@ def test_degree_cap_fallback_has_one_owner():
                 if isinstance(node, ast.ExceptHandler) and _catches(node, "DegreeCapExceeded"):
                     owners.append((path.stem, getattr(top, "name", None)))
     assert sorted(owners) == [("cli", "main"), ("ratfunc", "fraction_sum")]
+
+
+def test_raised_messages_render_over_names():
+    # a residual or function in an error message prints over the system's
+    # variable names; a bare .render() prints x1, x2, ... instead
+    bare = []
+    for module in ("cli", "darboux", "pipeline"):
+        path = SRC / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise):
+                bare += [
+                    f"{module}.py:{call.lineno}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "render"
+                    and not (call.args or call.keywords)
+                ]
+    assert bare == []

@@ -493,6 +493,25 @@ def test_theorem2_report():
     assert rep.multiplier is rep.derivation.result
 
 
+def test_theorem2_certifies_the_multiplier_through_is_jacobian_multiplier(monkeypatch):
+    # the multiplier identity has one implementation, the check verify runs
+    import lvk.pipeline
+
+    calls = []
+    check = lvk.pipeline.is_jacobian_multiplier
+
+    def counted(X, D):
+        calls.append(check(X, D))
+        return calls[-1]
+
+    monkeypatch.setattr(lvk.pipeline, "is_jacobian_multiplier", counted)
+    for case in bench_cases("planted")[:5]:
+        calls.clear()
+        identities = dict(theorem2_pipeline(*case.data).derivation.identities)
+        assert len(calls) == 1
+        assert calls[0].ok and identities["multiplier-residual"] == calls[0].residual
+
+
 # -- multiplier ratios and the 2D integral ------------------------------------------
 
 
@@ -551,6 +570,13 @@ def test_first_integral_2d_nonrational_multiplier_unavailable():
     out = first_integral_2d(X, V)
     assert isinstance(out, ClosedFormUnavailable)
     assert out.closedness_residual.is_zero()
+
+
+def test_first_integral_2d_prints_the_residual_over_the_system_names():
+    X = parse_system("vars x, y\ndx = x - x*y\ndy = x*y - y\n")
+    message = r"^V is not an integrating factor \(residual -x\*y \+ 2\*x - y\)$"
+    with pytest.raises(VerificationError, match=message):
+        first_integral_2d(X, parse_darboux("exp(x)", ["x", "y"]))
 
 
 def test_first_integral_2d_rejects_non_multiplier():
