@@ -337,7 +337,6 @@ def _pipeline_theorem2(args, X, name) -> tuple[dict, int]:
         },
         "h": d.h.render(names),
         "aForm": [c.render(names) for c in d.a_form.components],
-        "uForm": [c.render(names) for c in d.u_form.components],
         "multiplier": d.result.render(names),
         "warnings": list(d.warnings),
     }

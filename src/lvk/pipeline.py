@@ -14,11 +14,12 @@ denominators, and ``ratfunc.fraction_sum`` decides each: a zero test, and a
 residual reduced to lowest terms only when it is nonzero.  X(H) = 0 for each
 integral is its cleared gradient row against P over the squared
 denominator; the Cramer and determinant-cancellation identities are the
-minors' numerators over their shared denominator squared and cubed;
-A-closedness is ``forms.is_closed``, <A, P> = div P is the pairing's
-numerators over the A-form's denominators, and the multiplier identity is
-``darboux.is_jacobian_multiplier``, the check ``verify`` runs.  Theorem 1's
-first-integral identities are decided on normalized residuals.
+minors' numerators over their shared denominator squared and cubed, and the
+multiplier identity is ``darboux.is_jacobian_multiplier``, the check
+``verify`` runs.  For J = c/h it reads div(J P) = J (div P - <d log h, P>),
+so it also certifies the pairing <d log h, P> = div P; d log h is closed by
+calculus and is derived only for the report.  Theorem 1's first-integral
+identities are decided on normalized residuals.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .darboux import DarbouxFunction, is_jacobian_multiplier
 from .errors import ParseError, VerificationError
-from .forms import OneForm, is_closed
+from .forms import OneForm
 from .integrator import IntegrationResult, differentiate, integrate_closed
 from .linalg import _fraction_free, rank_with_witness
 from .multipoly import MultiPoly, exact_div, gcd_multivar, squarefree_in_var
@@ -56,11 +57,14 @@ class MultiplierDerivation:
     columns: list[int]  # variable indices playing x_1..x_{n-1}
     last_var: int  # variable index playing x_n
     h: RatFunc
-    a_form: OneForm
-    u_form: OneForm
     result: DarbouxFunction
     identities: list[tuple[str, RatFunc]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def a_form(self) -> OneForm:
+        """A = d log h, for the report; the construction never builds it."""
+        return OneForm([self.h.log_derivative(i) for i in range(self.h.arity)])
 
 
 @dataclass(frozen=True)
@@ -243,11 +247,12 @@ def _inverse_by_levels(h: RatFunc) -> DarbouxFunction:
 def multiplier_from_rational_integrals(
     X: PolyVectorField, integrals, last_var: int | None = None
 ) -> MultiplierDerivation:
-    """Lemma-style construction: Gamma, h = P_last/Gamma, A = d log h, J = 1/h.
+    """Lemma-style construction: Gamma, h = P_last/Gamma, J = 1/h.
 
-    A and u = -A are reported with the closedness and pairing identities of
-    A, but u is not integrated: J = exp(int u) is 1/h, built by
-    ``_inverse_by_levels`` and certified by ``multiplier-residual``.
+    J is built by ``_inverse_by_levels`` and certified by
+    ``multiplier-residual``.  With A = d log h and J = c/h, div(J P) =
+    J (div P - <A, P>), so that one certificate also covers the pairing
+    <A, P> = div P; A itself is derived from h only when a report prints it.
     """
     names = list(X.var_names)
     X, warning = _strip_common_factor(X)
@@ -281,23 +286,6 @@ def multiplier_from_rational_integrals(
     if not det_identity.is_zero():
         raise VerificationError("determinant cancellation identity failed")
     h = RatFunc(comps[lv]) / gamma
-    a_form = OneForm([h.log_derivative(i) for i in range(n)])
-    closed = is_closed(a_form)
-    identities.append(
-        (
-            "A-closedness",
-            closed.residual if closed.residual is not None else RatFunc.zero(n),
-        )
-    )
-    if not closed.closed:
-        raise VerificationError("A = d log h failed the closedness identity")
-    # div P - <A, P> over the A-form's denominators
-    terms = [(-(a.num * c), a.den) for a, c in zip(a_form.components, comps)]
-    pairing = fraction_sum(n, [(X.divergence(), MultiPoly.one(n))] + terms)
-    identities.append(("A-pairing-divergence", pairing))
-    if not pairing.is_zero():
-        raise VerificationError("<A, P> = div P failed")
-    u_form = -a_form
     result = _inverse_by_levels(h)
     check = is_jacobian_multiplier(X, result)
     identities.append(("multiplier-residual", check.residual))
@@ -309,8 +297,6 @@ def multiplier_from_rational_integrals(
         columns=cols,
         last_var=lv,
         h=h,
-        a_form=a_form,
-        u_form=u_form,
         result=result,
         identities=identities,
         warnings=warnings,

@@ -124,6 +124,20 @@ def test_not_closed_exit_5(capsys):
     assert code == 5
 
 
+def test_option_value_starting_with_a_minus_needs_the_equals_form(capsys):
+    # argparse reads "-y" after a space as an option, so the run stops at a
+    # usage error; "--component=-y" passes the value through
+    with pytest.raises(SystemExit) as exit_:
+        main(["integrate-form", "--vars", "x,y", "--component", "-y", "--component", "-x"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "argument --component: expected one argument" in err
+    code, out, _ = run(capsys, "integrate-form", "--vars", "x,y", "--component=-y", "--component=-x")
+    assert code == 0
+    assert "potential: -x*y" in out
+
+
 def test_rational_only_exit_4(capsys):
     code, out, _ = run(
         capsys,

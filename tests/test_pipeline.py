@@ -1,10 +1,12 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
-from lvk import linalg, ratfunc
-from lvk.darboux import multiplier_residual
+from lvk import forms, linalg, pipeline, ratfunc
+from lvk.cli import main
+from lvk.darboux import DarbouxFunction, multiplier_residual
 from lvk.errors import DegreeCapExceeded, ParseError, VerificationError
 from lvk.forms import OneForm, is_closed
 from lvk.integrator import differentiate
@@ -23,7 +25,7 @@ from lvk.pipeline import (
 from lvk.ratfunc import RatFunc, fraction_sum
 from lvk.vectorfield import PolyVectorField, parse_system
 
-from conftest import CATALOG, bench_cases, random_poly
+from conftest import CATALOG, bench_cases, catalog_entries, random_poly
 
 N3 = ["x", "y", "z"]
 LINEAR3 = parse_system("vars x, y, z\ndx = x\ndy = y\ndz = z\n")
@@ -290,6 +292,10 @@ def test_multiplier_runs_one_fraction_free_elimination(monkeypatch):
 
 
 # -- the pairing <A, P> = div P as a zero test -----------------------------------
+#
+# The construction certifies no pairing of its own: for J = c/h, div(J P) =
+# J (div P - <A, P>), so multiplier-residual covers it.  These tests use the
+# pairing as a fraction_sum case over the derived A-forms.
 
 
 def _planted_pairings():
@@ -310,7 +316,7 @@ def _normalized_pairing(X, a_form):
 
 
 def _pairing_terms(target, w, P):
-    """target - sum_i w_i P_i as fraction_sum's terms, as the pipeline pairs A with P."""
+    """target - sum_i w_i P_i as fraction_sum's terms: numerators over the w_i's denominators."""
     return [(target, MultiPoly.one(target.arity))] + [(-(wi.num * Pi), wi.den) for wi, Pi in zip(w, P)]
 
 
@@ -453,12 +459,10 @@ def test_multiplier_derivation_golden():
     d = multiplier_from_rational_integrals(LINEAR3, [R3("x/y"), R3("x/z")])
     assert d.h == R3("y^2*z^2/x")
     assert [c.render(N3) for c in d.a_form.components] == ["-1/x", "2/y", "2/z"]
-    assert d.u_form == -d.a_form
     assert d.result.render(N3) == "x * y^-2 * z^-2"
     assert all(r.is_zero() for _, r in d.identities)
     names = [n for n, _ in d.identities]
-    assert "determinant-cancellation" in names
-    assert "A-pairing-divergence" in names
+    assert names == ["cramer[x]", "cramer[y]", "determinant-cancellation", "multiplier-residual"]
 
 
 def test_multiplier_two_variables():
@@ -510,6 +514,60 @@ def test_theorem2_certifies_the_multiplier_through_is_jacobian_multiplier(monkey
         identities = dict(theorem2_pipeline(*case.data).derivation.identities)
         assert len(calls) == 1
         assert calls[0].ok and identities["multiplier-residual"] == calls[0].residual
+
+
+def _squared_split(split):
+    """A wrong split of 1/h: every exponent of the true one doubled, so 1/h^2."""
+
+    def wrong(h):
+        J = split(h)
+        return DarbouxFunction(J.exp_arg, factors=[(b, 2 * e) for b, e in J.factors])
+
+    return wrong
+
+
+def test_multiplier_identity_catches_a_wrong_split_of_the_inverse(monkeypatch, capsys):
+    # For J = 1/h^2, div(J P) = J (div P - 2 <d log h, P>) = -J div P, since
+    # <d log h, P> = div P for the true h.  So a wrong split fails wherever
+    # the reduced field's divergence is nonzero; the multiplier identity on
+    # the printed J alone catches it.
+    planted = next(
+        case
+        for case in bench_cases("planted")
+        if not multiplier_from_rational_integrals(*case.data).h.is_constant()
+        and not _strip_common_factor(case.data[0])[0].divergence().is_zero()
+    )
+    monkeypatch.setattr(pipeline, "_inverse_by_levels", _squared_split(_inverse_by_levels))
+    for X, integrals in ((LINEAR3, [R3("x/y"), R3("x/z")]), planted.data):
+        with pytest.raises(VerificationError, match="^constructed function failed the multiplier identity$"):
+            multiplier_from_rational_integrals(X, integrals)
+    argv = dict(catalog_entries())["linear3"]
+    assert main(argv) == 3
+    assert "constructed function failed the multiplier identity" in capsys.readouterr().err
+
+
+def test_theorem2_builds_no_a_form(monkeypatch):
+    # d log h and its closedness are not certified: the multiplier identity
+    # on J = 1/h covers the pairing, and d(d log h) = 0 is calculus
+    cases = bench_cases("planted")
+    calls = Counter()
+    closed, log_derivative = forms.is_closed, RatFunc.log_derivative
+
+    def counted_closed(w):
+        calls["is_closed"] += 1
+        return closed(w)
+
+    def counted_log_derivative(self, i):
+        calls["log_derivative"] += 1
+        return log_derivative(self, i)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("lvk")]:
+        if getattr(module, "is_closed", None) is closed:
+            monkeypatch.setattr(module, "is_closed", counted_closed)
+    monkeypatch.setattr(RatFunc, "log_derivative", counted_log_derivative)
+    for case in cases:
+        theorem2_pipeline(*case.data)
+    assert calls == Counter()
 
 
 # -- multiplier ratios and the 2D integral ------------------------------------------

@@ -2,8 +2,10 @@
 
 Each line of ``goldens/planted-theorem2-seed5.txt`` is one case of the
 planted workload: its label, the renders of Gamma, the Gamma_i, h, the A-form
-and the multiplier, and each certificate's name and residual, separated by
-`` | ``.  To regenerate after an intended output change, run
+d log h (derived from h for the report) and the multiplier, and each
+certificate's name and residual (the Cramer identities, determinant
+cancellation and the multiplier identity), separated by `` | ``.  To
+regenerate after an intended output change, run
 ``PYTHONPATH=src:tests python tests/test_planted_golden.py``.
 """
 
