@@ -516,28 +516,24 @@ def test_theorem2_certifies_the_multiplier_through_is_jacobian_multiplier(monkey
         assert calls[0].ok and identities["multiplier-residual"] == calls[0].residual
 
 
-def _squared_split(split):
-    """A wrong split of 1/h: every exponent of the true one doubled, so 1/h^2."""
-
-    def wrong(h):
-        J = split(h)
-        return DarbouxFunction(J.exp_arg, factors=[(b, 2 * e) for b, e in J.factors])
-
-    return wrong
-
-
 def test_multiplier_identity_catches_a_wrong_split_of_the_inverse(monkeypatch, capsys):
-    # For J = 1/h^2, div(J P) = J (div P - 2 <d log h, P>) = -J div P, since
-    # <d log h, P> = div P for the true h.  So a wrong split fails wherever
-    # the reduced field's divergence is nonzero; the multiplier identity on
-    # the printed J alone catches it.
+    # A wrong split of 1/h: every exponent doubled, so J = 1/h^2.  Then
+    # div(J P) = J (div P - 2 <d log h, P>) = -J div P, since <d log h, P> =
+    # div P for the true h.  So it fails wherever the reduced field's
+    # divergence is nonzero; the multiplier identity on the printed J alone
+    # catches it.
     planted = next(
         case
         for case in bench_cases("planted")
         if not multiplier_from_rational_integrals(*case.data).h.is_constant()
         and not _strip_common_factor(case.data[0])[0].divergence().is_zero()
     )
-    monkeypatch.setattr(pipeline, "_inverse_by_levels", _squared_split(_inverse_by_levels))
+
+    def squared(h):
+        J = _inverse_by_levels(h)
+        return DarbouxFunction(J.exp_arg, factors=[(b, 2 * e) for b, e in J.factors])
+
+    monkeypatch.setattr(pipeline, "_inverse_by_levels", squared)
     for X, integrals in ((LINEAR3, [R3("x/y"), R3("x/z")]), planted.data):
         with pytest.raises(VerificationError, match="^constructed function failed the multiplier identity$"):
             multiplier_from_rational_integrals(X, integrals)
