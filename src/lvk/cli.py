@@ -349,16 +349,13 @@ def _pipeline_theorem1(args, X, name) -> tuple[dict, int]:
     if not multipliers:
         raise ParseError("theorem1 mode needs --multiplier (one per multiplier)")
     ratios = ratio_first_integrals(X, multipliers)
-    # ratio_first_integrals raises unless every form's residual is zero
     certs = [
-        _certificate(f"ratio-derivative[{i}]", None, names)
-        for i in range(len(ratios.forms))
+        _certificate(f"ratio-derivative[{i}]", residual, names)
+        for i, residual in enumerate(ratios.residuals)
     ]
     payload = {
         "mode": "theorem1",
-        "ratioForms": [
-            [c.render(names) for c in form.components] for form in ratios.forms
-        ],
+        "ratioIntegrals": [ratio.render(names) for ratio in ratios.forms],
         "rank": ratios.certificate.rank,
         "witnessRows": list(ratios.certificate.witness_rows),
         "witnessCols": list(ratios.certificate.witness_cols),
@@ -372,9 +369,9 @@ def _pipeline_theorem1(args, X, name) -> tuple[dict, int]:
         if isinstance(outcome, ClosedFormUnavailable):
             payload["firstIntegral"] = None
             payload["reason"] = outcome.reason
-            certs.append(
-                _certificate("closedness", outcome.closedness_residual, names)
-            )
+            # first_integral_2d returns this only past its multiplier check,
+            # which certifies the closedness of V*(P_2, -P_1)
+            certs.append(_certificate("closedness", None, names))
             report = _report("pipeline", name, "unavailable", payload, certs)
             return report, EXIT_ALGEBRAIC
         payload["firstIntegral"] = outcome.render(names)

@@ -18,18 +18,20 @@ minors' numerators over their shared denominator squared and cubed, and the
 multiplier identity is ``darboux.is_jacobian_multiplier``, the check
 ``verify`` runs.  For J = c/h it reads div(J P) = J (div P - <d log h, P>),
 so it also certifies the pairing <d log h, P> = div P; d log h is closed by
-calculus and is derived only for the report.  Theorem 1's first-integral
-identities are decided on normalized residuals.
+calculus and is derived only for the report.  Theorem 1's identities go
+through the same ``darboux`` checks: each multiplier through
+``is_jacobian_multiplier``, and each ratio J_k / J_{n-1}, like the 2D
+integral I as exp(I), through ``is_first_integral``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .darboux import DarbouxFunction, is_jacobian_multiplier
+from .darboux import DarbouxFunction, is_first_integral, is_jacobian_multiplier
 from .errors import ParseError, VerificationError
 from .forms import OneForm
-from .integrator import IntegrationResult, differentiate, integrate_closed
+from .integrator import IntegrationResult, integrate_closed, to_darboux
 from .linalg import _fraction_free, rank_with_witness
 from .multipoly import MultiPoly, exact_div, gcd_multivar, squarefree_in_var
 from .ratfunc import RatFunc, fraction_sum
@@ -45,7 +47,8 @@ class IndependenceCertificate:
 
 @dataclass(frozen=True)
 class RatioResult:
-    forms: tuple[OneForm, ...]
+    forms: tuple[DarbouxFunction, ...]  # J_k / J_{n-1}, k < n-1
+    residuals: tuple[RatFunc, ...]  # X(log form), parallel to forms
     certificate: IndependenceCertificate
     dependent: bool
 
@@ -72,37 +75,44 @@ class ClosedFormUnavailable:
     """2D first integral exists but is not an elementary closed form here."""
 
     reason: str
-    closedness_residual: RatFunc
 
 
 def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
-    """Log-derivative difference forms of multiplier ratios, plus a rank witness."""
+    """The multiplier ratios J_k / J_{n-1} as first integrals, plus a rank witness.
+
+    Each ratio is certified by ``darboux.is_first_integral``; a rational one
+    is written in lowest terms, the form ``verify`` echoes.  The rank and
+    witness are read off the ratios' log derivatives.
+    """
     n = X.arity
+    if n < 2:
+        raise VerificationError("multiplier ratios need a system of at least two variables")
     multipliers = list(multipliers)
     if len(multipliers) != n - 1:
         raise VerificationError(
             f"need {n - 1} multipliers for a {n}-dimensional system"
         )
-    log_rows = []
     for J in multipliers:
         check = is_jacobian_multiplier(X, J)
         if not check.ok:
             raise VerificationError(
                 f"not a Jacobian multiplier (residual {check.residual.render(X.var_names)})"
             )
-        log_rows.append(J.log_derivative())
-    reference = log_rows[-1]
-    forms = []
-    for w in log_rows[:-1]:
-        diff = w - reference
-        residual = X.lie_derivative_log(diff)
-        if not residual.is_zero():
+    reference = multipliers[-1].inverse()
+    ratios, residuals = [], []
+    for J in multipliers[:-1]:
+        ratio = J * reference
+        if ratio.is_rational():
+            ratio = DarbouxFunction.of_ratfunc(ratio.to_ratfunc())
+        check = is_first_integral(X, ratio)
+        if not check.ok:
             raise VerificationError(
                 "multiplier ratio failed the first-integral identity "
-                f"(residual {residual.render(X.var_names)})"
+                f"(residual {check.residual.render(X.var_names)})"
             )
-        forms.append(diff)
-    rows = [tuple(f.components) for f in forms]
+        ratios.append(ratio)
+        residuals.append(check.residual)
+    rows = [tuple(ratio.log_derivative().components) for ratio in ratios]
     if rows:
         rank, wrows, wcols = rank_with_witness(rows)
     else:
@@ -113,7 +123,10 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
         witness_cols=tuple(wcols),
     )
     return RatioResult(
-        forms=tuple(forms), certificate=cert, dependent=rank < len(forms)
+        forms=tuple(ratios),
+        residuals=tuple(residuals),
+        certificate=cert,
+        dependent=rank < len(ratios),
     )
 
 
@@ -315,20 +328,17 @@ def first_integral_2d(
             f"V is not an integrating factor (residual {check.residual.render(X.var_names)})"
         )
     if not V.is_rational():
-        # closedness certificate of (V P_2, -V P_1) through log-derivatives:
-        # d(V P_2)/dx_2 + d(V P_1)/dx_1 = V * (multiplier residual) = 0
         return ClosedFormUnavailable(
             reason="integrating factor is not rational; the potential is not "
             "an elementary expression in this representation",
-            closedness_residual=check.residual,
         )
     v_rat = V.to_ratfunc()
     omega = OneForm([v_rat * RatFunc(X.components[1]), -(v_rat * RatFunc(X.components[0]))])
-    result = integrate_closed(omega)
-    # verify: sum d_i(I) P_i = 0
-    grad = differentiate(result)
-    residual = X.lie_derivative_log(grad)
-    if not residual.is_zero():
+    # the multiplier check is omega's closedness certificate:
+    # d(V P_2)/dx_2 + d(V P_1)/dx_1 = V * (multiplier residual) = 0
+    result = integrate_closed(omega, check=False)
+    # X(I) = X(log exp I)
+    if not is_first_integral(X, to_darboux(result)).ok:
         raise VerificationError("2D first integral failed verification")
     return result
 

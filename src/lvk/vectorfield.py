@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .errors import ParseError
-from .forms import OneForm
 from .multipoly import MultiPoly
 from .parsing import parse_equations
 from .ratfunc import RatFunc, fraction_sum
@@ -58,24 +57,14 @@ class PolyVectorField:
     def lie_derivative_ratfunc(self, f: RatFunc) -> RatFunc:
         """X(n/d) = (d*X(n) - n*X(d)) / d^2, from two polynomial Lie derivatives.
 
-        The same value as ``lie_derivative_log`` of d(n/d), with one
-        normalization instead of a rational derivative, product and sum per
-        variable.
+        The same value as sum_i P_i d_i(n/d), with one normalization instead
+        of a rational derivative, product and sum per variable.
         """
         if f.arity != self.arity:
             raise ParseError("arity mismatch")
         n, d = f.num, f.den
         num = d * self.lie_derivative(n) - n * self.lie_derivative(d)
         return fraction_sum(self.arity, [(num, d)], 2)
-
-    def lie_derivative_log(self, w: OneForm) -> RatFunc:
-        """X(log F) = sum w_i P_i for w = d(log F)."""
-        if w.arity != self.arity:
-            raise ParseError("arity mismatch")
-        total = RatFunc.zero(self.arity)
-        for wi, Pi in zip(w.components, self.components):
-            total = total + wi * RatFunc(Pi)
-        return total
 
     def render(self) -> str:
         lines = ["vars " + ", ".join(self.var_names)]

@@ -51,6 +51,19 @@ def catalog_entries():
     return out
 
 
+def lie_derivative_log(X, w) -> RatFunc:
+    """X(log F) = sum w_i P_i for w = d(log F), each product and sum normalized.
+
+    The oracle for the one-``fraction_sum`` residuals of ``lvk.darboux`` and
+    for ``PolyVectorField.lie_derivative_ratfunc``.
+    """
+    assert w.arity == X.arity
+    total = RatFunc.zero(X.arity)
+    for wi, Pi in zip(w.components, X.components):
+        total = total + wi * RatFunc(Pi)
+    return total
+
+
 @functools.cache
 def bench_workloads():
     """``bench/workloads.py``, loaded by path.

@@ -309,24 +309,67 @@ def test_pipeline_theorem1_4d_witness(capsys, tmp_path, multipliers, code, rank,
     assert rep["dependent"] is (rank < len(multipliers) - 1)
 
 
-def test_human_report_keeps_each_ratio_form_together(capsys, tmp_path):
-    # each inner list is one "-" item with its components one level deeper
+SYS4 = "vars x, y, z, w\ndx = x\ndy = y\ndz = z\ndw = w\n"
+SYS4_MULTIPLIERS = ["1/(x*y*z*w)", "1/(x^2*y*z)", "1/(x*y^2*w)"]
+# J_1/J_3 and J_2/J_3 in lowest terms, as verify echoes them
+SYS4_RATIOS = ["y * z^-1", "(x*z)^-1 * y*w"]
+
+
+def sys4_theorem1(tmp_path, *extra):
     p = tmp_path / "sys4.system"
-    p.write_text("vars x, y, z, w\ndx = x\ndy = y\ndz = z\ndw = w\n")
-    argv = ["pipeline", "--system", str(p), "--mode", "theorem1"]
-    for m in ["1/(x*y*z*w)", "1/(x^2*y*z)", "1/(x*y^2*w)"]:
+    p.write_text(SYS4)
+    argv = ["pipeline", "--system", str(p), "--mode", "theorem1", *extra]
+    for m in SYS4_MULTIPLIERS:
         argv += ["--multiplier", m]
+    return argv
+
+
+def test_human_report_keeps_each_ratio_form_together(capsys, tmp_path):
+    # each ratio integral is one "-" item, its factors on that line
+    argv = sys4_theorem1(tmp_path)
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    forms = json.loads(run(capsys, *argv, "--json")[1])["result"]["ratioForms"]
-    assert len(forms) == 2 and all(len(f) == 4 for f in forms)
-    expected = ["  ratioForms:"]
-    for form in forms:
-        expected += ["    -"] + [f"      - {c}" for c in form]
+    ratios = json.loads(run(capsys, *argv, "--json")[1])["result"]["ratioIntegrals"]
+    assert ratios == SYS4_RATIOS
+    expected = ["  ratioIntegrals:"] + [f"    - {r}" for r in ratios]
     lines = out.splitlines()
-    start = lines.index("  ratioForms:")
+    start = lines.index("  ratioIntegrals:")
     assert lines[start : start + len(expected)] == expected
     assert lines[start + len(expected)] == "  rank: 2"
+
+
+def test_printed_ratio_integrals_verify_as_printed(capsys, tmp_path):
+    # each printed ratio is a first integral that verify accepts and echoes unchanged
+    code, out, _ = run(capsys, *sys4_theorem1(tmp_path, "--json"))
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"]["ratioIntegrals"] == SYS4_RATIOS
+    assert [c["identity"] for c in report["certificates"]] == [
+        "ratio-derivative[0]",
+        "ratio-derivative[1]",
+    ]
+    system = str(tmp_path / "sys4.system")
+    for ratio in SYS4_RATIOS:
+        code, out, _ = run(capsys, "verify", "--system", system, f"--first-integral={ratio}", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["object"] == ratio
+
+
+def test_printed_ratio_integrals_are_first_integrals_to_sympy(capsys, tmp_path):
+    # an oracle outside lvk: sympy reads the printed text alone and finds
+    # sum_i P_i d_i R = 0 for each ratio R
+    sympy = pytest.importorskip("sympy")
+    code, out, _ = run(capsys, *sys4_theorem1(tmp_path, "--json"))
+    assert code == 0
+    symbols = sympy.symbols("x y z w")
+    scope = {str(v): v for v in symbols}
+    field = [sympy.sympify(line.split(" = ")[1], locals=scope) for line in SYS4.splitlines()[1:]]
+    ratios = json.loads(out)["result"]["ratioIntegrals"]
+    assert len(ratios) == 2
+    for text in ratios:
+        R = sympy.sympify(text.replace("^", "**"), locals=scope)
+        assert not R.is_constant()
+        assert sympy.simplify(sum(P * sympy.diff(R, v) for P, v in zip(field, symbols))) == 0
 
 
 def test_human_report_keeps_each_log_group_together(capsys):

@@ -3,6 +3,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lvk"
+BENCH = SRC.parent.parent / "bench"
 
 
 def _uses(tree) -> Counter:
@@ -30,6 +31,34 @@ def test_every_private_helper_has_a_caller():
         and used[node.name] <= _uses(node)[node.name]
     ]
     assert dead == []
+
+
+# public names that only the benchmark's span table names, as strings; each
+# goes once the span that traces it does
+SPAN_ONLY = {"linalg.determinant", "pipeline.gamma_determinants", "unipoly.resultant"}
+
+
+def test_every_public_function_has_a_reader():
+    # a public function or method of src/lvk that no code in src/lvk or bench/
+    # reads, other than inside its own definition, is dead: tests alone do
+    # not keep it; an oracle the tests need lives in the tests
+    paths = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    used = sum((_uses(tree) for tree in trees.values()), Counter())
+    unread = set()
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            unread |= {
+                f"{path.stem}.{node.name}"
+                for node in members
+                if isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")
+                and used[node.name] <= _uses(node)[node.name]
+            }
+    assert unread == SPAN_ONLY
 
 
 def _imported(tree) -> list[tuple[int, str]]:

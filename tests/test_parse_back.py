@@ -22,7 +22,7 @@ from lvk.residues import bound_name
 from conftest import CATALOG, bench_cases, catalog_entries
 from test_residue_goldens import GOLDENS, residue_groups
 
-RATIONAL_FIELDS = ("gamma", "gammas", "h", "aForm", "ratioForms", "ratPart")
+RATIONAL_FIELDS = ("gamma", "gammas", "h", "aForm", "ratPart")
 
 
 def strings(value):

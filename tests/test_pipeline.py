@@ -6,7 +6,7 @@ import pytest
 
 from lvk import forms, linalg, pipeline, ratfunc
 from lvk.cli import main
-from lvk.darboux import DarbouxFunction, multiplier_residual
+from lvk.darboux import DarbouxFunction, is_first_integral, multiplier_residual
 from lvk.errors import DegreeCapExceeded, ParseError, VerificationError
 from lvk.forms import OneForm, is_closed
 from lvk.integrator import differentiate
@@ -25,7 +25,7 @@ from lvk.pipeline import (
 from lvk.ratfunc import RatFunc, fraction_sum
 from lvk.vectorfield import PolyVectorField, parse_system
 
-from conftest import CATALOG, bench_cases, catalog_entries, random_poly
+from conftest import CATALOG, bench_cases, catalog_entries, lie_derivative_log, random_poly
 
 N3 = ["x", "y", "z"]
 LINEAR3 = parse_system("vars x, y, z\ndx = x\ndy = y\ndz = z\n")
@@ -341,7 +341,7 @@ def test_pairing_zero_test_on_planted_a_forms():
         residual = _pairing(X.divergence(), scaled.components, X.components)
         assert not residual.is_zero()
         assert residual == _normalized_pairing(X, scaled)
-        assert residual == RatFunc(X.divergence()) - X.lie_derivative_log(scaled)
+        assert residual == RatFunc(X.divergence()) - lie_derivative_log(X, scaled)
         scaled_any += 1
     assert scaled_any >= 20
 
@@ -573,13 +573,38 @@ def test_ratio_first_integrals_golden():
     J1 = parse_darboux("1/(x*y*z)", N3) * parse_darboux("x/y", N3)
     J2 = parse_darboux("1/(x*y*z)", N3)
     res = ratio_first_integrals(LINEAR3, [J1, J2])
-    assert len(res.forms) == 1
+    # the ratio J1/J2 in lowest terms, certified by the one Darboux check
+    (ratio,) = res.forms
+    assert ratio.render(N3) == "x * y^-1"
+    assert ratio.to_ratfunc() == R3("x/y")
+    assert [r.is_zero() for r in res.residuals] == [True]
+    assert is_first_integral(LINEAR3, ratio)
     assert not res.dependent
     assert res.certificate.rank == 1
-    # each difference form is a first integral gradient: closed and annihilates P
-    for form in res.forms:
-        assert is_closed(form).closed
-        assert LINEAR3.lie_derivative_log(form).is_zero()
+    # the rank row d log(J1/J2) is d log J1 - d log J2: closed and annihilates P
+    row = ratio.log_derivative()
+    w1, w2 = J1.log_derivative(), J2.log_derivative()
+    assert list(row.components) == [a - b for a, b in zip(w1.components, w2.components)]
+    assert is_closed(row).closed
+    assert lie_derivative_log(LINEAR3, row).is_zero()
+
+
+def test_ratio_of_non_rational_multipliers_stays_a_darboux_function():
+    # x^a y^b z^c is a multiplier of LINEAR3 when a + b + c = -3
+    J1 = parse_darboux("x^(-1/2) * y^(-3/2) * z^-1", N3)
+    J2 = parse_darboux("x^(-1/3) * y^(-5/3) * z^-1", N3)
+    (ratio,) = ratio_first_integrals(LINEAR3, [J1, J2]).forms
+    assert not ratio.is_rational()
+    text = ratio.render(N3)
+    assert text == "x^(-1/6) * y^(1/6)"
+    assert parse_darboux(text, N3).render(N3) == text
+
+
+def test_ratio_needs_a_system_of_at_least_two_variables():
+    X = parse_system("vars x\ndx = x\n")
+    message = "^multiplier ratios need a system of at least two variables$"
+    with pytest.raises(VerificationError, match=message):
+        ratio_first_integrals(X, [])
 
 
 def test_ratio_duplicated_multipliers_dependent():
@@ -606,7 +631,16 @@ def test_first_integral_2d_golden():
     r = first_integral_2d(LINEAR2, V)
     assert r.render(names) == "log(x) - log(y)"
     grad = differentiate(r)
-    assert LINEAR2.lie_derivative_log(grad).is_zero()
+    assert lie_derivative_log(LINEAR2, grad).is_zero()
+
+
+def test_first_integral_2d_certifies_exp_of_its_integral(monkeypatch):
+    # X(I) is decided as X(log exp I) by is_first_integral, so a wrong exp(I) fails
+    names = ["x", "y"]
+    exp_of = pipeline.to_darboux
+    monkeypatch.setattr(pipeline, "to_darboux", lambda r: exp_of(r) * parse_darboux("x", names))
+    with pytest.raises(VerificationError, match="^2D first integral failed verification$"):
+        first_integral_2d(LINEAR2, parse_darboux("1/(x*y)", names))
 
 
 def test_first_integral_2d_hamiltonian():
@@ -623,7 +657,7 @@ def test_first_integral_2d_nonrational_multiplier_unavailable():
     V = parse_darboux("x^(-1/2) * y^(-5/4)", ["x", "y"])
     out = first_integral_2d(X, V)
     assert isinstance(out, ClosedFormUnavailable)
-    assert out.closedness_residual.is_zero()
+    assert out.reason.startswith("integrating factor is not rational")
 
 
 def test_first_integral_2d_prints_the_residual_over_the_system_names():
