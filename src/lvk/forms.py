@@ -50,18 +50,6 @@ class OneForm:
     def __eq__(self, other) -> bool:
         return isinstance(other, OneForm) and self.components == other.components
 
-    def __hash__(self):
-        return hash(self.components)
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(a + b for a, b in zip(self.components, other.components))
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(a - b for a, b in zip(self.components, other.components))
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(-a for a in self.components)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 

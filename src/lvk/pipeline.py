@@ -5,9 +5,13 @@ rank certification of their independence, and the 2D integrating-factor first
 integral.  Theorem-2 direction: from rational first integrals through the
 Gamma determinants, all read off one fraction-free elimination of the
 integrals' gradient matrix with its rows cleared to polynomials, and
-h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  The multiplier is
-1/h split into squarefree parts variable by variable, in declared order, up
-to a constant factor; the multiplier identity certifies the result.
+h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  Gamma and the
+Gamma_i stay polynomial minors g, g_i over L^2, L the product of the
+integrals' denominators, and are reduced to lowest terms only when a report
+reads them; h = P_last L^2 / g is the construction's one normalization.  The
+multiplier is 1/h split into squarefree parts variable by variable, in
+declared order, up to a constant factor; the multiplier identity certifies
+the result.
 
 Theorem 2's certificates are sums of polynomials over powers of
 denominators, and ``ratfunc.fraction_sum`` decides each: a zero test, and a
@@ -55,14 +59,25 @@ class RatioResult:
 
 @dataclass
 class MultiplierDerivation:
-    gamma: RatFunc
-    gammas: list[RatFunc]  # indexed parallel to gradient columns
+    minors: tuple[MultiPoly, list[MultiPoly], MultiPoly]  # (g, [g_i], L) of _gamma_minors
     columns: list[int]  # variable indices playing x_1..x_{n-1}
     last_var: int  # variable index playing x_n
     h: RatFunc
     result: DarbouxFunction
     identities: list[tuple[str, RatFunc]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def gamma(self) -> RatFunc:
+        """Gamma = g/L^2 in lowest terms, for the report; the construction never builds it."""
+        g, _, den = self.minors
+        return RatFunc(g, den * den)
+
+    @property
+    def gammas(self) -> list[RatFunc]:
+        """The Gamma_i = g_i/L^2 in lowest terms, parallel to columns, for the report."""
+        _, gs, den = self.minors
+        return [RatFunc(gi, den * den) for gi in gs]
 
     @property
     def a_form(self) -> OneForm:
@@ -196,12 +211,6 @@ def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
     return minors[0], minors[1:], den, [i for i in range(n) if i != lv], lv
 
 
-def _over_square(g: MultiPoly, gs: list[MultiPoly], den: MultiPoly):
-    """Gamma and the Gamma_i from their numerators over den^2, each normalized once."""
-    q = den * den
-    return RatFunc(g, q), [RatFunc(gi, q) for gi in gs]
-
-
 def gamma_determinants(
     X: PolyVectorField, integrals, last_var: int | None = None
 ) -> tuple[RatFunc, list[RatFunc], list[int], int]:
@@ -213,8 +222,8 @@ def gamma_determinants(
     largest v whose complementary minor is nonzero.
     """
     g, gs, den, cols, lv = _gamma_minors(X, integrals, last_var)
-    gamma, gammas = _over_square(g, gs, den)
-    return gamma, gammas, cols, lv
+    q = den * den
+    return RatFunc(g, q), [RatFunc(gi, q) for gi in gs], cols, lv
 
 
 def _strip_common_factor(X: PolyVectorField):
@@ -262,7 +271,10 @@ def multiplier_from_rational_integrals(
 ) -> MultiplierDerivation:
     """Lemma-style construction: Gamma, h = P_last/Gamma, J = 1/h.
 
-    J is built by ``_inverse_by_levels`` and certified by
+    The certificates run on the minors g, g_i over L^2, and h = P_last L^2 / g
+    is the one rational function normalized on the way; Gamma and the
+    Gamma_i are normalized from the stored minors only when a report reads
+    them.  J is built by ``_inverse_by_levels`` and certified by
     ``multiplier-residual``.  With A = d log h and J = c/h, div(J P) =
     J (div P - <A, P>), so that one certificate also covers the pairing
     <A, P> = div P; A itself is derived from h only when a report prints it.
@@ -274,7 +286,6 @@ def multiplier_from_rational_integrals(
     # No zero-component check on P[lv] is needed: M P = 0 and Gamma != 0 give
     # P = 0 whenever P[lv] = 0, and _strip_common_factor already rejects P = 0.
     g, gs, den, cols, lv = _gamma_minors(X, integrals, last_var)
-    gamma, gammas = _over_square(g, gs, den)
     identities = []
     comps = X.components
     # Cramer identities: Gamma * P_i = -Gamma_i * P_last, i.e. over den^2
@@ -298,15 +309,15 @@ def multiplier_from_rational_integrals(
     identities.append(("determinant-cancellation", det_identity))
     if not det_identity.is_zero():
         raise VerificationError("determinant cancellation identity failed")
-    h = RatFunc(comps[lv]) / gamma
+    # h = P_last / Gamma = P_last L^2 / g, the construction's one normalization
+    h = RatFunc(comps[lv] * den * den, g)
     result = _inverse_by_levels(h)
     check = is_jacobian_multiplier(X, result)
     identities.append(("multiplier-residual", check.residual))
     if not check.ok:
         raise VerificationError("constructed function failed the multiplier identity")
     return MultiplierDerivation(
-        gamma=gamma,
-        gammas=gammas,
+        minors=(g, gs, den),
         columns=cols,
         last_var=lv,
         h=h,

@@ -117,6 +117,30 @@ def test_malformed_input_exits_2_with_one_line_and_no_traceback(tmp_path):
         assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr, argv
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--darboux-poly=exp(x)"], "exp(...) is not allowed in a polynomial"),
+        (["integrate-form", "--vars", "x", "--component=exp(x)"],
+         "exp(...) is not allowed in a rational expression"),
+        (["verify", "--multiplier=-exp(x)"], "negation of a non-rational Darboux expression"),
+        (["verify", "--multiplier=-(x^(1/2))"], "negation of a non-rational Darboux expression"),
+    ],
+)
+def test_exp_and_negation_where_the_grammar_forbids_them_exit_2(capsys, lotka, argv, message):
+    if argv[0] == "verify":
+        argv = [*argv, "--system", lotka]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"parse error: {message} (line 1, column 1)\n"
+
+
+def test_negated_rational_multiplier_verifies(capsys, lotka):
+    code, out, _ = run(capsys, "verify", "--system", lotka, "--multiplier=-x^-1*y^-1")
+    assert code == 0
+    assert "multiplier-residual: 0  [zero]" in out
+
+
 def test_not_closed_exit_5(capsys):
     code, out, _ = run(
         capsys, "integrate-form", "--vars", "x,y", "--component", "y", "--component", "0"

@@ -20,7 +20,7 @@ from lvk.darboux import (
     verify_exponential_factor,
 )
 from lvk.errors import DegreeCapExceeded, VerificationError
-from lvk.forms import is_closed
+from lvk.forms import OneForm, is_closed
 from lvk.multipoly import MultiPoly
 from lvk.parsing import parse_darboux, parse_poly, parse_ratfunc
 from lvk.ratfunc import RatFunc
@@ -198,6 +198,21 @@ def test_catalog_darboux_renders_parse_back():
             _parses_back(parse_darboux(text, names), names)
             seen += 1
     assert seen >= 10
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        parse_darboux("x^(1/2) * exp(y)", NAMES),
+        OneForm([parse_ratfunc("y", NAMES), parse_ratfunc("x", NAMES)]),
+        LOTKA,
+    ],
+    ids=["DarbouxFunction", "OneForm", "PolyVectorField"],
+)
+def test_value_types_are_immutable(value):
+    for name in ("components", "extra"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)
 
 
 # -- verification -------------------------------------------------------------------

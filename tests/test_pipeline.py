@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -540,6 +541,44 @@ def test_multiplier_identity_catches_a_wrong_split_of_the_inverse(monkeypatch, c
     argv = dict(catalog_entries())["linear3"]
     assert main(argv) == 3
     assert "constructed function failed the multiplier identity" in capsys.readouterr().err
+
+
+def _theorem2_inputs():
+    """(X, integrals) of every catalog theorem-2 invocation and seed-5 planted case."""
+    out = []
+    for _, argv in catalog_entries():
+        if "theorem2" in argv:
+            X = parse_system(Path(argv[argv.index("--system") + 1]).read_text())
+            names = list(X.var_names)
+            out.append((X, [parse_ratfunc(e, names) for a, e in zip(argv, argv[1:]) if a == "--integral"]))
+    assert len(out) == 7
+    return out + [case.data for case in bench_cases("planted")]
+
+
+def test_theorem2_normalizes_only_h(monkeypatch):
+    # the certificates run on the minors over L^2, so h = P_last L^2 / g is
+    # the one RatFunc the construction reduces to lowest terms
+    built, init = [], RatFunc.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    inputs = _theorem2_inputs()
+    monkeypatch.setattr(RatFunc, "__init__", counted)
+    for X, integrals in inputs:
+        built.clear()
+        d = multiplier_from_rational_integrals(X, integrals)
+        assert len(built) == 1 and built[0] is d.h
+
+
+def test_reported_gammas_are_the_gamma_determinants():
+    # Gamma depends on the integrals alone, so stripping a common factor of
+    # the components does not change it
+    for X, integrals in _theorem2_inputs():
+        d = multiplier_from_rational_integrals(X, integrals)
+        gamma, gammas, cols, lv = gamma_determinants(X, integrals)
+        assert (d.gamma, d.gammas, d.columns, d.last_var) == (gamma, gammas, cols, lv)
 
 
 def test_theorem2_builds_no_a_form(monkeypatch):
