@@ -177,8 +177,8 @@ def test_criterion_6_determinant_cancellation_over_catalog():
         H = [parse_ratfunc(e, names) for e in flags["--integral"]]
         d = multiplier_from_rational_integrals(X, H)
         residual = d.gamma.derivative(d.last_var)
-        for pos, i in enumerate(d.columns):
-            residual = residual - d.gammas[pos].derivative(i)
+        for i, gamma_i in zip(d.columns, d.gammas):
+            residual = residual - gamma_i.derivative(i)
         assert residual.is_zero(), name
         checked += 1
     assert checked >= 6
