@@ -6,23 +6,27 @@ integral.  Theorem-2 direction: from rational first integrals through the
 Gamma determinants, all read off one fraction-free elimination of the
 integrals' gradient matrix with its rows cleared to polynomials, and
 h = P_last / Gamma to the Darboux Jacobian multiplier 1/h.  Gamma and the
-Gamma_i stay polynomial minors g, g_i over L^2, L the product of the
-integrals' denominators, and are reduced to lowest terms only when a report
-reads them; h = P_last L^2 / g is the construction's one normalization.  The
-multiplier is 1/h split into squarefree parts variable by variable, in
-declared order, up to a constant factor; the multiplier identity certifies
-the result.
+Gamma_i stay polynomial minors g, g_i over Q = L^2, L the product of the
+integrals' denominators, formed once; they are reduced to lowest terms only
+when a report reads them, and h = P_last Q / g is the construction's one
+normalization.  The multiplier is 1/h split into squarefree parts variable by
+variable, in declared order, up to a constant factor; the multiplier identity
+certifies the result.
 
 Theorem 2's certificates are sums of polynomials over powers of
 denominators, and ``ratfunc.fraction_sum`` decides each: a zero test, and a
 residual reduced to lowest terms only when it is nonzero.  X(H) = 0 for each
 integral is its cleared gradient row against P over the squared
-denominator; the Cramer and determinant-cancellation identities are the
-minors' numerators over their shared denominator squared and cubed, and the
-multiplier identity is ``darboux.is_jacobian_multiplier``, the check
-``verify`` runs.  For J = c/h it reads div(J P) = J (div P - <d log h, P>),
-so it also certifies the pairing <d log h, P> = div P; d log h is closed by
-calculus and is derived only for the report.  Theorem 1's identities go
+denominator; the Cramer identities are the minors' numerators over their
+shared denominator Q, and the multiplier identity is
+``darboux.is_jacobian_multiplier``, the check ``verify`` runs.  For J = c/h
+it reads div(J P) = J (div P - <d log h, P>), so it also certifies the
+pairing <d log h, P> = div P; d log h is closed by calculus and is derived
+only for the report.  Once the Cramer identities hold, J P is
+c (-Gamma_1, ..., -Gamma_{n-1}, Gamma) in the order (x_1, ..., x_n), so
+div(J P) is c (d_n Gamma - sum_i d_i Gamma_i): the divergence identity of
+the Gamma determinants is the multiplier residual divided by h, and is not
+certified a second time.  Theorem 1's identities go
 through the same ``darboux`` checks: each multiplier through
 ``is_jacobian_multiplier``, and each ratio J_k / J_{n-1}, like the 2D
 integral I as exp(I), through ``is_first_integral``.
@@ -59,7 +63,7 @@ class RatioResult:
 
 @dataclass
 class MultiplierDerivation:
-    minors: tuple[MultiPoly, list[MultiPoly], MultiPoly]  # (g, [g_i], L) of _gamma_minors
+    minors: tuple[MultiPoly, list[MultiPoly], MultiPoly]  # (g, [g_i], L^2) of _gamma_minors
     columns: list[int]  # variable indices playing x_1..x_{n-1}
     last_var: int  # variable index playing x_n
     h: RatFunc
@@ -70,14 +74,14 @@ class MultiplierDerivation:
     @property
     def gamma(self) -> RatFunc:
         """Gamma = g/L^2 in lowest terms, for the report; the construction never builds it."""
-        g, _, den = self.minors
-        return RatFunc(g, den * den)
+        g, _, q = self.minors
+        return RatFunc(g, q)
 
     @property
     def gammas(self) -> list[RatFunc]:
         """The Gamma_i = g_i/L^2 in lowest terms, parallel to columns, for the report."""
-        _, gs, den = self.minors
-        return [RatFunc(gi, den * den) for gi in gs]
+        _, gs, q = self.minors
+        return [RatFunc(gi, q) for gi in gs]
 
     @property
     def a_form(self) -> OneForm:
@@ -146,7 +150,7 @@ def ratio_first_integrals(X: PolyVectorField, multipliers) -> RatioResult:
 
 
 def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
-    """(g, [g_i], L, column variables, last variable index): Gamma = g/L^2, Gamma_i = g_i/L^2.
+    """(g, [g_i], L^2, column variables, last variable index): Gamma = g/L^2, Gamma_i = g_i/L^2.
 
     M is the (n-1) x n gradient matrix of the integrals.  Gamma is the minor
     of M without the last variable lv's column; Gamma_i replaces column i in
@@ -159,7 +163,8 @@ def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
     last_var's column moved last; lv's column is the one without a pivot, so
     without last_var lv is the largest v whose complementary minor is
     nonzero.  g is the last pivot, and g_i is pivot row i's entry in lv's
-    column, both signed by the row permutation.
+    column, both signed by the row permutation.  L^2 is formed here once,
+    for h, the Cramer identities and every reader of Gamma and the Gamma_i.
 
     The cleared row also certifies H_k first: X(H_k) = sum_i P_i row_k[i] /
     D_k^2, so X(H_k) = 0 is a zero test on that sum, and the residual is
@@ -208,7 +213,7 @@ def _gamma_minors(X: PolyVectorField, integrals, last_var: int | None):
     minors = [m[-1][pivots[-1]]] + [row[free] for row in m]
     if sign < 0:
         minors = [-g for g in minors]
-    return minors[0], minors[1:], den, [i for i in range(n) if i != lv], lv
+    return minors[0], minors[1:], den * den, [i for i in range(n) if i != lv], lv
 
 
 def gamma_determinants(
@@ -221,8 +226,7 @@ def gamma_determinants(
     the last variable's, and without last_var the last variable is the
     largest v whose complementary minor is nonzero.
     """
-    g, gs, den, cols, lv = _gamma_minors(X, integrals, last_var)
-    q = den * den
+    g, gs, q, cols, lv = _gamma_minors(X, integrals, last_var)
     return RatFunc(g, q), [RatFunc(gi, q) for gi in gs], cols, lv
 
 
@@ -271,13 +275,17 @@ def multiplier_from_rational_integrals(
 ) -> MultiplierDerivation:
     """Lemma-style construction: Gamma, h = P_last/Gamma, J = 1/h.
 
-    The certificates run on the minors g, g_i over L^2, and h = P_last L^2 / g
+    The certificates are ``cramer[v]`` for each column variable v, on the
+    minors g, g_i over Q = L^2, then ``multiplier-residual``.  h = P_last Q / g
     is the one rational function normalized on the way; Gamma and the
     Gamma_i are normalized from the stored minors only when a report reads
     them.  J is built by ``_inverse_by_levels`` and certified by
     ``multiplier-residual``.  With A = d log h and J = c/h, div(J P) =
     J (div P - <A, P>), so that one certificate also covers the pairing
     <A, P> = div P; A itself is derived from h only when a report prints it.
+    With the Cramer identities holding, div(J P) = c (d_last Gamma -
+    sum_i d_i Gamma_i), so it also covers the divergence identity of the
+    Gamma determinants: that residual is the multiplier residual over h.
     """
     names = list(X.var_names)
     X, warning = _strip_common_factor(X)
@@ -285,39 +293,29 @@ def multiplier_from_rational_integrals(
     n = X.arity
     # No zero-component check on P[lv] is needed: M P = 0 and Gamma != 0 give
     # P = 0 whenever P[lv] = 0, and _strip_common_factor already rejects P = 0.
-    g, gs, den, cols, lv = _gamma_minors(X, integrals, last_var)
+    g, gs, q, cols, lv = _gamma_minors(X, integrals, last_var)
     identities = []
     comps = X.components
-    # Cramer identities: Gamma * P_i = -Gamma_i * P_last, i.e. over den^2
-    # g * P_i + g_i * P_last = 0
+    # Cramer identities: Gamma * P_i = -Gamma_i * P_last, i.e. over Q = L^2
+    # g * P_i + g_i * P_last = 0.  They make J P = c (-Gamma_i ..., Gamma), so
+    # the multiplier residual below is h (d_last Gamma - sum_i d_i Gamma_i)
     for pos, i in enumerate(cols):
-        residual = fraction_sum(n, [(g * comps[i] + gs[pos] * comps[lv], den)], 2)
+        residual = fraction_sum(n, [(g * comps[i] + gs[pos] * comps[lv], q)])
         identities.append((f"cramer[{names[i]}]", residual))
         if not residual.is_zero():
             raise VerificationError(
                 f"Cramer identity failed for {names[i]}: the integrals are not "
                 "functionally independent or the variable order is degenerate"
             )
-    # determinant cancellation: d_last Gamma - sum_i d_i Gamma_i = 0; with
-    # Gamma = g/L^2, d(g/L^2) = (L dg - 2 g dL) / L^3, so over L^3 it reads
-    # L (d_last g - sum_i d_i g_i) - 2 (g d_last L - sum_i g_i d_i L) = 0
-    dg, gdl = g.derivative(lv), g * den.derivative(lv)
-    for pos, i in enumerate(cols):
-        dg = dg - gs[pos].derivative(i)
-        gdl = gdl - gs[pos] * den.derivative(i)
-    det_identity = fraction_sum(n, [(den * dg - gdl.scale(2), den)], 3)
-    identities.append(("determinant-cancellation", det_identity))
-    if not det_identity.is_zero():
-        raise VerificationError("determinant cancellation identity failed")
-    # h = P_last / Gamma = P_last L^2 / g, the construction's one normalization
-    h = RatFunc(comps[lv] * den * den, g)
+    # h = P_last / Gamma = P_last Q / g, the construction's one normalization
+    h = RatFunc(comps[lv] * q, g)
     result = _inverse_by_levels(h)
     check = is_jacobian_multiplier(X, result)
     identities.append(("multiplier-residual", check.residual))
     if not check.ok:
         raise VerificationError("constructed function failed the multiplier identity")
     return MultiplierDerivation(
-        minors=(g, gs, den),
+        minors=(g, gs, q),
         columns=cols,
         last_var=lv,
         h=h,
