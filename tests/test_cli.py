@@ -289,6 +289,27 @@ def test_pipeline_theorem1_2d(capsys, sys2):
     assert rep["result"]["firstIntegral"] == "log(x) - log(y)"
 
 
+def test_pipeline_theorem1_2d_irrational_multiplier_is_unavailable(capsys, tmp_path):
+    # x^(-1/2)*y^(-5/4) is a multiplier of (x, 2y) but not rational: the
+    # potential has no closed form here, and the multiplier check stands as
+    # the closedness certificate
+    p = tmp_path / "scale2.system"
+    p.write_text("vars x, y\ndx = x\ndy = 2*y\n")
+    argv = ["pipeline", "--mode", "theorem1", "--multiplier=x^(-1/2)*y^(-5/4)", "--system", str(p), "--json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (4, "")
+    rep = json.loads(out)
+    assert rep["status"] == "unavailable"
+    result = rep["result"]
+    assert result["firstIntegral"] is None
+    assert result["reason"] == (
+        "integrating factor is not rational; the potential is not an elementary "
+        "expression in this representation"
+    )
+    assert result["rank"] == 0
+    assert rep["certificates"] == [{"identity": "closedness", "isZero": True, "residual": "0"}]
+
+
 def test_pipeline_dependent_multipliers_exit_3(capsys, tmp_path):
     p = tmp_path / "sys3.system"
     p.write_text("vars x, y, z\ndx = x\ndy = y\ndz = z\n")
@@ -394,6 +415,67 @@ def test_printed_ratio_integrals_are_first_integrals_to_sympy(capsys, tmp_path):
         R = sympy.sympify(text.replace("^", "**"), locals=scope)
         assert not R.is_constant()
         assert sympy.simplify(sum(P * sympy.diff(R, v) for P, v in zip(field, symbols))) == 0
+
+
+def _sympy_system(path, sympy):
+    """(scope, field) of a .system file read with sympy alone: name -> symbol, components in order."""
+    lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip() and not ln.startswith("#")]
+    names = [v.strip() for v in lines[0].removeprefix("vars").split(",")]
+    scope = {v: sympy.Symbol(v) for v in names}
+    rhs = dict(line.split(" = ") for line in lines[1:])
+    return scope, [sympy.sympify(rhs[f"d{v}"].replace("^", "**"), locals=scope) for v in names]
+
+
+def test_printed_theorem2_reports_hold_to_sympy():
+    # an oracle outside lvk: sympy reads each theorem-2 catalog golden and its
+    # .system file alone and checks the paper's identities on the printed
+    # objects: the Cramer identities Gamma*Y_i = -Gamma_i*Y_last, the
+    # divergence identity d_last Gamma - sum_i d_i Gamma_i = 0, h*Gamma =
+    # Y_last, J*h a nonzero constant and div(J*Y) = 0.  Where the report warns
+    # of a common factor of the components, Y is the field with their gcd
+    # divided out, so this checks the reduced-field claim; elsewhere Y = P.
+    sympy = pytest.importorskip("sympy")
+    checked = []
+    for golden in sorted(CATALOG.glob("*.golden.json")):
+        report = json.loads(golden.read_text())
+        result = report["result"]
+        if result.get("mode") != "theorem2":
+            continue
+        scope, field = _sympy_system(CATALOG / f"{report['systemName']}.system", sympy)
+        symbols = list(scope.values())
+
+        def read(text):
+            return sympy.sympify(text.replace("^", "**"), locals=scope)
+
+        common = sympy.gcd_list(field, *symbols)
+        if result["warnings"]:
+            [warning] = result["warnings"]
+            factor = read(warning.split("share the factor ")[1].split(";")[0])
+            assert sympy.simplify(factor / common).is_number
+            field = [sympy.cancel(P / factor) for P in field]
+        else:
+            assert common.is_number
+        Y = dict(zip(symbols, field))
+        last = scope[result["lastVariable"]]
+        gamma = read(result["gamma"])
+        gammas = {scope[v]: read(text) for v, text in result["gammas"].items()}
+        assert sorted(map(str, [*gammas, last])) == sorted(scope)
+        for v, gamma_v in gammas.items():
+            assert sympy.simplify(gamma * Y[v] + gamma_v * Y[last]) == 0
+        divergence = sympy.diff(gamma, last) - sum(sympy.diff(g, v) for v, g in gammas.items())
+        assert sympy.simplify(divergence) == 0
+        h = read(result["h"])
+        assert sympy.simplify(h * gamma - Y[last]) == 0
+        J = read(result["multiplier"])
+        c = sympy.simplify(J * h)
+        assert c.is_number and c != 0
+        assert sympy.simplify(sum(sympy.diff(J * Y[v], v) for v in symbols)) == 0
+        assert [cert["identity"] for cert in report["certificates"]] == [
+            *(f"cramer[{v}]" for v in result["gammas"]),
+            "multiplier-residual",
+        ]
+        checked.append(report["systemName"])
+    assert checked == ["linear3", "linear4", "quad2", "scale3", "scale4", "shared3", "volterra3"]
 
 
 def test_human_report_keeps_each_log_group_together(capsys):

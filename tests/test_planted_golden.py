@@ -3,8 +3,9 @@
 Each line of ``goldens/planted-theorem2-seed5.txt`` is one case of the
 planted workload: its label, the renders of Gamma, the Gamma_i, h, the A-form
 d log h (derived from h for the report) and the multiplier, and each
-certificate's name and residual (the Cramer identities, determinant
-cancellation and the multiplier identity), separated by `` | ``.  To
+certificate's name and residual (the Cramer identities, then the multiplier
+identity, which also covers the divergence identity of the Gamma
+determinants once the Cramer identities hold), separated by `` | ``.  To
 regenerate after an intended output change, run
 ``PYTHONPATH=src:tests python tests/test_planted_golden.py``.
 """

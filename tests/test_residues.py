@@ -99,6 +99,25 @@ def test_algebraic_group_trace_derivative():
     assert g.log_derivative(0) == parse_ratfunc("1/(x^2 - 2)", names)
 
 
+def test_group_log_derivative_subtracts_the_denominator_term():
+    # arg = (x + t)/(y + 1), and the roots of t^2 - t - 1 sum to p_1 = 1, so
+    # the t-free denominator contributes -p_1 * d log(y + 1)
+    sympy = pytest.importorskip("sympy")
+    names = ["x", "y"]
+    g = ResidueGroup(
+        minpoly=(F(-1), F(-1), F(1)),
+        arg=(parse_ratfunc("x/(y+1)", names), parse_ratfunc("1/(y+1)", names)),
+    )
+    got = [g.log_derivative(v) for v in range(2)]
+    assert [r.render(names) for r in got] == ["(x - 2)/(x^2 + x - 1)", "-1/(y + 1)"]
+    x, y = sympy.symbols("x y")
+    roots = [(1 + sympy.sqrt(5)) / 2, (1 - sympy.sqrt(5)) / 2]
+    for var, r in zip((x, y), got):
+        want = sum(t * sympy.diff(sympy.log((x + t) / (y + 1)), var) for t in roots)
+        printed = sympy.sympify(r.render(names).replace("^", "**"), locals={"x": x, "y": y})
+        assert sympy.simplify(want - printed) == 0
+
+
 @pytest.mark.parametrize("arg", [(), ("x", "1", "0")], ids=["empty", "past-the-degree"])
 def test_group_argument_is_reduced_modulo_the_minimal_polynomial(arg):
     # a quadratic group takes the coefficients of 1 and t, and at least one
