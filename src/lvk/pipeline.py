@@ -26,10 +26,10 @@ only for the report.  Once the Cramer identities hold, J P is
 c (-Gamma_1, ..., -Gamma_{n-1}, Gamma) in the order (x_1, ..., x_n), so
 div(J P) is c (d_n Gamma - sum_i d_i Gamma_i): the divergence identity of
 the Gamma determinants is the multiplier residual divided by h, and is not
-certified a second time.  Theorem 1's identities go
-through the same ``darboux`` checks: each multiplier through
-``is_jacobian_multiplier``, and each ratio J_k / J_{n-1}, like the 2D
-integral I as exp(I), through ``is_first_integral``.
+certified a second time.  Theorem 1's identities go through the same
+``darboux`` checks: each multiplier through ``is_jacobian_multiplier``, and
+each ratio J_k / J_{n-1}, like the 2D integral I as exp(I), through
+``is_first_integral``.
 """
 
 from __future__ import annotations
